@@ -34,7 +34,7 @@ from .generators import (
     random_spc,
 )
 from .reducibility import (
-    SeparableDecomposition,
+    ExtractionFailure,
     decompose,
     equal_schmidt_certificate,
     minimal_rank_extract,
@@ -207,10 +207,8 @@ def _cmd_certify(args) -> int:
     exit_code = 0
     try:
         extraction = minimal_rank_extract(gamma, cls, tols)
-        if isinstance(extraction, SeparableDecomposition):
-            report["extraction"] = extraction.to_json()
-        else:
-            report["extraction"] = extraction.to_json()
+        report["extraction"] = extraction.to_json()
+        if isinstance(extraction, ExtractionFailure):
             exit_code = 2
     except PreconditionNotMet as exc:
         report["extraction"] = {"skipped": str(exc)}

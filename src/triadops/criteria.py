@@ -20,7 +20,7 @@ import numpy as np
 
 from .contractions import partial_transpose, realign
 from .errors import DimensionMismatch, NotAState, NotPSD, PreconditionNotMet
-from .tensor_core import BipartiteOperator, norms, psd_check
+from .tensor_core import BipartiteOperator, _herm_eigvalsh, norms, psd_check
 from .schmidt_maps import reduced_a, reduced_b
 from .tolerances import DEFAULT, Tolerances
 
@@ -82,10 +82,6 @@ class TriadClassification:
         }
 
 
-def _min_eig_hermitian_part(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-
-
 def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClassification:
     """Evaluate all three class flags and the CCNR value in one pass."""
     if gamma.dim_a != gamma.dim_b:
@@ -96,20 +92,19 @@ def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClass
     herm_defect = float(np.linalg.norm(mat - mat.conj().T))
     is_hermitian = herm_defect <= tols.herm * max(scale, tiny)
 
-    min_eig = _min_eig_hermitian_part(mat)
-    op_norm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)))))
-    is_psd = min_eig >= -tols.psd * max(1.0, op_norm)
-    is_state = bool(
-        is_hermitian and is_psd and abs(np.trace(mat).real - 1.0) <= _TRACE_TOL
-    )
+    w = _herm_eigvalsh(mat)
+    op_norm = float(np.max(np.abs(w)))
+    # every class flag presupposes a Hermitian PSD input
+    is_psd = is_hermitian and float(w[0]) >= -tols.psd * max(1.0, op_norm)
+    is_state = bool(is_psd and abs(np.trace(mat).real - 1.0) <= _TRACE_TOL)
 
     pt = partial_transpose(gamma)
-    ppt_min = _min_eig_hermitian_part(pt.mat)
+    ppt_min = float(_herm_eigvalsh(pt.mat)[0])
     ppt = bool(is_psd and ppt_min >= -tols.psd * max(1.0, op_norm))
 
     rpt = realign(pt).mat
     spc_defect = float(np.linalg.norm(rpt - rpt.conj().T)) / max(scale, tiny)
-    spc_min = _min_eig_hermitian_part(rpt)
+    spc_min = float(_herm_eigvalsh(rpt)[0])
     spc = bool(
         is_psd
         and spc_defect <= tols.herm
@@ -278,12 +273,12 @@ def ppt_pair_forces_invariance(
     op_norm = norms(gamma).operator_norm
     thresh = -tols.psd * max(1.0, op_norm)
 
-    gamma_ppt = _min_eig_hermitian_part(partial_transpose(gamma).mat) >= thresh
+    gamma_ppt = _herm_eigvalsh(partial_transpose(gamma).mat)[0] >= thresh
     r = realign(gamma)
     scale = max(float(np.linalg.norm(gamma.mat)), np.finfo(float).tiny)
     r_herm = float(np.linalg.norm(r.mat - r.mat.conj().T)) <= tols.herm * scale
-    r_psd = _min_eig_hermitian_part(r.mat) >= thresh
-    r_ppt = _min_eig_hermitian_part(partial_transpose(r).mat) >= thresh
+    r_psd = _herm_eigvalsh(r.mat)[0] >= thresh
+    r_ppt = _herm_eigvalsh(partial_transpose(r).mat)[0] >= thresh
 
     both = bool(gamma_ppt and r_herm and r_psd and r_ppt)
     dist = float(np.linalg.norm(r.mat - gamma.mat))

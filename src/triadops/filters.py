@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contractions import flip, realign, star_product
+from .contractions import flip, partial_transpose, realign, star_product
 from .criteria import classify
 from .errors import (
     DimensionMismatch,
@@ -49,7 +49,15 @@ from .schmidt_maps import (
     hermitian_from_coords,
     schmidt,
 )
-from .tensor_core import BipartiteOperator, LocalOperator, psd_check
+from .tensor_core import (
+    BipartiteOperator,
+    LocalOperator,
+    _clusters,
+    _herm_eigvalsh,
+    _herm_support,
+    _partial_trace,
+    psd_check,
+)
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -108,17 +116,9 @@ class FilterResult:
         }
 
 
-def _marginal_a(mat: np.ndarray, k: int) -> np.ndarray:
-    return np.einsum("ijpj->ip", mat.reshape(k, k, k, k))
-
-
-def _marginal_b(mat: np.ndarray, k: int) -> np.ndarray:
-    return np.einsum("ijiq->jq", mat.reshape(k, k, k, k))
-
-
 def _guarded_eigh(marginal: np.ndarray, side: str, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(0.5 * (marginal + marginal.conj().T))
-    if w[0] <= rank_tol * w[-1] or w[-1] <= 0:
+    w, v, cut = _herm_support(marginal, rank_tol)
+    if w[0] <= cut:
         raise MarginalRankDeficient(
             f"{side}-marginal eigenvalue {w[0]:.3e} fell below the rank threshold"
         )
@@ -158,8 +158,8 @@ def _scaling_engine(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        ga = _marginal_a(delta, k)
-        gb = _marginal_b(delta, k)
+        ga = _partial_trace(delta.reshape(k, k, k, k), "a")
+        gb = _partial_trace(delta.reshape(k, k, k, k), "b")
         res_a = float(np.linalg.norm(ga - eye_k))
         res_b = float(np.linalg.norm(gb - eye_k))
         if max(res_a, res_b) <= filter_tol:
@@ -173,7 +173,7 @@ def _scaling_engine(
             t1 = np.trace(delta).real
             delta /= t1
             fa = pa @ fa / np.sqrt(t1)
-            gb = _marginal_b(delta, k)
+            gb = _partial_trace(delta.reshape(k, k, k, k), "b")
             pb = _inv_power(gb, k, 0.5, "B", rank_tol)
             delta = np.kron(np.eye(k), pb) @ delta @ np.kron(np.eye(k), pb).conj().T
             t2 = np.trace(delta).real
@@ -197,10 +197,8 @@ def _scaling_engine(
             {"iteration": iterations, "residual_a": res_a, "residual_b": res_b, "monitor": monitor}
         )
 
-    ga = _marginal_a(delta, k)
-    gb = _marginal_b(delta, k)
-    res_a = float(np.linalg.norm(ga - eye_k))
-    res_b = float(np.linalg.norm(gb - eye_k))
+    res_a = float(np.linalg.norm(_partial_trace(delta.reshape(k, k, k, k), "a") - eye_k))
+    res_b = float(np.linalg.norm(_partial_trace(delta.reshape(k, k, k, k), "b") - eye_k))
     return delta, fa, fb, iterations, converged, log, res_a, res_b
 
 
@@ -230,7 +228,7 @@ def _identity_aligned_expansion(
     v = v[:, ::-1].copy()
     jstar = int(np.argmax(np.abs(v[0, :])))
     scale = max(float(w[0]), np.finfo(float).tiny)
-    cluster = np.nonzero(np.abs(w - w[jstar]) <= 1e-8 * scale)[0]
+    cluster = next(c for c in _clusters(w, 1e-8 * scale) if jstar in c)
     block = v[:, cluster]
     proj = block @ (block.T @ e0)
     if np.linalg.norm(proj) > 1e-6:
@@ -271,12 +269,9 @@ def _identity_aligned_expansion(
 
 def _spc_defect(op: BipartiteOperator) -> float:
     """Hermiticity defect plus negative part of realign(partial transpose)."""
-    k = op.dim_a
-    rpt = realign(
-        BipartiteOperator(op.tensor4.transpose(0, 3, 2, 1).reshape(k * k, k * k), k, k)
-    ).mat
+    rpt = realign(partial_transpose(op)).mat
     herm = float(np.linalg.norm(rpt - rpt.conj().T))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rpt + rpt.conj().T))[0])
+    min_eig = float(_herm_eigvalsh(rpt)[0])
     return herm + max(0.0, -min_eig)
 
 
@@ -306,8 +301,8 @@ def sinkhorn_filter(
     k = gamma.dim_a
     mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
     mat = mat / np.trace(mat).real
-    _guarded_eigh(_marginal_a(mat, k), "A", tols.rank)
-    _guarded_eigh(_marginal_b(mat, k), "B", tols.rank)
+    _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "a"), "A", tols.rank)
+    _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "b"), "B", tols.rank)
 
     if mode == "symmetric" and not classify(gamma, tols).spc:
         raise WrongClassForMode("symmetric mode needs an SPC input")
@@ -449,15 +444,9 @@ class ProbeResult:
         }
 
 
-def _numerical_rank(mat: np.ndarray, rank_tol: float) -> tuple[int, bool]:
-    """Rank by eigenvalue thresholding; flags borderline threshold calls."""
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    top = max(float(w[-1]), 0.0)
-    if top == 0.0:
-        return 0, False
-    cut = rank_tol * top
-    borderline = bool(np.any((np.abs(w) > 0.1 * cut) & (np.abs(w) < 10.0 * cut)))
-    return int(np.sum(w > cut)), borderline
+def _borderline(w: np.ndarray, cut: float) -> bool:
+    """True when some eigenvalue lies within a factor 10 of the rank cutoff."""
+    return bool(np.any((np.abs(w) > 0.1 * cut) & (np.abs(w) < 10.0 * cut)))
 
 
 def fully_indecomposable_probe(
@@ -496,13 +485,7 @@ def fully_indecomposable_probe(
             continue
         # projectors onto each eigenvalue cluster, plus the positive and
         # negative parts
-        groups: list[list[int]] = []
-        for i, wi in enumerate(w):
-            if groups and abs(wi - w[groups[-1][-1]]) <= 1e-8 * scale:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        for grp in groups:
+        for grp in _clusters(w, 1e-8 * scale):
             if abs(w[grp[0]]) > 1e-8 * scale:
                 candidates.append(v[:, grp] @ v[:, grp].conj().T)
         for sign in (1.0, -1.0):
@@ -520,17 +503,15 @@ def fully_indecomposable_probe(
     saw_borderline = False
     for x in candidates:
         x = 0.5 * (x + x.conj().T)
-        rank_x, bx = _numerical_rank(x, tols.rank)
+        wx, _, cut_x = _herm_support(x, tols.rank)
+        rank_x = int(np.sum(wx > cut_x))
         if not 0 < rank_x < k:
             continue
         probes_run += 1
-        gx = g_apply(gamma, x).mat
-        rank_gx, bg = _numerical_rank(gx, tols.rank)
-        saw_borderline = saw_borderline or bx or bg
-        if rank_gx <= rank_x:
-            w, v = np.linalg.eigh(0.5 * (gx + gx.conj().T))
-            top = max(float(w[-1]), np.finfo(float).tiny)
-            kernel = v[:, w <= tols.rank * top]
+        wg, vg, cut_g = _herm_support(g_apply(gamma, x).mat, tols.rank)
+        saw_borderline = saw_borderline or _borderline(wx, cut_x) or _borderline(wg, cut_g)
+        if int(np.sum(wg > cut_g)) <= rank_x:
+            kernel = vg[:, wg <= cut_g]
             y = kernel @ kernel.conj().T
             return ProbeResult(
                 verdict="decomposable_witness",

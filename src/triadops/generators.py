@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contractions import flip, maximally_entangled_vector, realign
+from .contractions import flip, maximally_entangled_vector, partial_transpose, realign
 from .errors import BadRank, FixedPointNotReached, RejectionBudgetExhausted, UnknownName
-from .tensor_core import BipartiteOperator, LocalOperator
+from .tensor_core import BipartiteOperator, LocalOperator, _herm_eigvalsh
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -128,9 +128,7 @@ def random_invariant(
 
 
 def _is_ppt_strict(mat: np.ndarray, k: int) -> bool:
-    pt = BipartiteOperator(mat, k, k).tensor4.transpose(0, 3, 2, 1).reshape(k * k, k * k)
-    pt = 0.5 * (pt + pt.conj().T)
-    return bool(np.linalg.eigvalsh(pt)[0] >= 0.0)
+    return bool(_herm_eigvalsh(partial_transpose(BipartiteOperator(mat, k, k)).mat)[0] >= 0.0)
 
 
 def random_ppt(k: int, seed: int, budget: int = 200_000, tols: Tolerances = DEFAULT) -> BipartiteOperator:
@@ -160,16 +158,14 @@ def random_ppt(k: int, seed: int, budget: int = 200_000, tols: Tolerances = DEFA
     noise /= np.trace(noise).real
     rho = 0.9 * sep.mat + 0.1 * noise
     for _ in range(500):
-        op = BipartiteOperator(rho, k, k)
-        pt = op.tensor4.transpose(0, 3, 2, 1).reshape(k * k, k * k)
+        pt = partial_transpose(BipartiteOperator(rho, k, k)).mat
         pt = 0.5 * (pt + pt.conj().T)
         w, v = np.linalg.eigh(pt)
-        if w[0] >= 0.0 and np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] >= 0.0:
+        if w[0] >= 0.0 and _herm_eigvalsh(rho)[0] >= 0.0:
             rho = 0.5 * (rho + rho.conj().T)
             return BipartiteOperator(rho / np.trace(rho).real, dim_a=k, dim_b=k)
         clipped = (v * np.maximum(w, 0.0)) @ v.conj().T
-        back = BipartiteOperator(clipped, k, k).tensor4.transpose(0, 3, 2, 1)
-        rho = back.reshape(k * k, k * k)
+        rho = partial_transpose(BipartiteOperator(clipped, k, k)).mat
         rho = 0.5 * (rho + rho.conj().T)
         w2, v2 = np.linalg.eigh(rho)
         rho = (v2 * np.maximum(w2, 0.0)) @ v2.conj().T

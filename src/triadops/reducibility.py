@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .criteria import TriadClassification, classify
 from .errors import (
@@ -33,7 +32,15 @@ from .schmidt_maps import (
     hermitian_from_coords,
     schmidt,
 )
-from .tensor_core import BipartiteOperator, LocalOperator, psd_check
+from .tensor_core import (
+    BipartiteOperator,
+    LocalOperator,
+    _clusters,
+    _herm_eigvalsh,
+    _herm_support,
+    _partial_trace,
+    psd_check,
+)
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -74,18 +81,6 @@ class PsdEigenvectorResult:
     full_rank_witness: LocalOperator | None = None
 
 
-def _min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-
-
-def _proj_rank(mat: np.ndarray, rank_tol: float) -> int:
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    top = max(float(np.max(np.abs(w))), 0.0)
-    if top == 0.0:
-        return 0
-    return int(np.sum(w > rank_tol * top))
-
-
 def _clip_psd_unit(mat: np.ndarray) -> np.ndarray:
     """Nearest-PSD projection followed by Frobenius normalization."""
     w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
@@ -111,7 +106,7 @@ def _bisect_boundary(x_pd: np.ndarray, direction: np.ndarray) -> np.ndarray | No
         t_hi = None
         t = sign
         for _ in range(60):
-            if _min_eig(x_pd + t * direction) < 0:
+            if _herm_eigvalsh(x_pd + t * direction)[0] < 0:
                 t_hi = t
                 break
             t *= 2.0
@@ -120,7 +115,7 @@ def _bisect_boundary(x_pd: np.ndarray, direction: np.ndarray) -> np.ndarray | No
         lo, hi = 0.0, t_hi
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if _min_eig(x_pd + mid * direction) < 0:
+            if _herm_eigvalsh(x_pd + mid * direction)[0] < 0:
                 hi = mid
             else:
                 lo = mid
@@ -157,8 +152,8 @@ def find_psd_eigenvector(
 
     def _accept(cand: np.ndarray) -> PsdEigenvectorResult | None:
         cand = _clip_psd_unit(cand)
-        rank = _proj_rank(cand, tols.rank)
-        if not 0 < rank < k:
+        w, _, cut = _herm_support(cand, tols.rank)
+        if not 0 < np.sum(w > cut) < k:
             return None
         lam, res = _eigen_residual(gamma, cand)
         if res > accept_res:
@@ -188,37 +183,30 @@ def find_psd_eigenvector(
     w, v = np.linalg.eigh(mfg)
     w = w[::-1]
     v = v[:, ::-1]
-    clusters: list[list[int]] = []
-    for i in range(len(w)):
-        if clusters and w[clusters[-1][-1]] - w[i] <= 1e-8 * lam_scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
 
     # The kernel projector of a singular first marginal is always an
     # eigenvector (eigenvalue zero); test it before the generic scan.
-    ga = np.einsum("ijpj->ip", gamma.tensor4)
-    wa, va = np.linalg.eigh(0.5 * (ga + ga.conj().T))
-    dead = wa <= tols.rank * max(float(wa[-1]), np.finfo(float).tiny)
+    wa, va, cut = _herm_support(_partial_trace(gamma.tensor4, "a"), tols.rank)
+    dead = wa <= cut
     if 0 < int(np.sum(dead)) < k:
         hit = _accept(va[:, dead] @ va[:, dead].conj().T)
         if hit is not None:
             return hit
 
-    for cluster in clusters:
+    for cluster in _clusters(w, 1e-8 * lam_scale):
         mats = [hermitian_from_coords(v[:, i], k) for i in cluster]
         for h in mats:
             for sign in (1.0, -1.0):
                 cand = sign * h
-                if _min_eig(cand) >= -1e-12:
+                if _herm_eigvalsh(cand)[0] >= -1e-12:
                     hit = _accept(cand)
                     if hit is not None:
                         return hit
         if len(mats) < 2:
             continue
         # Walk from the most positive element toward the other directions.
-        best = max((s * h for h in mats for s in (1.0, -1.0)), key=_min_eig)
-        if _min_eig(best) <= 1e-12:
+        best = max((s * h for h in mats for s in (1.0, -1.0)), key=lambda h: _herm_eigvalsh(h)[0])
+        if _herm_eigvalsh(best)[0] <= 1e-12:
             continue
         for h in mats:
             if np.linalg.norm(h - best) < 1e-12 or np.linalg.norm(h + best) < 1e-12:
@@ -273,15 +261,6 @@ class SplitCertificate:
         }
 
 
-def _support_projector(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Projector onto the numerical range, plus an isometry basis of it."""
-    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    top = max(float(np.max(np.abs(w))), 0.0)
-    keep = w > rank_tol * top if top > 0 else np.zeros_like(w, dtype=bool)
-    basis = v[:, keep]
-    return basis @ basis.conj().T, basis
-
-
 def split(
     gamma: BipartiteOperator, x: LocalOperator, tols: Tolerances = DEFAULT
 ) -> SplitCertificate:
@@ -296,20 +275,23 @@ def split(
         raise DimensionMismatch("split requires equal factor dimensions")
     k = gamma.dim_a
     xm = 0.5 * (x.mat + x.mat.conj().T)
-    rank_x = _proj_rank(xm, tols.rank)
-    if rank_x == 0:
+    w, v, cut = _herm_support(xm, tols.rank)
+    basis_v = v[:, w > cut]
+    if basis_v.shape[1] == 0:
         raise ZeroMatrix("split eigenvector is numerically zero")
-    if rank_x == k:
+    if basis_v.shape[1] == k:
         raise FullRankEigenvector("split needs an eigenvector with a nontrivial kernel")
 
-    proj_v, _ = _support_projector(xm, tols.rank)
+    proj_v = basis_v @ basis_v.conj().T
     gx = g_apply(gamma, xm).mat
     # an eigenvalue-zero eigenvector has a genuinely vanishing image; do not
     # let roundoff noise masquerade as a support
     if np.linalg.norm(gx) <= 1e-13 * np.linalg.norm(gamma.mat) * np.linalg.norm(xm):
         proj_w = np.zeros((k, k))
     else:
-        proj_w, _ = _support_projector(gx, tols.rank)
+        w, v, cut = _herm_support(gx, tols.rank)
+        basis_w = v[:, w > cut]
+        proj_w = basis_w @ basis_w.conj().T
     proj_v_perp = np.eye(k) - proj_v
     proj_w_perp = np.eye(k) - proj_w
 
@@ -442,8 +424,9 @@ def decompose(
             block = sandwich @ mat @ sandwich.conj().T
             if np.trace(block).real <= 1e-12 * max(np.trace(mat).real, 1e-300):
                 continue
-            _, ba = _support_projector(pv, 0.5)
-            _, bb = _support_projector(pw, 0.5)
+            wa, va, cut_a = _herm_support(pv, 0.5)
+            wb, vb, cut_b = _herm_support(pw, 0.5)
+            ba, bb = va[:, wa > cut_a], vb[:, wb > cut_b]
             child = _node(_compress_block(block, ba, bb), ba.shape[1], bb.shape[1], depth - 1)
             child.embed_a = ba
             child.embed_b = bb
@@ -530,9 +513,11 @@ def rank_bound_check(
     rank; the report's claim is only meaningful when a flag is set.
     """
     del classification  # recorded by the caller; the comparison is unconditional
-    rank = _proj_rank(gamma.mat, tols.rank)
-    ra = _proj_rank(np.einsum("ijpj->ip", gamma.tensor4), tols.rank)
-    rb = _proj_rank(np.einsum("ijiq->jq", gamma.tensor4), tols.rank)
+    marginals = (_partial_trace(gamma.tensor4, "a"), _partial_trace(gamma.tensor4, "b"))
+    rank, ra, rb = (
+        int(np.sum(w > cut))
+        for w, _, cut in (_herm_support(m, tols.rank) for m in (gamma.mat, *marginals))
+    )
     return RankBoundReport(
         rank=rank, reduced_ranks=(ra, rb), bound_holds=bool(rank >= max(ra, rb))
     )
@@ -594,9 +579,10 @@ def _rank_deficient_eigenvector(
     """Combine two eigenvectors into one whose k x k reshape is singular.
 
     Scans eigenvector pairs; for each pair the mixing parameter solves the
-    determinant pencil det(M_i + alpha * M_j) = 0 through the generalized
-    eigenvalue problem.  Raises NumericalDegeneracy when every pencil is
-    identically singular.
+    determinant pencil det(M_i + alpha * M_j) = 0.  The pairs are reached only
+    when every M_i has full rank, so the roots are alpha = -1/mu for the
+    nonzero eigenvalues mu of M_i^-1 M_j.  Raises NumericalDegeneracy when no
+    root gives a rank-deficient combination.
     """
     n = vecs.shape[1]
     mats = [vecs[:, i].reshape(k, k) for i in range(n)]
@@ -611,10 +597,10 @@ def _rank_deficient_eigenvector(
     for i in range(n):
         for j in range(i + 1, n):
             try:
-                alphas = scipy.linalg.eig(mats[i], -mats[j], right=False)
-            except (np.linalg.LinAlgError, ValueError):
+                mu = np.linalg.eigvals(np.linalg.solve(mats[i], mats[j]))
+            except np.linalg.LinAlgError:
                 continue
-            alphas = alphas[np.isfinite(alphas)]
+            alphas = -1.0 / mu[mu != 0]
             order = np.lexsort((alphas.imag.round(12), alphas.real.round(12), np.abs(alphas).round(12)))
             for alpha in alphas[order]:
                 cand = vecs[:, i] + alpha * vecs[:, j]
@@ -659,10 +645,8 @@ def _extract_normal_form(mat: np.ndarray, k: int, tols: Tolerances):
     rr = basis_v @ np.diag(s[:m] ** 2) @ basis_v.conj().T
 
     state = BipartiteOperator(mat, k, k)
-    gx = g_apply(state, rr).mat
-    wg, vg = np.linalg.eigh(0.5 * (gx + gx.conj().T))
-    top_g = max(float(wg[-1]), np.finfo(float).tiny)
-    keep = wg > tols.rank * top_g
+    wg, vg, cut = _herm_support(g_apply(state, rr).mat, tols.rank)
+    keep = wg > cut
     if int(np.sum(keep)) != m:
         raise _StepFailure(
             "image-rank",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .contractions import realign
 from .errors import DimensionMismatch
-from .tensor_core import BipartiteOperator, LocalOperator, _require_hermitian
+from .tensor_core import BipartiteOperator, LocalOperator, _partial_trace, _require_hermitian
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -44,12 +44,12 @@ __all__ = [
 
 def reduced_a(gamma: BipartiteOperator) -> LocalOperator:
     """Partial trace over the second factor."""
-    return LocalOperator(np.einsum("ijpj->ip", gamma.tensor4), dim=gamma.dim_a)
+    return LocalOperator(_partial_trace(gamma.tensor4, "a"), dim=gamma.dim_a)
 
 
 def reduced_b(gamma: BipartiteOperator) -> LocalOperator:
     """Partial trace over the first factor."""
-    return LocalOperator(np.einsum("ijiq->jq", gamma.tensor4), dim=gamma.dim_b)
+    return LocalOperator(_partial_trace(gamma.tensor4, "b"), dim=gamma.dim_b)
 
 
 def _local_mat(x) -> np.ndarray:

@@ -170,6 +170,38 @@ def _require_hermitian(mat: np.ndarray, herm_tol: float) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
+def _herm_eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``mat``."""
+    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+
+
+def _herm_support(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs (ascending) of the Hermitian part of ``mat`` and its rank cutoff.
+
+    Eigenvalues above the cutoff ``rank_tol * max(largest eigenvalue, tiny)``
+    span the numerical support; the rest span the kernel.  A matrix with no
+    positive eigenvalue has rank zero.
+    """
+    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    return w, v, rank_tol * max(float(w[-1]), np.finfo(float).tiny)
+
+
+def _partial_trace(t4: np.ndarray, keep: str) -> np.ndarray:
+    """Reduced matrix on factor ``keep`` ("a" or "b") of a (k, m, k, m) tensor."""
+    return np.einsum("ijpj->ip" if keep == "a" else "ijiq->jq", t4)
+
+
+def _clusters(w: np.ndarray, width: float) -> list[range]:
+    """Index ranges of a sorted spectrum's clusters.
+
+    A new cluster starts wherever two consecutive eigenvalues differ by more
+    than ``width``.
+    """
+    cuts = (np.nonzero(np.abs(np.diff(w)) > width)[0] + 1).tolist()
+    bounds = [0, *cuts, len(w)]
+    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     """Eigendecomposition of a Hermitian operator, deterministic for fixed input.
 
@@ -194,18 +226,14 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
 
     # Reorder inside degenerate clusters only; the eigenvalue order is kept.
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    cluster_gap = 1e-12 * scale
-    start = 0
-    for stop in range(1, len(w) + 1):
-        if stop == len(w) or w[start] - w[stop] > cluster_gap:
-            if stop - start > 1:
-                keys = [
-                    tuple(np.round(np.concatenate([v[:, c].real, v[:, c].imag]), 10))
-                    for c in range(start, stop)
-                ]
-                order = sorted(range(stop - start), key=lambda i: keys[i])
-                v[:, start:stop] = v[:, [start + i for i in order]]
-            start = stop
+    for cluster in _clusters(w, 1e-12 * scale):
+        if len(cluster) > 1:
+            keys = [
+                tuple(np.round(np.concatenate([v[:, c].real, v[:, c].imag]), 10))
+                for c in cluster
+            ]
+            order = sorted(range(len(cluster)), key=lambda i: keys[i])
+            v[:, cluster] = v[:, [cluster[i] for i in order]]
     w.setflags(write=False)
     v.setflags(write=False)
     return SpectralData(eigenvalues=w, eigenvectors=v)
@@ -243,13 +271,12 @@ def inv_sqrt_psd(
     Eigenvalues above ``rank_tol * max_eigenvalue`` map to 1/sqrt(eig), the
     rest to zero, so the result restricted to the kernel vanishes.
     """
-    mat = _require_hermitian(a.mat, tols.herm)
-    w, v = np.linalg.eigh(mat)
-    lam_max = float(w[-1])
-    if lam_max <= 0 or np.all(w <= rank_tol * lam_max):
+    _require_hermitian(a.mat, tols.herm)
+    w, v, cut = _herm_support(a.mat, rank_tol)
+    if not np.any(w > cut):
         raise ZeroMatrix("all eigenvalues fall below the rank threshold")
-    if w[0] < -tols.psd * max(1.0, lam_max):
+    if w[0] < -tols.psd * max(1.0, float(w[-1])):
         raise NotPSD(f"negative eigenvalue {w[0]:.3e} in inv_sqrt_psd input")
-    inv = np.where(w > rank_tol * lam_max, 1.0 / np.sqrt(np.maximum(w, np.finfo(float).tiny)), 0.0)
+    inv = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, np.finfo(float).tiny)), 0.0)
     out = (v * inv) @ v.conj().T
     return LocalOperator(0.5 * (out + out.conj().T), dim=a.dim)

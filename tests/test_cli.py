@@ -127,3 +127,13 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = capsys.readouterr().out
     BipartiteOperator.from_json(json.loads(out))
+
+
+def test_import_does_not_load_scipy():
+    # the subprocess inherits the caller's environment, as run_cli does
+    code = (
+        "import triadops, triadops.cli, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

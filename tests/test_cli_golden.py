@@ -1,0 +1,119 @@
+"""CLI ``--json`` output compared against stored goldens.
+
+Every case runs ``triadops.cli.main`` in-process on a generated input and
+compares stdout and the exit code with ``goldens/cli.json``.  The text must
+match byte for byte, except inside ``certify``'s ``extraction`` block, whose
+numbers come from a determinant-pencil root and are compared to 1e-12
+relative to max(1, |golden value|).
+
+To rewrite the goldens after a deliberate output change, run
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from triadops.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "goldens" / "cli.json"
+INPUTS = [
+    (cls, k, seed)
+    for cls, seed in (
+        ("density", 5),
+        ("ppt", 5),
+        ("spc", 5),
+        ("invariant", 5),
+        ("canonical:classical_diag", None),
+    )
+    for k in (2, 3)
+]
+COMMANDS = [
+    ["classify"],
+    ["bounds"],
+    ["schmidt"],
+    *(["filter", "--mode", mode] for mode in ("general", "symmetric", "conjugate", "left")),
+    ["decompose"],
+    ["certify"],
+]
+
+
+def _input_name(cls, k, seed):
+    return f"{cls}-k{k}" + ("" if seed is None else f"-s{seed}")
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+def _collect(tmp_dir):
+    """Run every case; yields (case name, {"exit", "stdout"})."""
+    for cls, k, seed in INPUTS:
+        name = _input_name(cls, k, seed)
+        argv = ["generate", "--class", cls, "--k", str(k)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        gen = _run(argv)
+        yield f"{name} generate", gen
+        path = tmp_dir / f"{name}.json"
+        path.write_text(gen["stdout"])
+        for cmd in COMMANDS:
+            yield f"{name} {' '.join(cmd)}", _run([*cmd, str(path), "--json"])
+
+
+def _assert_close(got, want, where):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        # _format_json prints an integral float such as 1.0 as "1"
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+def _assert_matches(name, got, want):
+    assert got["exit"] == want["exit"], name
+    if not (name.endswith(" certify") and want["stdout"]):
+        assert got["stdout"] == want["stdout"], name
+        return
+    # the extraction block is the report's last key; the text before it is byte-identical
+    head = got["stdout"].split('"extraction":')[0]
+    assert head == want["stdout"].split('"extraction":')[0], name
+    got_block = json.loads(got["stdout"])["extraction"]
+    _assert_close(got_block, json.loads(want["stdout"])["extraction"], f"{name} extraction")
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_cli_json_matches_goldens(tmp_path, goldens):
+    seen = []
+    for name, got in _collect(tmp_path):
+        assert name in goldens, f"no golden for {name}"
+        _assert_matches(name, got, goldens[name])
+        seen.append(name)
+    assert seen == list(goldens)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = dict(_collect(pathlib.Path(tmp)))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"wrote {len(cases)} cases to {GOLDEN}")

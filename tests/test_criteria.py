@@ -9,6 +9,7 @@ from triadops import (
     bound_triad,
     ccnr_entanglement_flag,
     classify,
+    decompose,
     kron,
     ppt_pair_forces_invariance,
     random_density,
@@ -41,6 +42,20 @@ def test_classify_identity_plus_u(identity_plus_u2):
     c = classify(identity_plus_u2)
     assert c.is_state and c.ppt and c.invariant
     assert c.residuals.invariance_distance <= 1e-14
+
+
+def test_classify_flags_need_hermitian_input():
+    # I/4 plus a skew-Hermitian part: the Hermitian part is PSD, the input is not
+    for seed in range(3):
+        rng = rng_from_seed(seed)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        gamma = BipartiteOperator(np.eye(4) / 4 + 0.3 * 0.5 * (z - z.conj().T), 2, 2)
+        c = classify(gamma)
+        assert not (c.is_state or c.ppt or c.spc or c.invariant), seed
+        with pytest.raises(PreconditionNotMet):
+            bound_triad(gamma, c)
+        with pytest.raises(PreconditionNotMet):
+            decompose(gamma)
 
 
 def test_classify_requires_square():

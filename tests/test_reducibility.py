@@ -26,6 +26,8 @@ from triadops.errors import (
     PreconditionNotMet,
 )
 
+from triadops.reducibility import _rank_deficient_eigenvector
+
 from conftest import haar_unitary, random_psd_local
 
 
@@ -248,6 +250,16 @@ def test_extract_random_rank_k_mixtures(k):
         out = minimal_rank_extract(g, classify(g))
         assert isinstance(out, SeparableDecomposition), (k, seed, out)
         assert out.reconstruction_residual <= 1e-7
+
+
+def test_pencil_root_gives_rank_one_combination():
+    # vec(I/sqrt2) and vec(diag(1,-1)/sqrt2) both have full rank, so the pair
+    # loop must solve det(M_1 + alpha M_2) = 0, whose roots are alpha = +-1
+    vecs = np.column_stack([np.eye(2).ravel(), np.diag([1.0, -1.0]).ravel()]) / np.sqrt(2)
+    combo = _rank_deficient_eigenvector(vecs.astype(complex), 2, 1e-8)
+    assert np.linalg.matrix_rank(combo.reshape(2, 2)) == 1
+    expected = [(vecs[:, 0] + a * vecs[:, 1]) / np.sqrt(2) for a in (1.0, -1.0)]
+    assert min(np.linalg.norm(combo - e) for e in expected) <= 1e-12
 
 
 def test_extract_preconditions(bell2, identity_plus_u2):
