@@ -112,7 +112,11 @@ def _scalar(v) -> str:
 
 
 def _load_operator(path: str) -> BipartiteOperator:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
     data = json.loads(text)
     return BipartiteOperator.from_json(data)
 

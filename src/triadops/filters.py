@@ -55,6 +55,7 @@ from .tensor_core import (
     _clusters,
     _herm_eigvalsh,
     _herm_support,
+    _kron,
     _partial_trace,
     psd_check,
 )
@@ -169,13 +170,15 @@ def _scaling_engine(
 
         if mode == "general":
             pa = _inv_power(ga, k, 0.5, "A", rank_tol)
-            delta = np.kron(pa, np.eye(k)) @ delta @ np.kron(pa, np.eye(k)).conj().T
+            big = _kron(pa, np.eye(k))
+            delta = big @ delta @ big.conj().T
             t1 = np.trace(delta).real
             delta /= t1
             fa = pa @ fa / np.sqrt(t1)
             gb = _partial_trace(delta.reshape(k, k, k, k), "b")
             pb = _inv_power(gb, k, 0.5, "B", rank_tol)
-            delta = np.kron(np.eye(k), pb) @ delta @ np.kron(np.eye(k), pb).conj().T
+            big = _kron(np.eye(k), pb)
+            delta = big @ delta @ big.conj().T
             t2 = np.trace(delta).real
             delta /= t2
             fb = pb @ fb / np.sqrt(t2)
@@ -183,7 +186,7 @@ def _scaling_engine(
         else:
             q = _inv_power(ga, k, 0.25, "A", rank_tol)
             qb = q.conj() if mode == "conjugate" else q
-            big = np.kron(q, qb)
+            big = _kron(q, qb)
             delta = big @ delta @ big.conj().T
             t = np.trace(delta).real
             delta /= t
@@ -275,21 +278,15 @@ def _spc_defect(op: BipartiteOperator) -> float:
     return herm + max(0.0, -min_eig)
 
 
-def sinkhorn_filter(
-    gamma: BipartiteOperator,
-    mode: str = "general",
-    filter_tol: float = DEFAULT.filter,
-    max_iter: int = 10_000,
-    tols: Tolerances = DEFAULT,
-) -> FilterResult:
-    """Bring a full-marginal-rank state to its filter normal form.
+def _normal_form(
+    gamma: BipartiteOperator, mode: str, filter_tol: float, max_iter: int, tols: Tolerances
+):
+    """Check a filter input, then run the scaling engine of its mode.
 
-    The input is trace-normalized first.  Symmetric mode requires an SPC
-    input and conjugate mode a realignment-invariant one (WrongClassForMode
-    otherwise); every mode requires both reduced states to have full rank.
-    Runs that exhaust ``max_iter`` return their partial result with
-    ``converged=False`` instead of raising, since decomposable inputs may
-    cycle and the iteration log is useful evidence.
+    Raises what ``sinkhorn_filter`` documents, in the same order.  Returns
+    (delta, fa, fb, iterations, converged, log, res_a, res_b) as
+    ``_scaling_engine`` does, with fb = None in left mode; no Schmidt data
+    and no class residual are computed.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -310,27 +307,46 @@ def sinkhorn_filter(
         raise WrongClassForMode("conjugate mode needs a realignment-invariant input")
 
     if mode == "left":
-        return _left_filter(mat, k, filter_tol, max_iter, tols)
+        return _left_engine(mat, k, filter_tol, max_iter, tols.rank)
+    return _scaling_engine(mat, k, mode, filter_tol, max_iter, tols.rank)
 
-    delta, fa, fb, iterations, converged, log, res_a, res_b = _scaling_engine(
-        mat, k, mode, filter_tol, max_iter, tols.rank
+
+def sinkhorn_filter(
+    gamma: BipartiteOperator,
+    mode: str = "general",
+    filter_tol: float = DEFAULT.filter,
+    max_iter: int = 10_000,
+    tols: Tolerances = DEFAULT,
+) -> FilterResult:
+    """Bring a full-marginal-rank state to its filter normal form.
+
+    The input is trace-normalized first.  Symmetric mode requires an SPC
+    input and conjugate mode a realignment-invariant one (WrongClassForMode
+    otherwise); every mode requires both reduced states to have full rank.
+    Runs that exhaust ``max_iter`` return their partial result with
+    ``converged=False`` instead of raising, since decomposable inputs may
+    cycle and the iteration log is useful evidence.
+    """
+    delta, fa, fb, iterations, converged, log, res_a, res_b = _normal_form(
+        gamma, mode, filter_tol, max_iter, tols
     )
+    k = gamma.dim_a
     normal_form = BipartiteOperator(delta, k, k)
-    if mode == "symmetric":
-        class_residual = _spc_defect(normal_form)
-    elif mode == "conjugate":
-        class_residual = float(np.linalg.norm(realign(normal_form).mat - delta))
-    else:
-        class_residual = None
     if mode == "general":
         # no identity structure is guaranteed here; plain SVD data
-        expansion = schmidt(normal_form, tols)
+        expansion, class_residual = schmidt(normal_form, tols), None
     else:
-        expansion, _ = _identity_aligned_expansion(normal_form, tols)
+        expansion, id_defect = _identity_aligned_expansion(normal_form, tols)
+        if mode == "symmetric":
+            class_residual = _spc_defect(normal_form)
+        elif mode == "conjugate":
+            class_residual = float(np.linalg.norm(realign(normal_form).mat - delta))
+        else:
+            class_residual = id_defect
     return FilterResult(
         mode=mode,
         filter_a=LocalOperator(fa),
-        filter_b=LocalOperator(fb),
+        filter_b=None if fb is None else LocalOperator(fb),
         normal_form=normal_form,
         marginal_residual_a=res_a,
         marginal_residual_b=res_b,
@@ -342,15 +358,13 @@ def sinkhorn_filter(
     )
 
 
-def _left_filter(
-    mat: np.ndarray, k: int, filter_tol: float, max_iter: int, tols: Tolerances
-) -> FilterResult:
-    """One-sided filter with a bi-orthogonal Hermitian expansion.
+def _left_engine(mat: np.ndarray, k: int, filter_tol: float, max_iter: int, rank_tol: float):
+    """One-sided filter for the bi-orthogonal Hermitian expansion of left mode.
 
     The conjugate-mode engine is run on the star product of the state with
     its flip-conjugated complex conjugate (whose realignment is PSD by
-    construction), the resulting filter is applied to the first factor only,
-    and the expansion is read off the eigenbasis of the composite
+    construction), and the resulting filter is applied to the first factor
+    only.  The expansion is then read off the eigenbasis of the composite
     contraction map, which by construction fixes the identity direction.
     """
     f = flip(k).mat
@@ -360,29 +374,14 @@ def _left_filter(
     omega = 0.5 * (omega + omega.conj().T)
 
     _, qa, _, iterations, converged, log, res_a, res_b = _scaling_engine(
-        omega, k, "conjugate", filter_tol, max_iter, tols.rank
+        omega, k, "conjugate", filter_tol, max_iter, rank_tol
     )
 
-    raw = np.kron(qa, np.eye(k)) @ mat @ np.kron(qa, np.eye(k)).conj().T
+    big = _kron(qa, np.eye(k))
+    raw = big @ mat @ big.conj().T
     t = np.trace(raw).real
     delta = 0.5 * (raw + raw.conj().T) / t
-    fa = qa / np.sqrt(t)
-    normal_form = BipartiteOperator(delta, k, k)
-    expansion, id_defect = _identity_aligned_expansion(normal_form, tols)
-
-    return FilterResult(
-        mode="left",
-        filter_a=LocalOperator(fa),
-        filter_b=None,
-        normal_form=normal_form,
-        marginal_residual_a=res_a,
-        marginal_residual_b=res_b,
-        iterations=iterations,
-        converged=converged,
-        schmidt_of_normal_form=expansion,
-        class_residual=id_defect,
-        iteration_log=log,
-    )
+    return delta, qa / np.sqrt(t), None, iterations, converged, log, res_a, res_b
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .contractions import flip, maximally_entangled_vector, partial_transpose, realign
 from .errors import BadRank, FixedPointNotReached, RejectionBudgetExhausted, UnknownName
-from .tensor_core import BipartiteOperator, LocalOperator, _herm_eigvalsh
+from .tensor_core import BipartiteOperator, LocalOperator, _herm_eigvalsh, _kron
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -59,7 +59,7 @@ def random_separable(
         y = _complex_normal(rng, k)
         y /= np.linalg.norm(y)
         px, py = np.outer(x, x.conj()), np.outer(y, y.conj())
-        total += w * np.kron(px, py)
+        total += w * _kron(px, py)
         ground_truth.append((float(w), LocalOperator(px), LocalOperator(py)))
     return BipartiteOperator(0.5 * (total + total.conj().T), dim_a=k, dim_b=k), ground_truth
 
@@ -87,8 +87,8 @@ def random_spc(k: int, seed: int, budget: int = 1000) -> BipartiteOperator:
     """
     rng = rng_from_seed(seed)
     basis = _random_hermitian_orthobasis(rng, k)
-    lead = np.kron(basis[0], basis[0]) / k
-    tail = np.stack([np.kron(b, b) for b in basis[1:]])
+    lead = _kron(basis[0], basis[0]) / k
+    tail = np.stack([_kron(b, b) for b in basis[1:]])
     scale = 0.5 / (k * k * np.sqrt(len(tail)))
     for attempt in range(budget):
         coeffs = rng.exponential(scale, size=len(tail))
@@ -186,7 +186,7 @@ def canonical(name: str, k: int, alpha: float | None = None) -> BipartiteOperato
         for i in range(k):
             e = np.zeros((k, k))
             e[i, i] = 1.0
-            mat += np.kron(e, e) / k
+            mat += _kron(e, e) / k
         return BipartiteOperator(mat, dim_a=k, dim_b=k)
     if name == "bell":
         u = maximally_entangled_vector(k)

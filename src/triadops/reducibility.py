@@ -24,7 +24,7 @@ from .errors import (
     PreconditionNotMet,
     ZeroMatrix,
 )
-from .filters import sinkhorn_filter
+from .filters import _normal_form
 from .schmidt_maps import (
     fg_apply,
     fg_matrix,
@@ -38,6 +38,7 @@ from .tensor_core import (
     _clusters,
     _herm_eigvalsh,
     _herm_support,
+    _kron,
     _partial_trace,
     psd_check,
 )
@@ -115,6 +116,8 @@ def _bisect_boundary(x_pd: np.ndarray, direction: np.ndarray) -> np.ndarray | No
         lo, hi = 0.0, t_hi
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # adjacent floats: neither endpoint can move again
             if _herm_eigvalsh(x_pd + mid * direction)[0] < 0:
                 hi = mid
             else:
@@ -195,18 +198,22 @@ def find_psd_eigenvector(
 
     for cluster in _clusters(w, 1e-8 * lam_scale):
         mats = [hermitian_from_coords(v[:, i], k) for i in cluster]
+        # (smallest eigenvalue, candidate) in the order (h0, +), (h0, -), (h1, +), ...;
+        # max() below keeps the first of equal maxima
+        signed = []
         for h in mats:
             for sign in (1.0, -1.0):
                 cand = sign * h
-                if _herm_eigvalsh(cand)[0] >= -1e-12:
+                signed.append((_herm_eigvalsh(cand)[0], cand))
+                if signed[-1][0] >= -1e-12:
                     hit = _accept(cand)
                     if hit is not None:
                         return hit
         if len(mats) < 2:
             continue
         # Walk from the most positive element toward the other directions.
-        best = max((s * h for h in mats for s in (1.0, -1.0)), key=lambda h: _herm_eigvalsh(h)[0])
-        if _herm_eigvalsh(best)[0] <= 1e-12:
+        low, best = max(signed, key=lambda pair: pair[0])
+        if low <= 1e-12:
             continue
         for h in mats:
             if np.linalg.norm(h - best) < 1e-12 or np.linalg.norm(h + best) < 1e-12:
@@ -295,8 +302,8 @@ def split(
     proj_v_perp = np.eye(k) - proj_v
     proj_w_perp = np.eye(k) - proj_w
 
-    sandwich_1 = np.kron(proj_v, proj_w)
-    sandwich_2 = np.kron(proj_v_perp, proj_w_perp)
+    sandwich_1 = _kron(proj_v, proj_w)
+    sandwich_2 = _kron(proj_v_perp, proj_w_perp)
     block_1 = sandwich_1 @ gamma.mat @ sandwich_1.conj().T
     block_2 = sandwich_2 @ gamma.mat @ sandwich_2.conj().T
     residual = float(np.linalg.norm(gamma.mat - block_1 - block_2))
@@ -348,7 +355,7 @@ class DecompositionTree:
             return self.state.mat
         total = np.zeros_like(self.state.mat)
         for child in self.children:
-            lift = np.kron(child.embed_a, child.embed_b)
+            lift = _kron(child.embed_a, child.embed_b)
             total = total + lift @ child.reconstruct() @ lift.conj().T
         return total
 
@@ -378,7 +385,7 @@ class DecompositionTree:
 def _compress_block(
     block: np.ndarray, basis_a: np.ndarray, basis_b: np.ndarray
 ) -> np.ndarray:
-    lift = np.kron(basis_a, basis_b)
+    lift = _kron(basis_a, basis_b)
     out = lift.conj().T @ block @ lift
     return 0.5 * (out + out.conj().T)
 
@@ -420,7 +427,7 @@ def decompose(
             (cert.proj_v_perp.mat, cert.proj_w_perp.mat),
         )
         for pv, pw in pairs:
-            sandwich = np.kron(pv, pw)
+            sandwich = _kron(pv, pw)
             block = sandwich @ mat @ sandwich.conj().T
             if np.trace(block).real <= 1e-12 * max(np.trace(mat).real, 1e-300):
                 continue
@@ -540,7 +547,7 @@ class SeparableDecomposition:
         m = self.terms[0][2].dim
         total = np.zeros((k * m, k * m), dtype=complex)
         for w, x, y in self.terms:
-            total += w * np.kron(x.mat, y.mat)
+            total += w * _kron(x.mat, y.mat)
         return total
 
     def to_json(self) -> dict:
@@ -642,10 +649,12 @@ def _extract_normal_form(mat: np.ndarray, k: int, tols: Tolerances):
 
     basis_v = u[:, :m]
     proj_v = basis_v @ basis_v.conj().T
-    rr = basis_v @ np.diag(s[:m] ** 2) @ basis_v.conj().T
 
+    # A positive map's image support depends only on its PSD input's support,
+    # so the flat projector stands in for the eigenvector: the eigenvector's
+    # weights s**2 would push small valid directions under the rank cutoff.
     state = BipartiteOperator(mat, k, k)
-    wg, vg, cut = _herm_support(g_apply(state, rr).mat, tols.rank)
+    wg, vg, cut = _herm_support(g_apply(state, proj_v).mat, tols.rank)
     keep = wg > cut
     if int(np.sum(keep)) != m:
         raise _StepFailure(
@@ -658,8 +667,8 @@ def _extract_normal_form(mat: np.ndarray, k: int, tols: Tolerances):
     basis_v_perp = u[:, m:]
     basis_w_perp = vg[:, ~keep]
 
-    s1 = np.kron(proj_v, proj_w)
-    s2 = np.kron(np.eye(k) - proj_v, np.eye(k) - proj_w)
+    s1 = _kron(proj_v, proj_w)
+    s2 = _kron(np.eye(k) - proj_v, np.eye(k) - proj_w)
     block_1 = s1 @ mat @ s1.conj().T
     block_2 = s2 @ mat @ s2.conj().T
     residual = float(np.linalg.norm(mat - block_1 - block_2))
@@ -713,25 +722,24 @@ def minimal_rank_extract(
         mode = "conjugate"
     else:
         mode = "general"
-    fr = sinkhorn_filter(gamma, mode, filter_tol=tols.filter, max_iter=10_000, tols=tols)
-    if not fr.converged:
+    # the filter's normal form and filters only; its Schmidt data is not needed
+    delta, fa, fb, iterations, converged, _, res_a, res_b = _normal_form(
+        gamma, mode, tols.filter, 10_000, tols
+    )
+    if not converged:
         return ExtractionFailure(
             step="filter",
-            detail=f"{mode} filter did not converge in {fr.iterations} iterations",
-            residuals={
-                "marginal_residual_a": fr.marginal_residual_a,
-                "marginal_residual_b": fr.marginal_residual_b,
-            },
+            detail=f"{mode} filter did not converge in {iterations} iterations",
+            residuals={"marginal_residual_a": res_a, "marginal_residual_b": res_b},
         )
 
-    delta = fr.normal_form.mat
     try:
         raw_terms = _extract_normal_form(delta, k, tols)
     except _StepFailure as exc:
         return ExtractionFailure(step=exc.step, detail=exc.detail, residuals=exc.residuals)
 
-    fa_inv = np.linalg.inv(fr.filter_a.mat)
-    fb_inv = np.linalg.inv(fr.filter_b.mat if fr.filter_b is not None else np.eye(k))
+    fa_inv = np.linalg.inv(fa)
+    fb_inv = np.linalg.inv(fb)
     gn = 0.5 * (gamma.mat + gamma.mat.conj().T)
     gn = gn / np.trace(gn).real
 
@@ -744,7 +752,7 @@ def minimal_rank_extract(
         weight = float(wt * tx * ty)
         xp = 0.5 * (xp + xp.conj().T) / tx
         yp = 0.5 * (yp + yp.conj().T) / ty
-        total += weight * np.kron(xp, yp)
+        total += weight * _kron(xp, yp)
         terms.append((weight, LocalOperator(xp), LocalOperator(yp)))
     residual = float(np.linalg.norm(total - gn))
     if residual > tols.separable * max(1.0, float(np.linalg.norm(gn))):

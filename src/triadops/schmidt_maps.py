@@ -22,7 +22,7 @@ import numpy as np
 
 from .contractions import realign
 from .errors import DimensionMismatch
-from .tensor_core import BipartiteOperator, LocalOperator, _partial_trace, _require_hermitian
+from .tensor_core import BipartiteOperator, LocalOperator, _kron, _partial_trace, _require_hermitian
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -101,7 +101,7 @@ class SchmidtDecomposition:
         m = self.right_ops[0].dim
         total = np.zeros((k * m, k * m), dtype=complex)
         for s, a, b in zip(self.coefficients, self.left_ops, self.right_ops):
-            total += s * np.kron(a.mat, b.mat)
+            total += s * _kron(a.mat, b.mat)
         return BipartiteOperator(total, dim_a=k, dim_b=m)
 
     def to_json(self) -> dict:

@@ -31,7 +31,7 @@ from .generators import (
     rng_from_seed,
 )
 from .reducibility import minimal_rank_extract, rank_bound_check, SeparableDecomposition
-from .tensor_core import BipartiteOperator, norms
+from .tensor_core import BipartiteOperator, _kron, norms
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,13 @@ def _suite_realignment_identities(trials: int, seed: int) -> tuple[bool, str]:
                 for _ in range(4)
             ]
             lv, lw, lm, ln = locals_
-            sandwich = np.kron(lv, lw) @ gm @ np.kron(lm, ln)
+            sandwich = _kron(lv, lw) @ gm @ _kron(lm, ln)
             checks = [
                 realign(BipartiteOperator(np.outer(v, w), k, k)).mat
-                - np.kron(v.reshape(k, k), w.reshape(k, k)),
+                - _kron(v.reshape(k, k), w.reshape(k, k)),
                 realign(realign(g)).mat - gm,
                 realign(BipartiteOperator(sandwich, k, k)).mat
-                - np.kron(lv, lm.T) @ rg @ np.kron(lw.T, ln),
+                - _kron(lv, lm.T) @ rg @ _kron(lw.T, ln),
                 realign(BipartiteOperator(gm @ f, k, k)).mat @ f - partial_transpose(g).mat,
                 realign(partial_transpose(g)).mat - rg @ f,
                 realign(BipartiteOperator(gm @ f, k, k)).mat
@@ -153,7 +153,8 @@ def _suite_filters(trials: int, seed: int) -> tuple[bool, str]:
             a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             scale = a @ a.conj().T + 0.3 * np.eye(k)
             spc = random_spc(k, seed + s)
-            m = np.kron(scale, scale) @ spc.mat @ np.kron(scale, scale).conj().T
+            big = _kron(scale, scale)
+            m = big @ spc.mat @ big.conj().T
             fr = sinkhorn_filter(BipartiteOperator(m / np.trace(m).real, k, k), "symmetric")
             if not fr.converged:
                 return False, f"symmetric filter failed to converge (k={k}, seed={seed + s})"
@@ -162,7 +163,8 @@ def _suite_filters(trials: int, seed: int) -> tuple[bool, str]:
                 return False, "converged normal form is not doubly stochastic"
 
             inv = random_invariant(k, seed + s)
-            m = np.kron(scale, scale.conj()) @ inv.mat @ np.kron(scale, scale.conj()).conj().T
+            big = _kron(scale, scale.conj())
+            m = big @ inv.mat @ big.conj().T
             fr = sinkhorn_filter(BipartiteOperator(m / np.trace(m).real, k, k), "conjugate")
             if not fr.converged:
                 return False, f"conjugate filter failed to converge (k={k}, seed={seed + s})"
@@ -179,7 +181,8 @@ def _suite_reducibility(trials: int, seed: int) -> tuple[bool, str]:
             z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2)
             q, r = np.linalg.qr(z)
             q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            m = np.kron(q, q) @ cd.mat @ np.kron(q, q).conj().T
+            big = _kron(q, q)
+            m = big @ cd.mat @ big.conj().T
             g = BipartiteOperator(m, k, k)
             cls = classify(g)
             rb = rank_bound_check(g, cls)

@@ -154,9 +154,19 @@ class PsdReport(NamedTuple):
     min_eigenvalue: float
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, bit for bit equal to numpy's ``kron``.
+
+    It is the same broadcast elementwise multiply, without the general-rank
+    shape handling that dominates numpy's cost at sides <= 36.
+    """
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def kron(a: LocalOperator, b: LocalOperator) -> BipartiteOperator:
     """Tensor product a (x) b under the row-major composite index."""
-    return BipartiteOperator(np.kron(a.mat, b.mat), dim_a=a.dim, dim_b=b.dim)
+    return BipartiteOperator(_kron(a.mat, b.mat), dim_a=a.dim, dim_b=b.dim)
 
 
 def _require_hermitian(mat: np.ndarray, herm_tol: float) -> np.ndarray:

@@ -137,3 +137,18 @@ def test_import_does_not_load_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_file_input_closes_its_handle(tmp_path):
+    # -X dev reports an unclosed file as a ResourceWarning on stderr; the
+    # subprocess inherits the caller's environment, as run_cli does
+    gen = run_cli(["generate", "--class", "canonical:classical_diag", "--k", "2"])
+    path = tmp_path / "state.json"
+    path.write_text(gen.stdout)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "triadops.cli", "classify", str(path), "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr, proc.stderr

@@ -1,0 +1,86 @@
+"""Bit-identity guard for the filter and decomposition hot path at k = 4..6.
+
+The CLI goldens stop at k = 3.  This file stores, per case, the SHA-256
+digest of ``cli._format_json(result.to_json())`` (17 significant digits, so
+every float64 round-trips) for ``sinkhorn_filter`` in every mode and for
+``decompose``, on library-generated states and on a seeded Haar V (x) V
+rotation of classical_diag.  A mode or a decomposition that the input does
+not admit records the name of the error raised.  Extraction is left out:
+its determinant-pencil roots may move at roundoff.
+
+To rewrite the goldens after a deliberate output change, run
+``PYTHONPATH=src python tests/test_hotpath_golden.py``.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import numpy as np
+
+from triadops import (
+    BipartiteOperator,
+    canonical,
+    decompose,
+    random_density,
+    random_invariant,
+    random_ppt,
+    random_spc,
+    rng_from_seed,
+    sinkhorn_filter,
+)
+from triadops.cli import _format_json
+from triadops.errors import ToolkitError
+
+from conftest import haar_unitary
+
+GOLDEN = pathlib.Path(__file__).parent / "goldens" / "hotpath.json"
+MODES = ("general", "symmetric", "conjugate", "left")
+
+
+def _rotated_classical_diag(k, seed):
+    u = haar_unitary(rng_from_seed(seed), k)
+    big = np.kron(u, u)
+    return BipartiteOperator(big @ canonical("classical_diag", k).mat @ big.conj().T, k, k)
+
+
+STATES = {
+    "spc": lambda k: random_spc(k, 11),
+    "invariant": lambda k: random_invariant(k, 11),
+    "ppt": lambda k: random_ppt(k, 11),
+    "density": lambda k: random_density(k, k * k, 11),
+    "classical_diag-VV": lambda k: _rotated_classical_diag(k, 60 + k),
+}
+
+
+def _digest(call):
+    try:
+        text = _format_json(call().to_json())
+    except ToolkitError as exc:
+        return f"error:{type(exc).__name__}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _collect():
+    """Yields (case name, digest or error name) for every case."""
+    for k in (4, 5, 6):
+        for name, make in STATES.items():
+            gamma = make(k)
+            for mode in MODES:
+                yield f"{name} k{k} filter {mode}", _digest(lambda: sinkhorn_filter(gamma, mode))
+            yield f"{name} k{k} decompose", _digest(lambda: decompose(gamma))
+
+
+def test_hot_path_matches_goldens():
+    goldens = json.loads(GOLDEN.read_text())
+    got = dict(_collect())
+    assert list(got) == list(goldens)
+    changed = [name for name in goldens if got[name] != goldens[name]]
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    cases = dict(_collect())
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"wrote {len(cases)} cases to {GOLDEN}")

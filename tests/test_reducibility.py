@@ -209,18 +209,20 @@ def test_extract_classical_diag(classical_diag2):
     assert np.linalg.norm(out.reconstruct() - classical_diag2.mat) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_extract_rotated_classical_diag(k):
     cd = canonical("classical_diag", k)
-    for seed in range(8):
-        rng = rng_from_seed(60 + seed)
+    # at k = 5 and 6, Haar draws on which extraction once declined at step
+    # image-rank: the split eigenvector's singular values spanned 1e-5
+    for key in {5: [89], 6: [196]}.get(k, range(60, 68)):
+        rng = rng_from_seed(key)
         u = haar_unitary(rng, k)
         big = np.kron(u, u)
         g = BipartiteOperator(big @ cd.mat @ big.conj().T, k, k)
         cls = classify(g)
         assert cls.ppt and cls.spc
         out = minimal_rank_extract(g, cls)
-        assert isinstance(out, SeparableDecomposition), (k, seed, out)
+        assert isinstance(out, SeparableDecomposition), (k, key, out)
         assert out.reconstruction_residual <= 1e-7
         assert len(out.terms) == k
         for w, x, y in out.terms:

@@ -15,6 +15,7 @@ from triadops import (
     rng_from_seed,
 )
 from triadops.errors import NotHermitian, NotPSD, ZeroMatrix
+from triadops.tensor_core import _kron
 
 from conftest import random_hermitian, random_psd_local
 
@@ -59,6 +60,39 @@ def test_kron_bilinear_sweep():
         ).mat
         assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
+
+
+def test_private_kron_matches_numpy_bit_for_bit():
+    rng = rng_from_seed(102)
+
+    def real(shape):
+        out = rng.standard_normal(shape)
+        out.flat[::3] = -0.0  # signed zeros must survive the products unchanged
+        return out
+
+    def cplx(shape):
+        return real(shape) + 1j * real(shape)
+
+    def isometry(k, m):
+        # a k x m basis of orthonormal columns, as compressed blocks are lifted with
+        q, _ = np.linalg.qr(cplx((k, k)))
+        return q[:, :m]
+
+    for k in (1, 2, 3, 6):
+        for m in range(1, k + 1):
+            pairs = [
+                (real((k, k)), cplx((m, m))),
+                (cplx((k, m)), real((m, k))),
+                (cplx((k, k)), cplx((k, k))),
+                (isometry(k, m), isometry(k, k - m + 1)),
+                (isometry(k, m).conj().T, np.eye(k)),
+                (np.eye(m), real((k, m)).T),
+                (real((k, m)), real((m, m))),
+            ]
+            for a, b in pairs:
+                got, want = _kron(a, b), np.kron(a, b)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 def test_hermitian_eig_identity():
     sd = hermitian_eig(LocalOperator(np.eye(2)))
