@@ -46,6 +46,7 @@ from .schmidt_maps import (
     fg_matrix,
     g_apply,
     g_matrix,
+    hermitian_basis,
     hermitian_from_coords,
     schmidt,
 )
@@ -258,14 +259,14 @@ def _identity_aligned_expansion(
         coeffs.append(a)
         coord_list.append(c)
 
-    lefts, rights = [], []
-    for a, c in zip(coeffs, coord_list):
-        left = hermitian_from_coords(c, k)
-        image = g_apply(normal_form, left).mat
-        lefts.append(LocalOperator(0.5 * (left + left.conj().T)))
-        rights.append(LocalOperator(0.5 * (image + image.conj().T) / a))
+    lefts = np.einsum("an,aij->nij", np.reshape(coord_list, (-1, n)).T, hermitian_basis(k))
+    images = np.einsum("ijaq,nai->njq", normal_form.tensor4, lefts)
+    lefts = 0.5 * (lefts + lefts.conj().swapaxes(1, 2))
+    images = 0.5 * (images + images.conj().swapaxes(1, 2))
     expansion = SchmidtDecomposition(
-        coefficients=np.asarray(coeffs), left_ops=lefts, right_ops=rights
+        coefficients=np.asarray(coeffs),
+        left_ops=[LocalOperator(left) for left in lefts],
+        right_ops=[LocalOperator(image / a) for a, image in zip(coeffs, images)],
     )
     return expansion, id_defect
 

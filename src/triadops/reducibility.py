@@ -29,6 +29,7 @@ from .schmidt_maps import (
     fg_apply,
     fg_matrix,
     g_apply,
+    hermitian_basis,
     hermitian_from_coords,
     schmidt,
 )
@@ -132,15 +133,17 @@ def find_psd_eigenvector(
 ) -> PsdEigenvectorResult:
     """Search for a PSD eigenvector of the composite contraction map with a kernel.
 
-    Power iteration from the normalized identity delivers the top eigenpair
-    (the iterates stay PSD because the map is positive); if the limit is
-    singular it is returned directly.  Otherwise a dense eigensolve of the
-    Hermitian-basis matrix scans every eigenvalue cluster: individual basis
-    eigenvectors are tested with both signs, the projector onto the kernel
-    of the first reduced state is tested when that marginal is singular, and
-    inside degenerate clusters that contain a positive definite element the
-    search walks line segments to the PSD boundary, where the crossing point
-    is a singular PSD eigenvector.
+    One dense eigensolve of the Hermitian-basis matrix drives the search.
+    The first candidate is the normalized identity's projection onto the top
+    eigenvalue cluster, which is the limit of power iteration from the
+    identity; it is also the witness when nothing is found.  The projector
+    onto the kernel of the first reduced state comes next when that marginal
+    is singular (it is always an eigenvector, with eigenvalue zero).  Then
+    every eigenvalue cluster is scanned: each basis eigenvector is tested
+    with both signs, and inside degenerate clusters that contain a positive
+    definite element the search walks line segments to the PSD boundary,
+    where the crossing point is a singular PSD eigenvector.  A 1 x 1 input
+    has no candidate with a nontrivial kernel and returns not-found at once.
     """
     if gamma.dim_a != gamma.dim_b:
         raise DimensionMismatch("eigenvector search requires equal factor dimensions")
@@ -148,9 +151,15 @@ def find_psd_eigenvector(
     if not report.is_psd:
         raise NotPSD(f"input has min eigenvalue {report.min_eigenvalue:.3e}")
     k = gamma.dim_a
+    if k == 1:
+        return PsdEigenvectorResult(
+            found=False, x=None, eigenvalue=None, full_rank_witness=LocalOperator(np.ones((1, 1)))
+        )
 
-    mfg = fg_matrix(gamma, tols).matrix
-    lam_scale = max(float(np.linalg.eigvalsh(mfg)[-1]), np.finfo(float).tiny)
+    w, v = np.linalg.eigh(fg_matrix(gamma, tols).matrix)
+    w = w[::-1]
+    v = v[:, ::-1]
+    lam_scale = max(float(w[0]), np.finfo(float).tiny)
     accept_res = 1e-8 * max(lam_scale, 1e-30)
 
     def _accept(cand: np.ndarray) -> PsdEigenvectorResult | None:
@@ -163,32 +172,15 @@ def find_psd_eigenvector(
             return None
         return PsdEigenvectorResult(found=True, x=LocalOperator(cand), eigenvalue=lam)
 
-    # Power iteration for the top eigenpair.
-    x = np.eye(k, dtype=complex) / np.sqrt(k)
-    top_vec = None
-    for _ in range(500):
-        y = fg_apply(gamma, x).mat
-        nrm = np.linalg.norm(y)
-        if nrm < 1e-300:
-            break
-        y = 0.5 * (y + y.conj().T) / nrm
-        if np.linalg.norm(y - x) < 1e-14:
-            x = y
-            top_vec = x
-            break
-        x = y
-    if top_vec is not None:
-        hit = _accept(top_vec)
-        if hit is not None:
-            return hit
+    # Coordinate 0 is Id/sqrt(k); its projection onto the top cluster is
+    # nonzero because that eigenspace holds a PSD element of positive trace.
+    clusters = _clusters(w, 1e-8 * lam_scale)
+    top = v[:, clusters[0]]
+    witness = hermitian_from_coords(top @ top[0, :], k)
+    hit = _accept(witness)
+    if hit is not None:
+        return hit
 
-    # Dense scan over eigenvalue clusters of the basis matrix.
-    w, v = np.linalg.eigh(mfg)
-    w = w[::-1]
-    v = v[:, ::-1]
-
-    # The kernel projector of a singular first marginal is always an
-    # eigenvector (eigenvalue zero); test it before the generic scan.
     wa, va, cut = _herm_support(_partial_trace(gamma.tensor4, "a"), tols.rank)
     dead = wa <= cut
     if 0 < int(np.sum(dead)) < k:
@@ -196,26 +188,26 @@ def find_psd_eigenvector(
         if hit is not None:
             return hit
 
-    for cluster in _clusters(w, 1e-8 * lam_scale):
-        mats = [hermitian_from_coords(v[:, i], k) for i in cluster]
-        # (smallest eigenvalue, candidate) in the order (h0, +), (h0, -), (h1, +), ...;
-        # max() below keeps the first of equal maxima
-        signed = []
-        for h in mats:
-            for sign in (1.0, -1.0):
-                cand = sign * h
-                signed.append((_herm_eigvalsh(cand)[0], cand))
-                if signed[-1][0] >= -1e-12:
-                    hit = _accept(cand)
-                    if hit is not None:
-                        return hit
-        if len(mats) < 2:
+    # Every eigenvector as a matrix, signed in the order (h0, +), (h0, -),
+    # (h1, +), ...; max() below keeps the first of equal maxima.
+    mats = np.einsum("an,aij->nij", v, hermitian_basis(k))
+    signed = (mats[:, None] * np.array([1.0, -1.0])[None, :, None, None]).reshape(-1, k, k)
+    lows = _herm_eigvalsh(signed)[:, 0]
+    for cluster in clusters:
+        scan = range(2 * cluster.start, 2 * cluster.stop)
+        for n in scan:
+            if lows[n] >= -1e-12:
+                hit = _accept(signed[n])
+                if hit is not None:
+                    return hit
+        if len(cluster) < 2:
             continue
         # Walk from the most positive element toward the other directions.
-        low, best = max(signed, key=lambda pair: pair[0])
-        if low <= 1e-12:
+        best_n = max(scan, key=lows.__getitem__)
+        if lows[best_n] <= 1e-12:
             continue
-        for h in mats:
+        best = signed[best_n]
+        for h in mats[cluster.start : cluster.stop]:
             if np.linalg.norm(h - best) < 1e-12 or np.linalg.norm(h + best) < 1e-12:
                 continue
             boundary = _bisect_boundary(best, h)
@@ -224,7 +216,6 @@ def find_psd_eigenvector(
                 if hit is not None:
                     return hit
 
-    witness = top_vec if top_vec is not None else hermitian_from_coords(v[:, 0], k)
     return PsdEigenvectorResult(
         found=False,
         x=None,
@@ -592,15 +583,15 @@ def _rank_deficient_eigenvector(
     root gives a rank-deficient combination.
     """
     n = vecs.shape[1]
-    mats = [vecs[:, i].reshape(k, k) for i in range(n)]
+    mats = vecs.T.reshape(n, k, k)
 
-    def _reshape_rank(vec: np.ndarray) -> int:
-        s = np.linalg.svd(vec.reshape(k, k), compute_uv=False)
-        return int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
+    def _reshape_ranks(stack: np.ndarray) -> np.ndarray:
+        s = np.linalg.svd(stack.reshape(-1, k, k), compute_uv=False)
+        return np.where(s[:, 0] > 0, np.sum(s > rank_tol * s[:, :1], axis=1), 0)
 
-    for i in range(n):
-        if _reshape_rank(vecs[:, i]) < k:
-            return vecs[:, i]
+    deficient = np.nonzero(_reshape_ranks(mats) < k)[0]
+    if deficient.size:
+        return vecs[:, deficient[0]]
     for i in range(n):
         for j in range(i + 1, n):
             try:
@@ -609,14 +600,15 @@ def _rank_deficient_eigenvector(
                 continue
             alphas = -1.0 / mu[mu != 0]
             order = np.lexsort((alphas.imag.round(12), alphas.real.round(12), np.abs(alphas).round(12)))
-            for alpha in alphas[order]:
-                cand = vecs[:, i] + alpha * vecs[:, j]
-                nrm = np.linalg.norm(cand)
-                if nrm < 1e-10:
-                    continue
-                cand = cand / nrm
-                if 0 < _reshape_rank(cand) < k:
-                    return cand
+            cands = vecs[:, i] + alphas[order][:, None] * vecs[:, j]
+            # one 1-D norm per candidate: norm(axis=1) sums in another order
+            nrms = np.array([np.linalg.norm(c) for c in cands])
+            keep = ~(nrms < 1e-10)
+            cands = cands[keep] / nrms[keep, None]
+            ranks = _reshape_ranks(cands)
+            hits = np.nonzero((0 < ranks) & (ranks < k))[0]
+            if hits.size:
+                return cands[hits[0]]
     raise NumericalDegeneracy(
         "no eigenvector pair produced a rank-deficient combination"
     )

@@ -181,8 +181,8 @@ def _require_hermitian(mat: np.ndarray, herm_tol: float) -> np.ndarray:
 
 
 def _herm_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of ``mat``."""
-    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+    """Ascending eigenvalues of the Hermitian part of ``mat``, or of each matrix in a stack."""
+    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
 
 
 def _herm_support(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, float]:

@@ -4,9 +4,10 @@ The CLI goldens stop at k = 3.  This file stores, per case, the SHA-256
 digest of ``cli._format_json(result.to_json())`` (17 significant digits, so
 every float64 round-trips) for ``sinkhorn_filter`` in every mode and for
 ``decompose``, on library-generated states and on a seeded Haar V (x) V
-rotation of classical_diag.  A mode or a decomposition that the input does
-not admit records the name of the error raised.  Extraction is left out:
-its determinant-pencil roots may move at roundoff.
+rotation of classical_diag, and for ``minimal_rank_extract`` on
+classical_diag under seeded Haar V (x) V, V (x) conj(V) and V (x) W.  A mode,
+a decomposition or an extraction that the input does not admit records the
+name of the error raised.
 
 To rewrite the goldens after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_hotpath_golden.py``.
@@ -21,7 +22,9 @@ import numpy as np
 from triadops import (
     BipartiteOperator,
     canonical,
+    classify,
     decompose,
+    minimal_rank_extract,
     random_density,
     random_invariant,
     random_ppt,
@@ -38,9 +41,12 @@ GOLDEN = pathlib.Path(__file__).parent / "goldens" / "hotpath.json"
 MODES = ("general", "symmetric", "conjugate", "left")
 
 
-def _rotated_classical_diag(k, seed):
-    u = haar_unitary(rng_from_seed(seed), k)
-    big = np.kron(u, u)
+def _rotated_classical_diag(k, seed, right="V"):
+    """classical_diag under V (x) V, V (x) conj(V) or V (x) W (right = "V", "Vbar", "W")."""
+    rng = rng_from_seed(seed)
+    u = haar_unitary(rng, k)
+    v = {"V": lambda: u, "Vbar": u.conj, "W": lambda: haar_unitary(rng, k)}[right]()
+    big = np.kron(u, v)
     return BipartiteOperator(big @ canonical("classical_diag", k).mat @ big.conj().T, k, k)
 
 
@@ -69,6 +75,12 @@ def _collect():
             for mode in MODES:
                 yield f"{name} k{k} filter {mode}", _digest(lambda: sinkhorn_filter(gamma, mode))
             yield f"{name} k{k} decompose", _digest(lambda: decompose(gamma))
+    for k in (4, 5, 6):
+        for right in ("V", "Vbar", "W"):
+            gamma = _rotated_classical_diag(k, 70 + k, right)
+            yield f"classical_diag-V{right} k{k} extract", _digest(
+                lambda: minimal_rank_extract(gamma, classify(gamma))
+            )
 
 
 def test_hot_path_matches_goldens():

@@ -13,6 +13,7 @@ from triadops import (
     find_psd_eigenvector,
     kron,
     minimal_rank_extract,
+    random_density,
     random_separable,
     random_spc,
     rank_bound_check,
@@ -60,6 +61,31 @@ def test_find_eigenvector_not_found(identity_plus_u2):
     assert res.x is None
     witness = res.full_rank_witness.mat
     assert np.linalg.eigvalsh(witness)[0] > 1e-6
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_not_found_witness_is_a_positive_definite_eigenvector(k):
+    # A full-rank near-copy of rotated classical_diag: the top two eigenvalues
+    # of the composite map differ by about 0.2%, so the top eigenvector is far
+    # from anything a few hundred power steps from the identity reach, and
+    # LAPACK's sign for it is arbitrary.
+    rng = rng_from_seed(700 + 10 * k)
+    big = np.kron(haar_unitary(rng, k), haar_unitary(rng, k))
+    mix = 0.999 * canonical("classical_diag", k).mat + 0.001 * random_density(k, k * k, 700 + k).mat
+    for g in (canonical("identity_plus_u", k), BipartiteOperator(big @ mix @ big.conj().T, k, k)):
+        res = find_psd_eigenvector(g)
+        assert not res.found and res.x is None
+        x = res.full_rank_witness.mat
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(x)[0] > 0
+        y = fg_apply(g, x).mat
+        lam = float(np.trace(x.conj().T @ y).real)
+        assert np.linalg.norm(y - lam * x) <= 1e-8 * lam
+
+
+def test_find_eigenvector_one_by_one_is_not_found():
+    res = find_psd_eigenvector(BipartiteOperator([[0.7]], 1, 1))
+    assert not res.found and res.x is None and res.eigenvalue is None
 
 
 def test_find_eigenvector_rejects_non_psd():

@@ -15,7 +15,8 @@ from triadops import (
     rng_from_seed,
 )
 from triadops.errors import NotHermitian, NotPSD, ZeroMatrix
-from triadops.tensor_core import _kron
+from triadops.schmidt_maps import hermitian_basis, hermitian_from_coords
+from triadops.tensor_core import _herm_eigvalsh, _kron
 
 from conftest import random_hermitian, random_psd_local
 
@@ -93,6 +94,26 @@ def test_private_kron_matches_numpy_bit_for_bit():
                 got, want = _kron(a, b), np.kron(a, b)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_stacked_linalg_matches_per_matrix_calls_bit_for_bit(k):
+    # The PSD-eigenvector search, the extraction pencil and the normal form's
+    # expansion each screen their candidates in one stacked call; that gives
+    # the same results only if every stacked matrix gets the bits it gets alone.
+    rng = rng_from_seed(103 + k)
+    shape = (2 * k * k, k, k)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for mat, got in zip(stack, _herm_eigvalsh(stack)):
+        assert got.tobytes() == _herm_eigvalsh(mat).tobytes()
+    for mat, got in zip(stack, np.linalg.svd(stack, compute_uv=False)):
+        assert got.tobytes() == np.linalg.svd(mat, compute_uv=False).tobytes()
+
+    sym = rng.standard_normal((k * k, k * k))
+    _, vecs = np.linalg.eigh(sym + sym.T)
+    mats = np.einsum("an,aij->nij", vecs, hermitian_basis(k))
+    for n in range(k * k):
+        assert mats[n].tobytes() == hermitian_from_coords(vecs[:, n], k).tobytes()
 
 def test_hermitian_eig_identity():
     sd = hermitian_eig(LocalOperator(np.eye(2)))
