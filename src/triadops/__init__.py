@@ -62,6 +62,7 @@ from .reducibility import (
     DecompositionTree,
     EqualCoefficientReport,
     ExtractionFailure,
+    ProductTerm,
     PsdEigenvectorResult,
     RankBoundReport,
     SeparableDecomposition,
@@ -157,6 +158,7 @@ __all__ = [
     "DecompositionTree",
     "EqualCoefficientReport",
     "RankBoundReport",
+    "ProductTerm",
     "SeparableDecomposition",
     "ExtractionFailure",
     "find_psd_eigenvector",

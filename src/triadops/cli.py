@@ -121,21 +121,25 @@ def _load_operator(path: str) -> BipartiteOperator:
     return BipartiteOperator.from_json(data)
 
 
+# each tolerance flag and the Tolerances field it overrides
+_TOL_FLAGS = {
+    "--tol-herm": "herm",
+    "--tol-psd": "psd",
+    "--tol-rank": "rank",
+    "--tol-inv": "invariance",
+    "--tol-ccnr": "ccnr",
+    "--tol-filter": "filter",
+    "--tol-ds": "doubly_stochastic",
+    "--tol-eq": "equal_coeff",
+}
+
+
 def _tols_from_args(args) -> Tolerances:
-    overrides = {}
-    for field, attr in (
-        ("herm", "tol_herm"),
-        ("psd", "tol_psd"),
-        ("rank", "tol_rank"),
-        ("invariance", "tol_inv"),
-        ("ccnr", "tol_ccnr"),
-        ("filter", "tol_filter"),
-        ("doubly_stochastic", "tol_ds"),
-        ("equal_coeff", "tol_eq"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field] = value
+    overrides = {
+        field: value
+        for field in _TOL_FLAGS.values()
+        if (value := getattr(args, f"tol_{field}", None)) is not None
+    }
     return DEFAULT.but(**overrides) if overrides else DEFAULT
 
 
@@ -143,8 +147,8 @@ def _common_flags(parser: argparse.ArgumentParser, with_file: bool = True) -> No
     if with_file:
         parser.add_argument("file", help="JSON matrix file, or - for stdin")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    for flag in ("herm", "psd", "rank", "inv", "ccnr", "filter", "ds", "eq"):
-        parser.add_argument(f"--tol-{flag}", type=float, default=None, help=argparse.SUPPRESS)
+    for flag, field in _TOL_FLAGS.items():
+        parser.add_argument(flag, dest=f"tol_{field}", type=float, default=None, help=argparse.SUPPRESS)
 
 
 def _default_seed() -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .contractions import partial_transpose, realign
 from .errors import DimensionMismatch, NotAState, NotPSD, PreconditionNotMet
-from .tensor_core import BipartiteOperator, _herm_eigvalsh, norms, psd_check
+from .tensor_core import BipartiteOperator, _herm_eigvalsh, _JsonRecord, norms, psd_check
 from .schmidt_maps import reduced_a, reduced_b
 from .tolerances import DEFAULT, Tolerances
 
@@ -41,7 +41,7 @@ _TRACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class TriadResiduals:
+class TriadResiduals(_JsonRecord):
     """Numerical evidence behind each flag."""
 
     ppt_min_eigenvalue: float        # min eig of the partial transpose
@@ -49,17 +49,9 @@ class TriadResiduals:
     spc_hermiticity_defect: float    # ||R(g^PT) - R(g^PT)^*|| / ||gamma||
     invariance_distance: float       # ||realign(g) - g||_F
 
-    def to_json(self) -> dict:
-        return {
-            "ppt_min_eigenvalue": self.ppt_min_eigenvalue,
-            "spc_min_eigenvalue": self.spc_min_eigenvalue,
-            "spc_hermiticity_defect": self.spc_hermiticity_defect,
-            "invariance_distance": self.invariance_distance,
-        }
-
 
 @dataclass(frozen=True)
-class TriadClassification:
+class TriadClassification(_JsonRecord):
     is_state: bool
     ppt: bool
     spc: bool
@@ -70,16 +62,6 @@ class TriadClassification:
     @property
     def any_flag(self) -> bool:
         return self.ppt or self.spc or self.invariant
-
-    def to_json(self) -> dict:
-        return {
-            "is_state": self.is_state,
-            "ppt": self.ppt,
-            "spc": self.spc,
-            "invariant": self.invariant,
-            "ccnr_value": self.ccnr_value,
-            "residuals": self.residuals.to_json(),
-        }
 
 
 def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClassification:
@@ -147,7 +129,7 @@ def ccnr_entanglement_flag(gamma: BipartiteOperator, tols: Tolerances = DEFAULT)
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_JsonRecord):
     """Operator-norm comparison for one of the spectral bounds.
 
     ``margin`` is the amount by which the bound holds (negative means a
@@ -163,16 +145,6 @@ class BoundReport:
     op_norm_realign: float
     bound_holds: bool
     margin: float
-
-    def to_json(self) -> dict:
-        return {
-            "op_norm_state": self.op_norm_state,
-            "op_norm_a": self.op_norm_a,
-            "op_norm_b": self.op_norm_b,
-            "op_norm_realign": self.op_norm_realign,
-            "bound_holds": self.bound_holds,
-            "margin": self.margin,
-        }
 
 
 def _bound_ingredients(gamma: BipartiteOperator) -> tuple[float, float, float]:
@@ -250,12 +222,9 @@ def bound_triad(
 
 
 @dataclass(frozen=True)
-class PptPairReport:
+class PptPairReport(_JsonRecord):
     both_ppt: bool
     realign_distance: float
-
-    def to_json(self) -> dict:
-        return {"both_ppt": self.both_ppt, "realign_distance": self.realign_distance}
 
 
 def ppt_pair_forces_invariance(

@@ -56,6 +56,7 @@ from .tensor_core import (
     _clusters,
     _herm_eigvalsh,
     _herm_support,
+    _JsonRecord,
     _kron,
     _partial_trace,
     psd_check,
@@ -76,7 +77,7 @@ _COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class FilterResult:
+class FilterResult(_JsonRecord):
     """Outcome of a filtering run.
 
     ``normal_form`` equals (filter_a (x) filter_b) applied to the
@@ -98,24 +99,9 @@ class FilterResult:
     marginal_residual_b: float
     iterations: int
     converged: bool
+    class_residual: float | None
     schmidt_of_normal_form: SchmidtDecomposition
-    class_residual: float | None = None
     iteration_log: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "filter_a": self.filter_a.to_json(),
-            "filter_b": None if self.filter_b is None else self.filter_b.to_json(),
-            "normal_form": self.normal_form.to_json(),
-            "marginal_residual_a": self.marginal_residual_a,
-            "marginal_residual_b": self.marginal_residual_b,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "class_residual": self.class_residual,
-            "schmidt_of_normal_form": self.schmidt_of_normal_form.to_json(),
-            "iteration_log": self.iteration_log,
-        }
 
 
 def _guarded_eigh(marginal: np.ndarray, side: str, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -386,17 +372,10 @@ def _left_engine(mat: np.ndarray, k: int, filter_tol: float, max_iter: int, rank
 
 
 @dataclass(frozen=True)
-class StochasticityReport:
+class StochasticityReport(_JsonRecord):
     forward_residual: float
     adjoint_residual: float
     doubly_stochastic: bool
-
-    def to_json(self) -> dict:
-        return {
-            "forward_residual": self.forward_residual,
-            "adjoint_residual": self.adjoint_residual,
-            "doubly_stochastic": self.doubly_stochastic,
-        }
 
 
 def doubly_stochastic_check(
@@ -429,19 +408,10 @@ def doubly_stochastic_check(
 
 
 @dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(_JsonRecord):
     verdict: str  # "indecomposable_likely" | "decomposable_witness" | "inconclusive"
     witness: tuple[LocalOperator, LocalOperator] | None
     probes_run: int
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": None
-            if self.witness is None
-            else [self.witness[0].to_json(), self.witness[1].to_json()],
-            "probes_run": self.probes_run,
-        }
 
 
 def _borderline(w: np.ndarray, cut: float) -> bool:

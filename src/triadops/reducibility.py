@@ -11,6 +11,7 @@ pure product blocks and yields an explicit separable decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .tensor_core import (
     _clusters,
     _herm_eigvalsh,
     _herm_support,
+    _JsonRecord,
     _kron,
     _partial_trace,
     psd_check,
@@ -51,6 +53,7 @@ __all__ = [
     "DecompositionTree",
     "EqualCoefficientReport",
     "RankBoundReport",
+    "ProductTerm",
     "SeparableDecomposition",
     "ExtractionFailure",
     "find_psd_eigenvector",
@@ -230,7 +233,7 @@ def find_psd_eigenvector(
 
 
 @dataclass(frozen=True)
-class SplitCertificate:
+class SplitCertificate(_JsonRecord):
     """Evidence that a state splits along orthogonal local supports.
 
     The projections are built from the spectral data of the eigenvector x
@@ -246,17 +249,6 @@ class SplitCertificate:
     proj_v_perp: LocalOperator
     proj_w_perp: LocalOperator
     residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "x": self.x.to_json(),
-            "eigenvalue": self.eigenvalue,
-            "proj_v": self.proj_v.to_json(),
-            "proj_w": self.proj_w.to_json(),
-            "proj_v_perp": self.proj_v_perp.to_json(),
-            "proj_w_perp": self.proj_w_perp.to_json(),
-            "residual": self.residual,
-        }
 
 
 def split(
@@ -322,7 +314,7 @@ def split(
 
 
 @dataclass
-class DecompositionTree:
+class DecompositionTree(_JsonRecord):
     """Recursive record of complete-reducibility splits.
 
     Each node holds its (unnormalized) operator in its own compressed local
@@ -333,12 +325,12 @@ class DecompositionTree:
     """
 
     state: BipartiteOperator
-    embed_a: np.ndarray | None = None
-    embed_b: np.ndarray | None = None
-    certificate: SplitCertificate | None = None
-    children: list["DecompositionTree"] = field(default_factory=list)
+    embed_a: np.ndarray | None = field(default=None, metadata={"json": False})
+    embed_b: np.ndarray | None = field(default=None, metadata={"json": False})
     leaf_status: str | None = None  # weakly_irreducible | not_split_found | None
-    separable_decomposition: list | None = None
+    certificate: SplitCertificate | None = None
+    separable_decomposition: list[ProductTerm] | None = None
+    children: list["DecompositionTree"] = field(default_factory=list)
 
     def reconstruct(self) -> np.ndarray:
         """Operator of this node assembled from its leaves."""
@@ -357,20 +349,6 @@ class DecompositionTree:
         for child in self.children:
             out.extend(child.leaves())
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "state": self.state.to_json(),
-            "leaf_status": self.leaf_status,
-            "certificate": None if self.certificate is None else self.certificate.to_json(),
-            "separable_decomposition": None
-            if self.separable_decomposition is None
-            else [
-                {"weight": w, "left": x.to_json(), "right": y.to_json()}
-                for w, x, y in self.separable_decomposition
-            ],
-            "children": [c.to_json() for c in self.children],
-        }
 
 
 def _compress_block(
@@ -443,17 +421,10 @@ def decompose(
 
 
 @dataclass(frozen=True)
-class EqualCoefficientReport:
+class EqualCoefficientReport(_JsonRecord):
     applies: bool
     coefficient_spread: float
     certificate: dict | None
-
-    def to_json(self) -> dict:
-        return {
-            "applies": self.applies,
-            "coefficient_spread": self.coefficient_spread,
-            "certificate": self.certificate,
-        }
 
 
 def equal_schmidt_certificate(
@@ -487,17 +458,10 @@ def equal_schmidt_certificate(
 
 
 @dataclass(frozen=True)
-class RankBoundReport:
+class RankBoundReport(_JsonRecord):
     rank: int
     reduced_ranks: tuple[int, int]
     bound_holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "reduced_ranks": list(self.reduced_ranks),
-            "bound_holds": self.bound_holds,
-        }
 
 
 def rank_bound_check(
@@ -526,41 +490,37 @@ def rank_bound_check(
 # ---------------------------------------------------------------------------
 
 
+class ProductTerm(NamedTuple):
+    """One product state of a separable decomposition, with its weight."""
+
+    weight: float
+    left: LocalOperator
+    right: LocalOperator
+
+
 @dataclass(frozen=True)
-class SeparableDecomposition:
+class SeparableDecomposition(_JsonRecord):
     """Explicit mixture of product states: sum_i weight_i x_i (x) y_i."""
 
-    terms: list[tuple[float, LocalOperator, LocalOperator]]
+    terms: list[ProductTerm]
     reconstruction_residual: float
 
     def reconstruct(self) -> np.ndarray:
-        k = self.terms[0][1].dim
-        m = self.terms[0][2].dim
+        k = self.terms[0].left.dim
+        m = self.terms[0].right.dim
         total = np.zeros((k * m, k * m), dtype=complex)
         for w, x, y in self.terms:
             total += w * _kron(x.mat, y.mat)
         return total
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"weight": w, "left": x.to_json(), "right": y.to_json()}
-                for w, x, y in self.terms
-            ],
-            "reconstruction_residual": self.reconstruction_residual,
-        }
-
 
 @dataclass(frozen=True)
-class ExtractionFailure:
+class ExtractionFailure(_JsonRecord):
     """Step-labelled report of a tolerance failure during extraction."""
 
     step: str
     detail: str
     residuals: dict
-
-    def to_json(self) -> dict:
-        return {"step": self.step, "detail": self.detail, "residuals": self.residuals}
 
 
 class _StepFailure(Exception):
@@ -735,7 +695,7 @@ def minimal_rank_extract(
     gn = 0.5 * (gamma.mat + gamma.mat.conj().T)
     gn = gn / np.trace(gn).real
 
-    terms: list[tuple[float, LocalOperator, LocalOperator]] = []
+    terms: list[ProductTerm] = []
     total = np.zeros_like(gn)
     for wt, x, y in raw_terms:
         xp = fa_inv @ x @ fa_inv.conj().T
@@ -745,7 +705,7 @@ def minimal_rank_extract(
         xp = 0.5 * (xp + xp.conj().T) / tx
         yp = 0.5 * (yp + yp.conj().T) / ty
         total += weight * _kron(xp, yp)
-        terms.append((weight, LocalOperator(xp), LocalOperator(yp)))
+        terms.append(ProductTerm(weight, LocalOperator(xp), LocalOperator(yp)))
     residual = float(np.linalg.norm(total - gn))
     if residual > tols.separable * max(1.0, float(np.linalg.norm(gn))):
         return ExtractionFailure(
@@ -753,5 +713,5 @@ def minimal_rank_extract(
             detail=f"undoing the filters left residual {residual:.3e}",
             residuals={"residual": residual},
         )
-    terms.sort(key=lambda t: -t[0])
+    terms.sort(key=lambda t: -t.weight)
     return SeparableDecomposition(terms=terms, reconstruction_residual=residual)

@@ -22,7 +22,14 @@ import numpy as np
 
 from .contractions import realign
 from .errors import DimensionMismatch
-from .tensor_core import BipartiteOperator, LocalOperator, _kron, _partial_trace, _require_hermitian
+from .tensor_core import (
+    BipartiteOperator,
+    LocalOperator,
+    _JsonRecord,
+    _kron,
+    _partial_trace,
+    _require_hermitian,
+)
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -89,7 +96,7 @@ def fg_apply(gamma: BipartiteOperator, x) -> LocalOperator:
 
 
 @dataclass(frozen=True)
-class SchmidtDecomposition:
+class SchmidtDecomposition(_JsonRecord):
     """Singular data of the realignment: gamma = sum_i coefficients[i] * left (x) right."""
 
     coefficients: np.ndarray
@@ -103,13 +110,6 @@ class SchmidtDecomposition:
         for s, a, b in zip(self.coefficients, self.left_ops, self.right_ops):
             total += s * _kron(a.mat, b.mat)
         return BipartiteOperator(total, dim_a=k, dim_b=m)
-
-    def to_json(self) -> dict:
-        return {
-            "coefficients": [float(s) for s in self.coefficients],
-            "left_ops": [op.to_json() for op in self.left_ops],
-            "right_ops": [op.to_json() for op in self.right_ops],
-        }
 
 
 def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDecomposition:

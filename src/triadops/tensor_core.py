@@ -13,7 +13,7 @@ locked), so they are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -133,6 +133,36 @@ class BipartiteOperator:
 
 
 Operator = Union[LocalOperator, BipartiteOperator]
+
+
+def _json_value(value):
+    if isinstance(value, _JsonRecord):
+        return {
+            f.name: _json_value(getattr(value, f.name))
+            for f in fields(value)
+            if f.metadata.get("json", True)
+        }
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if hasattr(value, "_asdict"):
+        return {name: _json_value(v) for name, v in value._asdict().items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
+class _JsonRecord:
+    """Mixin giving a result dataclass its ``to_json``.
+
+    The report's keys are the dataclass fields in declaration order, less any
+    declared with ``metadata={"json": False}``.  Operators and nested records
+    become their own ``to_json`` dicts, named tuples dicts of their fields,
+    arrays, lists and tuples lists; any other value passes through unchanged.
+    """
+
+    to_json = _json_value
 
 
 @dataclass(frozen=True)

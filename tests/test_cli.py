@@ -5,8 +5,8 @@ import sys
 
 import numpy as np
 
-from triadops import BipartiteOperator, canonical
-from triadops.cli import main
+from triadops import DEFAULT, BipartiteOperator, canonical
+from triadops.cli import _tols_from_args, build_parser, main
 
 
 def run_cli(args, stdin_text=None):
@@ -92,6 +92,24 @@ def test_numerical_failures_exit_2(tmp_path):
     # symmetric mode on a non-SPC state is a numerical (class) failure
     proc = run_cli(["filter", str(path), "--mode", "symmetric"])
     assert proc.returncode == 2
+
+
+def test_tolerance_flags_override_their_fields():
+    flags = {
+        "--tol-herm": "herm",
+        "--tol-psd": "psd",
+        "--tol-rank": "rank",
+        "--tol-inv": "invariance",
+        "--tol-ccnr": "ccnr",
+        "--tol-filter": "filter",
+        "--tol-ds": "doubly_stochastic",
+        "--tol-eq": "equal_coeff",
+    }
+    parser = build_parser()
+    assert _tols_from_args(parser.parse_args(["classify", "state.json"])) == DEFAULT
+    for flag, field in flags.items():
+        args = parser.parse_args(["classify", "state.json", flag, "3e-7"])
+        assert _tols_from_args(args) == DEFAULT.but(**{field: 3e-7}), flag
 
 
 def test_triad_seed_env(tmp_path, monkeypatch):

@@ -9,6 +9,12 @@ classical_diag under seeded Haar V (x) V, V (x) conj(V) and V (x) W.  A mode,
 a decomposition or an extraction that the input does not admit records the
 name of the error raised.
 
+The remaining cases reach the records no other golden serializes:
+``ppt_pair_forces_invariance`` and ``doubly_stochastic_check`` on every state
+above at k = 4, ``fully_indecomposable_probe`` on classical_diag (a
+decomposable witness pair) and on random_spc (indecomposable_likely), and a
+constructed ``ExtractionFailure``, since no generated input declines.
+
 To rewrite the goldens after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_hotpath_golden.py``.
 """
@@ -21,10 +27,14 @@ import numpy as np
 
 from triadops import (
     BipartiteOperator,
+    ExtractionFailure,
     canonical,
     classify,
     decompose,
+    doubly_stochastic_check,
+    fully_indecomposable_probe,
     minimal_rank_extract,
+    ppt_pair_forces_invariance,
     random_density,
     random_invariant,
     random_ppt,
@@ -81,6 +91,17 @@ def _collect():
             yield f"classical_diag-V{right} k{k} extract", _digest(
                 lambda: minimal_rank_extract(gamma, classify(gamma))
             )
+    for name, make in STATES.items():
+        gamma = make(4)
+        yield f"{name} k4 ppt-pair", _digest(lambda: ppt_pair_forces_invariance(gamma))
+        yield f"{name} k4 doubly-stochastic", _digest(lambda: doubly_stochastic_check(gamma))
+    yield "classical_diag k4 probe", _digest(
+        lambda: fully_indecomposable_probe(canonical("classical_diag", 4))
+    )
+    yield "spc k4 probe", _digest(lambda: fully_indecomposable_probe(random_spc(4, 11)))
+    yield "extraction-failure", _digest(
+        lambda: ExtractionFailure("split", "forced", {"residual": 1e-3})
+    )
 
 
 def test_hot_path_matches_goldens():

@@ -4,6 +4,7 @@ import pytest
 from triadops import (
     BipartiteOperator,
     LocalOperator,
+    ProductTerm,
     SeparableDecomposition,
     canonical,
     classify,
@@ -174,6 +175,14 @@ def test_decompose_three_blocks():
     tree = decompose(g)
     assert len(tree.leaves()) == 3
     assert np.linalg.norm(tree.reconstruct() - g.mat) <= 1e-8
+    # the report leaves the embeddings out at every depth; the nodes keep them
+    nodes = [(tree, tree.to_json())]
+    while nodes:
+        node, report = nodes.pop()
+        assert "embed_a" not in report and "embed_b" not in report
+        for child, child_report in zip(node.children, report["children"], strict=True):
+            assert isinstance(child.embed_a, np.ndarray) and isinstance(child.embed_b, np.ndarray)
+            nodes.append((child, child_report))
 
 
 def test_decompose_mixed_block_sizes():
@@ -251,6 +260,9 @@ def test_extract_rotated_classical_diag(k):
         assert isinstance(out, SeparableDecomposition), (k, key, out)
         assert out.reconstruction_residual <= 1e-7
         assert len(out.terms) == k
+        for term, entry in zip(out.terms, out.to_json()["terms"], strict=True):
+            assert isinstance(term, ProductTerm)
+            assert term._fields == tuple(entry)
         for w, x, y in out.terms:
             assert w > 0
             assert np.linalg.eigvalsh(x.mat)[0] >= -1e-9
