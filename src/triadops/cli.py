@@ -186,13 +186,8 @@ def _cmd_schmidt(args) -> int:
 
 def _cmd_filter(args) -> int:
     tols = _tols_from_args(args)
-    filter_tol = args.tol if args.tol is not None else tols.filter
     result = sinkhorn_filter(
-        _load_operator(args.file),
-        mode=args.mode,
-        filter_tol=filter_tol,
-        max_iter=args.max_iter,
-        tols=tols,
+        _load_operator(args.file), mode=args.mode, max_iter=args.max_iter, tols=tols
     )
     _emit(result.to_json(), args.json)
     return 0 if result.converged else 2
@@ -282,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="filter normal form")
     _common_flags(p)
     p.add_argument("--mode", choices=("general", "symmetric", "conjugate", "left"), default="general")
-    p.add_argument("--tol", type=float, default=None, help="marginal convergence tolerance")
     p.add_argument("--max-iter", type=int, default=10_000)
     p.set_defaults(fn=_cmd_filter)
 
@@ -310,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p.add_argument("--quick", action="store_true", help="reduced trial counts")
+    p.add_argument("--quick", action="store_true", help="the first fifth of each sweep")
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

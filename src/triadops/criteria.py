@@ -19,8 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contractions import partial_transpose, realign
-from .errors import DimensionMismatch, NotAState, NotPSD, PreconditionNotMet
-from .tensor_core import BipartiteOperator, _herm_eigvalsh, _JsonRecord, norms, psd_check
+from .errors import DimensionMismatch, NotAState, PreconditionNotMet
+from .tensor_core import (
+    BipartiteOperator,
+    _herm_eigvalsh,
+    _JsonRecord,
+    _require_psd,
+    norms,
+    psd_check,
+)
 from .schmidt_maps import reduced_a, reduced_b
 from .tolerances import DEFAULT, Tolerances
 
@@ -119,7 +126,7 @@ def ccnr_entanglement_flag(gamma: BipartiteOperator, tols: Tolerances = DEFAULT)
     Sound but not complete: True certifies entanglement of the state, False
     decides nothing.  Raises NotAState unless gamma is PSD with unit trace.
     """
-    report = psd_check(gamma, tols.psd, tols)
+    report = psd_check(gamma, tols)
     if not report.is_psd or abs(np.trace(gamma.mat).real - 1.0) > _TRACE_TOL:
         raise NotAState("CCNR flag is defined for trace-one PSD inputs")
     if gamma.dim_a != gamma.dim_b:
@@ -152,12 +159,6 @@ def _bound_ingredients(gamma: BipartiteOperator) -> tuple[float, float, float]:
     nb = norms(reduced_b(gamma)).operator_norm
     nr = norms(realign(gamma)).operator_norm
     return na, nb, nr
-
-
-def _require_psd(gamma: BipartiteOperator, tols: Tolerances) -> None:
-    report = psd_check(gamma, tols.psd, tols)
-    if not report.is_psd:
-        raise NotPSD(f"input has min eigenvalue {report.min_eigenvalue:.3e}")
 
 
 def bound_gamma_pt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> BoundReport:

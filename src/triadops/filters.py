@@ -35,8 +35,6 @@ from .criteria import classify
 from .errors import (
     DimensionMismatch,
     MarginalRankDeficient,
-    NotHermitian,
-    NotPSD,
     PreconditionNotMet,
     WrongClassForMode,
 )
@@ -59,7 +57,8 @@ from .tensor_core import (
     _JsonRecord,
     _kron,
     _partial_trace,
-    psd_check,
+    _require_hermitian,
+    _require_psd,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -124,14 +123,7 @@ def _inv_power(marginal: np.ndarray, k: int, power: float, side: str, rank_tol: 
     return 0.5 * (out + out.conj().T)
 
 
-def _scaling_engine(
-    mat: np.ndarray,
-    k: int,
-    mode: str,
-    filter_tol: float,
-    max_iter: int,
-    rank_tol: float,
-):
+def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tolerances):
     """Iterate marginal scalings until both reduced states are Id/k.
 
     Returns (delta, fa, fb, iterations, converged, log) with
@@ -150,20 +142,20 @@ def _scaling_engine(
         gb = _partial_trace(delta.reshape(k, k, k, k), "b")
         res_a = float(np.linalg.norm(ga - eye_k))
         res_b = float(np.linalg.norm(gb - eye_k))
-        if max(res_a, res_b) <= filter_tol:
+        if max(res_a, res_b) <= tols.filter:
             converged = True
             iterations -= 1
             break
 
         if mode == "general":
-            pa = _inv_power(ga, k, 0.5, "A", rank_tol)
+            pa = _inv_power(ga, k, 0.5, "A", tols.rank)
             big = _kron(pa, np.eye(k))
             delta = big @ delta @ big.conj().T
             t1 = np.trace(delta).real
             delta /= t1
             fa = pa @ fa / np.sqrt(t1)
             gb = _partial_trace(delta.reshape(k, k, k, k), "b")
-            pb = _inv_power(gb, k, 0.5, "B", rank_tol)
+            pb = _inv_power(gb, k, 0.5, "B", tols.rank)
             big = _kron(np.eye(k), pb)
             delta = big @ delta @ big.conj().T
             t2 = np.trace(delta).real
@@ -171,7 +163,7 @@ def _scaling_engine(
             fb = pb @ fb / np.sqrt(t2)
             monitor = max(abs(1.0 - t1), abs(1.0 - t2))
         else:
-            q = _inv_power(ga, k, 0.25, "A", rank_tol)
+            q = _inv_power(ga, k, 0.25, "A", tols.rank)
             qb = q.conj() if mode == "conjugate" else q
             big = _kron(q, qb)
             delta = big @ delta @ big.conj().T
@@ -265,9 +257,7 @@ def _spc_defect(op: BipartiteOperator) -> float:
     return herm + max(0.0, -min_eig)
 
 
-def _normal_form(
-    gamma: BipartiteOperator, mode: str, filter_tol: float, max_iter: int, tols: Tolerances
-):
+def _normal_form(gamma: BipartiteOperator, mode: str, max_iter: int, tols: Tolerances):
     """Check a filter input, then run the scaling engine of its mode.
 
     Raises what ``sinkhorn_filter`` documents, in the same order.  Returns
@@ -279,9 +269,7 @@ def _normal_form(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if gamma.dim_a != gamma.dim_b:
         raise DimensionMismatch("filtering requires equal factor dimensions")
-    report = psd_check(gamma, tols.psd, tols)
-    if not report.is_psd:
-        raise NotPSD(f"filter input has min eigenvalue {report.min_eigenvalue:.3e}")
+    _require_psd(gamma, tols)
     k = gamma.dim_a
     mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
     mat = mat / np.trace(mat).real
@@ -294,14 +282,13 @@ def _normal_form(
         raise WrongClassForMode("conjugate mode needs a realignment-invariant input")
 
     if mode == "left":
-        return _left_engine(mat, k, filter_tol, max_iter, tols.rank)
-    return _scaling_engine(mat, k, mode, filter_tol, max_iter, tols.rank)
+        return _left_engine(mat, k, max_iter, tols)
+    return _scaling_engine(mat, k, mode, max_iter, tols)
 
 
 def sinkhorn_filter(
     gamma: BipartiteOperator,
     mode: str = "general",
-    filter_tol: float = DEFAULT.filter,
     max_iter: int = 10_000,
     tols: Tolerances = DEFAULT,
 ) -> FilterResult:
@@ -315,7 +302,7 @@ def sinkhorn_filter(
     cycle and the iteration log is useful evidence.
     """
     delta, fa, fb, iterations, converged, log, res_a, res_b = _normal_form(
-        gamma, mode, filter_tol, max_iter, tols
+        gamma, mode, max_iter, tols
     )
     k = gamma.dim_a
     normal_form = BipartiteOperator(delta, k, k)
@@ -345,7 +332,7 @@ def sinkhorn_filter(
     )
 
 
-def _left_engine(mat: np.ndarray, k: int, filter_tol: float, max_iter: int, rank_tol: float):
+def _left_engine(mat: np.ndarray, k: int, max_iter: int, tols: Tolerances):
     """One-sided filter for the bi-orthogonal Hermitian expansion of left mode.
 
     The conjugate-mode engine is run on the star product of the state with
@@ -361,7 +348,7 @@ def _left_engine(mat: np.ndarray, k: int, filter_tol: float, max_iter: int, rank
     omega = 0.5 * (omega + omega.conj().T)
 
     _, qa, _, iterations, converged, log, res_a, res_b = _scaling_engine(
-        omega, k, "conjugate", filter_tol, max_iter, rank_tol
+        omega, k, "conjugate", max_iter, tols
     )
 
     big = _kron(qa, np.eye(k))
@@ -389,15 +376,12 @@ def doubly_stochastic_check(
     """
     if gamma.dim_a != gamma.dim_b:
         raise DimensionMismatch("doubly stochastic check requires equal factor dimensions")
-    mat = gamma.mat
-    defect = np.linalg.norm(mat - mat.conj().T)
-    if defect > tols.herm * max(np.linalg.norm(mat), np.finfo(float).tiny):
-        raise NotHermitian(f"Hermiticity defect {defect:.3e}")
+    mat = _require_hermitian(gamma.mat, tols.herm)
     trace = np.trace(mat).real
     if abs(trace) < 1e-14:
         raise PreconditionNotMet("trace too small to normalize")
     k = gamma.dim_a
-    gn = BipartiteOperator(0.5 * (mat + mat.conj().T) / trace, k, k)
+    gn = BipartiteOperator(mat / trace, k, k)
     v = np.eye(k) / np.sqrt(k)
     forward = float(np.linalg.norm(k * g_apply(gn, v).mat - v))
     adjoint = float(np.linalg.norm(k * f_apply(gn, v).mat - v))
@@ -437,9 +421,7 @@ def fully_indecomposable_probe(
     makes indecomposability likely, and borderline rank calls downgrade the
     verdict to inconclusive.
     """
-    report = psd_check(gamma, tols.psd, tols)
-    if not report.is_psd:
-        raise NotPSD(f"probe input has min eigenvalue {report.min_eigenvalue:.3e}")
+    _require_psd(gamma, tols)
     if gamma.dim_a != gamma.dim_b:
         raise DimensionMismatch("probe requires equal factor dimensions")
     k = gamma.dim_a

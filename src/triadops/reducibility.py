@@ -20,7 +20,6 @@ from .errors import (
     CompleteReducibilityViolation,
     DimensionMismatch,
     FullRankEigenvector,
-    NotPSD,
     NumericalDegeneracy,
     PreconditionNotMet,
     ZeroMatrix,
@@ -43,7 +42,7 @@ from .tensor_core import (
     _JsonRecord,
     _kron,
     _partial_trace,
-    psd_check,
+    _require_psd,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -150,9 +149,7 @@ def find_psd_eigenvector(
     """
     if gamma.dim_a != gamma.dim_b:
         raise DimensionMismatch("eigenvector search requires equal factor dimensions")
-    report = psd_check(gamma, tols.psd, tols)
-    if not report.is_psd:
-        raise NotPSD(f"input has min eigenvalue {report.min_eigenvalue:.3e}")
+    _require_psd(gamma, tols)
     k = gamma.dim_a
     if k == 1:
         return PsdEigenvectorResult(
@@ -675,9 +672,7 @@ def minimal_rank_extract(
     else:
         mode = "general"
     # the filter's normal form and filters only; its Schmidt data is not needed
-    delta, fa, fb, iterations, converged, _, res_a, res_b = _normal_form(
-        gamma, mode, tols.filter, 10_000, tols
-    )
+    delta, fa, fb, iterations, converged, _, res_a, res_b = _normal_form(gamma, mode, 10_000, tols)
     if not converged:
         return ExtractionFailure(
             step="filter",

@@ -210,6 +210,13 @@ def _require_hermitian(mat: np.ndarray, herm_tol: float) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
+def _require_psd(a: Operator, tols: Tolerances) -> None:
+    """Raise NotPSD unless ``psd_check`` accepts ``a``."""
+    report = psd_check(a, tols)
+    if not report.is_psd:
+        raise NotPSD(f"input has min eigenvalue {report.min_eigenvalue:.3e}")
+
+
 def _herm_eigvalsh(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``mat``, or of each matrix in a stack."""
     return np.linalg.eigvalsh(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
@@ -289,30 +296,26 @@ def norms(a: Operator) -> Norms:
     )
 
 
-def psd_check(a: Operator, tol: float = DEFAULT.psd, tols: Tolerances = DEFAULT) -> PsdReport:
+def psd_check(a: Operator, tols: Tolerances = DEFAULT) -> PsdReport:
     """Decide positive semidefiniteness of a Hermitian operator.
 
-    The verdict is ``min_eig >= -tol * max(1, operator_norm)``.
+    The verdict is ``min_eig >= -tols.psd * max(1, operator_norm)``.
     """
     mat = _require_hermitian(np.asarray(a.mat), tols.herm)
     w = np.linalg.eigvalsh(mat)
     min_eig = float(w[0])
     op_norm = float(np.max(np.abs(w))) if w.size else 0.0
-    return PsdReport(is_psd=bool(min_eig >= -tol * max(1.0, op_norm)), min_eigenvalue=min_eig)
+    return PsdReport(is_psd=bool(min_eig >= -tols.psd * max(1.0, op_norm)), min_eigenvalue=min_eig)
 
 
-def inv_sqrt_psd(
-    a: LocalOperator,
-    rank_tol: float = DEFAULT.rank,
-    tols: Tolerances = DEFAULT,
-) -> LocalOperator:
+def inv_sqrt_psd(a: LocalOperator, tols: Tolerances = DEFAULT) -> LocalOperator:
     """Pseudo-inverse square root of a PSD operator.
 
-    Eigenvalues above ``rank_tol * max_eigenvalue`` map to 1/sqrt(eig), the
+    Eigenvalues above ``tols.rank * max_eigenvalue`` map to 1/sqrt(eig), the
     rest to zero, so the result restricted to the kernel vanishes.
     """
     _require_hermitian(a.mat, tols.herm)
-    w, v, cut = _herm_support(a.mat, rank_tol)
+    w, v, cut = _herm_support(a.mat, tols.rank)
     if not np.any(w > cut):
         raise ZeroMatrix("all eigenvalues fall below the rank threshold")
     if w[0] < -tols.psd * max(1.0, float(w[-1])):

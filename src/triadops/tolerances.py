@@ -14,7 +14,6 @@ class Tolerances:
     herm: float = 1e-10          # Hermiticity defect, relative to Frobenius norm
     psd: float = 1e-9            # admissible negative eigenvalue, relative to max(1, op norm)
     rank: float = 1e-8           # eigenvalue / singular-value cutoff, relative to the largest
-    eig: float = 1e-10           # eigendecomposition reconstruction residual
     invariance: float = 1e-8     # ||realign(g) - g|| relative to ||g||
     ccnr: float = 1e-9           # strict exceedance required above the CCNR threshold 1
     filter: float = 1e-9         # marginal distance from Id/k at filter convergence

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, printed as one line each.
 
-Every criterion runs at its stated tolerance and within its stated time
-budget; the budgets are asserted, not just reported.
+The sweeps are the suites of ``triadops.selftest``, the same code that
+``triadops selftest`` runs; criteria 4, 6 and 8 are checked here.  Every
+criterion runs at its stated tolerance and within its stated time budget;
+the budgets are asserted, not just reported.
 """
 
 import time
@@ -11,33 +13,18 @@ import pytest
 
 from triadops import (
     BipartiteOperator,
-    SeparableDecomposition,
-    bound_gamma_pt,
-    bound_realign_sq,
-    bound_triad,
     canonical,
     classify,
-    contraction_by_permutation,
     find_psd_eigenvector,
-    flip,
-    minimal_rank_extract,
     norms,
-    partial_transpose,
     ppt_pair_forces_invariance,
-    random_density,
     random_invariant,
     random_ppt,
-    random_separable,
     random_spc,
-    rank_bound_check,
-    realign,
     rng_from_seed,
-    sinkhorn_filter,
+    selftest,
     split,
-    star_product,
 )
-
-from conftest import haar_unitary, local_scale, random_pd_local, random_operator
 
 
 def _report(number, label, started, budget):
@@ -46,100 +33,24 @@ def _report(number, label, started, budget):
     assert elapsed <= budget, f"criterion {number} exceeded its {budget}s budget"
 
 
-def test_acceptance_1_realignment_identities():
+# each suite of triadops.selftest and its time budget in seconds
+BUDGETS = {
+    "realignment-identities": 5.0,
+    "isometry-contraction": 10.0,
+    "spectral-bounds": 30.0,
+    "generator-soundness": 60.0,
+    "filter-normal-forms": 60.0,
+    "reducibility-extraction": 120.0,
+}
+
+
+@pytest.mark.parametrize("name", list(selftest.SUITES))
+def test_acceptance_suite(name):
+    assert list(BUDGETS) == list(selftest.SUITES)
     started = time.perf_counter()
-    worst = 0.0
-    for k in (2, 3):
-        f = flip(k).mat
-        rng = rng_from_seed(1000 + k)
-        for _ in range(100):
-            g = random_operator(rng, k)
-            d = random_operator(rng, k)
-            gm, rg, rd = g.mat, realign(g).mat, realign(d).mat
-            v = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
-            w = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
-            locs = [
-                rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-                for _ in range(4)
-            ]
-            sandwich = np.kron(locs[0], locs[1]) @ gm @ np.kron(locs[2], locs[3])
-            residuals = (
-                np.linalg.norm(
-                    realign(BipartiteOperator(np.outer(v, w), k, k)).mat
-                    - np.kron(v.reshape(k, k), w.reshape(k, k))
-                ),
-                np.linalg.norm(realign(realign(g)).mat - gm),
-                np.linalg.norm(
-                    realign(BipartiteOperator(sandwich, k, k)).mat
-                    - np.kron(locs[0], locs[2].T) @ rg @ np.kron(locs[1].T, locs[3])
-                ),
-                np.linalg.norm(
-                    realign(BipartiteOperator(gm @ f, k, k)).mat @ f
-                    - partial_transpose(g).mat
-                ),
-                np.linalg.norm(realign(partial_transpose(g)).mat - rg @ f),
-                np.linalg.norm(
-                    realign(BipartiteOperator(gm @ f, k, k)).mat
-                    - partial_transpose(realign(g)).mat
-                ),
-                np.linalg.norm(
-                    partial_transpose(realign(partial_transpose(g))).mat - gm @ f
-                ),
-                np.linalg.norm(realign(star_product(g, d)).mat - rg @ rd),
-                np.linalg.norm(
-                    realign(BipartiteOperator(f @ gm.conj() @ f, k, k)).mat
-                    - rg.conj().T
-                ),
-            )
-            worst = max(worst, max(residuals))
-    assert worst <= 1e-11, worst
-    _report(1, f"nine realignment identities, max residual {worst:.2e}", started, 5.0)
-
-
-def test_acceptance_2_isometry_and_contraction():
-    started = time.perf_counter()
-    named = ((1, 2, 4, 3), (2, 1, 3, 4), (1, 3, 2, 4), (1, 4, 3, 2))
-    worst_iso = 0.0
-    for k in (2, 3):
-        rng = rng_from_seed(2000 + k)
-        for _ in range(50):
-            g = random_operator(rng, k)
-            fro = norms(g).frobenius_norm
-            for sigma in named:
-                out = norms(contraction_by_permutation(sigma, g)).frobenius_norm
-                worst_iso = max(worst_iso, abs(out - fro))
-    assert worst_iso <= 1e-12, worst_iso
-    worst_exceed = -np.inf
-    for k in (2, 3):
-        for seed in range(100):
-            sep, _ = random_separable(k, k + 2, 2100 + seed)
-            tn = norms(sep).trace_norm
-            for sigma in named:
-                out = norms(contraction_by_permutation(sigma, sep)).trace_norm
-                worst_exceed = max(worst_exceed, out - tn)
-    assert worst_exceed <= 1e-9, worst_exceed
-    _report(
-        2,
-        f"isometry defect {worst_iso:.2e}, contraction exceedance {worst_exceed:.2e}",
-        started,
-        10.0,
-    )
-
-
-def test_acceptance_3_spectral_bounds():
-    started = time.perf_counter()
-    worst = np.inf
-    for k in (2, 3):
-        for seed in range(250):
-            g = random_density(k, k * k, 3000 + seed)
-            worst = min(worst, bound_gamma_pt(g).margin, bound_realign_sq(g).margin)
-    for k in (2, 3):
-        for gen in (random_ppt, random_spc, random_invariant):
-            for seed in range(100):
-                g = gen(k, 3500 + seed)
-                worst = min(worst, bound_triad(g, classify(g)).margin)
-    assert worst >= -1e-9, worst
-    _report(3, f"bound sweeps, smallest margin {worst:.2e}", started, 30.0)
+    result = selftest.run_suite(name)
+    assert result.passed, result.detail
+    _report(name, result.detail, started, BUDGETS[name])
 
 
 def test_acceptance_4_ppt_pair_lemma():
@@ -160,59 +71,6 @@ def test_acceptance_4_ppt_pair_lemma():
             pytest.fail(f"no PPT member found in the invariant family (seed {seed})")
     assert checked == 100
     _report(4, "both-PPT members of the invariant family are fixed points", started, 30.0)
-
-
-def test_acceptance_5_filter_suite():
-    started = time.perf_counter()
-    worst_marg = worst_class = worst_top = 0.0
-    for k in (2, 3):
-        for seed in range(50):
-            rng = rng_from_seed(5000 + 31 * seed + k)
-            scale = random_pd_local(rng, k)
-            spc = local_scale(random_spc(k, 5100 + seed), scale, scale)
-            fr = sinkhorn_filter(spc, "symmetric")
-            assert fr.converged, ("symmetric", k, seed)
-            worst_marg = max(worst_marg, fr.marginal_residual_a, fr.marginal_residual_b)
-            worst_class = max(worst_class, fr.class_residual)
-            sd = fr.schmidt_of_normal_form
-            worst_top = max(worst_top, abs(sd.coefficients[0] - 1.0 / k))
-            top = sd.left_ops[0].mat
-            overlap = np.trace(top @ np.eye(k) / np.sqrt(k)).real
-            worst_top = max(
-                worst_top, float(np.linalg.norm(top - overlap * np.eye(k) / np.sqrt(k)))
-            )
-
-            inv = local_scale(random_invariant(k, 5200 + seed), scale, scale.conj())
-            fr = sinkhorn_filter(inv, "conjugate")
-            assert fr.converged, ("conjugate", k, seed)
-            worst_marg = max(worst_marg, fr.marginal_residual_a, fr.marginal_residual_b)
-            worst_class = max(worst_class, fr.class_residual)
-            sd = fr.schmidt_of_normal_form
-            worst_top = max(worst_top, abs(sd.coefficients[0] - 1.0 / k))
-            top = sd.left_ops[0].mat
-            overlap = np.trace(top @ np.eye(k) / np.sqrt(k)).real
-            worst_top = max(
-                worst_top, float(np.linalg.norm(top - overlap * np.eye(k) / np.sqrt(k)))
-            )
-    assert worst_marg <= 1e-9
-    assert worst_class <= 1e-8
-    assert worst_top <= 1e-7
-
-    # filters known by construction are recovered up to a scalar
-    for k, diag in ((2, [2.0, 1.0]), (3, [1.5, 1.0, 0.7])):
-        fixture = canonical("classical_diag", k)
-        d = np.diag(diag)
-        fr = sinkhorn_filter(local_scale(fixture, d, d), "symmetric")
-        assert fr.converged
-        ratio = fr.filter_a.mat @ d
-        ratio /= ratio[0, 0]
-        assert np.linalg.norm(ratio - np.eye(k)) <= 1e-7, k
-    _report(
-        5,
-        f"filters: marginals {worst_marg:.2e}, class {worst_class:.2e}, top datum {worst_top:.2e}",
-        started,
-        60.0,
-    )
 
 
 def test_acceptance_6_reducibility_suite():
@@ -257,52 +115,6 @@ def test_acceptance_6_reducibility_suite():
         f"triad residual {worst_rel:.2e}",
         started,
         60.0,
-    )
-
-
-def test_acceptance_7_rank_and_separability():
-    started = time.perf_counter()
-    count = 0
-    for k in (2, 3):
-        for seed in range(125):
-            for gen in (
-                lambda s: random_ppt(k, s),
-                lambda s: random_spc(k, s),
-            ):
-                g = gen(7000 + seed)
-                assert rank_bound_check(g, classify(g)).bound_holds
-                count += 1
-    assert count == 500
-
-    extracted = 0
-    worst = 0.0
-    for k, n in ((2, 34), (3, 33), (4, 33)):
-        fixture = canonical("classical_diag", k)
-        for seed in range(n):
-            rng = rng_from_seed(7500 + 13 * seed + k)
-            u = haar_unitary(rng, k)
-            big = np.kron(u, u)
-            g = BipartiteOperator(big @ fixture.mat @ big.conj().T, k, k)
-            out = minimal_rank_extract(g, classify(g))
-            assert isinstance(out, SeparableDecomposition), (k, seed, out)
-            worst = max(worst, out.reconstruction_residual)
-            for w, x, y in out.terms:
-                assert np.linalg.eigvalsh(x.mat)[0] >= -1e-9
-                assert np.linalg.eigvalsh(y.mat)[0] >= -1e-9
-            extracted += 1
-    assert extracted == 100 and worst <= 1e-7
-
-    from triadops.errors import PreconditionNotMet
-
-    bell = canonical("bell", 2)
-    with pytest.raises(PreconditionNotMet):
-        minimal_rank_extract(bell, classify(bell))
-    _report(
-        7,
-        f"rank bounds on 500 states, 100 extractions (worst residual {worst:.2e}), "
-        "minimal-rank precondition enforced",
-        started,
-        120.0,
     )
 
 

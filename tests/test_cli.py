@@ -4,8 +4,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from triadops import DEFAULT, BipartiteOperator, canonical
+from triadops import DEFAULT, BipartiteOperator, canonical, random_density, selftest
 from triadops.cli import _tols_from_args, build_parser, main
 
 
@@ -112,6 +113,19 @@ def test_tolerance_flags_override_their_fields():
         assert _tols_from_args(args) == DEFAULT.but(**{field: 3e-7}), flag
 
 
+def test_tol_filter_flag_sets_the_filter_tolerance(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(run_cli_format(random_density(3, 9, 5)))
+    iterations = []
+    for extra in ([], ["--tol-filter", "1e-3"]):
+        assert main(["filter", str(path), "--json", *extra]) == 0
+        iterations.append(json.loads(capsys.readouterr().out)["iterations"])
+    assert iterations[1] < iterations[0]
+    with pytest.raises(SystemExit) as exc:  # --tol is no flag of its own
+        main(["filter", str(path), "--tol", "1e-3"])
+    assert exc.value.code == 1
+
+
 def test_triad_seed_env(tmp_path, monkeypatch):
     # The subprocesses inherit the caller's environment (PYTHONPATH included);
     # only TRIAD_SEED is controlled, so an ambient value cannot leak into the baseline.
@@ -138,6 +152,13 @@ def test_selftest_quick():
     proc = run_cli(["selftest", "--quick"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "suites passed" in proc.stdout
+
+
+def test_selftest_runs_every_suite_and_offsets_its_seeds():
+    results = selftest.run_selftest(quick=True)
+    assert [res.name for res in results] == list(selftest.SUITES)
+    shifted = selftest.run_suite("realignment-identities", quick=True, seed=5)
+    assert results[0].name == shifted.name and results[0].detail != shifted.detail
 
 
 def test_main_callable_directly(capsys):

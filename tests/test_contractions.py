@@ -12,7 +12,6 @@ from triadops import (
     norms,
     partial_transpose,
     psd_check,
-    random_separable,
     realign,
     rng_from_seed,
     star_product,
@@ -242,66 +241,3 @@ def test_all_24_preserve_frobenius():
         fro = norms(g).frobenius_norm
         for sigma in _all_permutations():
             assert abs(norms(contraction_by_permutation(sigma, g)).frobenius_norm - fro) <= 1e-12
-
-
-def test_trace_norm_contraction_on_separable():
-    for k in (2, 3):
-        for seed in range(25):
-            sep, _ = random_separable(k, k + 2, seed)
-            tn = norms(sep).trace_norm
-            for sigma in ((1, 2, 4, 3), (2, 1, 3, 4), (1, 3, 2, 4), (1, 4, 3, 2)):
-                out = norms(contraction_by_permutation(sigma, sep)).trace_norm
-                assert out <= tn + 1e-9
-
-
-def test_nine_realignment_identities():
-    """The full identity ledger for the realignment map, in one sweep."""
-    rng = rng_from_seed(13)
-    for k in (2, 3):
-        f = flip(k).mat
-        for _ in range(25):
-            g = random_operator(rng, k)
-            d = random_operator(rng, k)
-            gm, rg, rd = g.mat, realign(g).mat, realign(d).mat
-            v = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
-            w = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
-            lv, lw, lm, ln = (_rand_local(rng, k) for _ in range(4))
-
-            # (1) rank-one reshape rule
-            assert np.linalg.norm(
-                realign(BipartiteOperator(np.outer(v, w), k, k)).mat
-                - np.kron(v.reshape(k, k), w.reshape(k, k))
-            ) <= 1e-11
-            # (2) involution
-            assert np.linalg.norm(realign(realign(g)).mat - gm) <= 1e-11
-            # (3) interchange with local sandwiches
-            sandwich = np.kron(lv, lw) @ gm @ np.kron(lm, ln)
-            assert np.linalg.norm(
-                realign(BipartiteOperator(sandwich, k, k)).mat
-                - np.kron(lv, lm.T) @ rg @ np.kron(lw.T, ln)
-            ) <= 1e-11
-            # (4) realign(g F) F = partial transpose
-            assert np.linalg.norm(
-                realign(BipartiteOperator(gm @ f, k, k)).mat @ f - partial_transpose(g).mat
-            ) <= 1e-11
-            # (5) realign of the partial transpose
-            assert np.linalg.norm(
-                realign(partial_transpose(g)).mat - rg @ f
-            ) <= 1e-11
-            # (6) realign(g F) = partial transpose of the realignment
-            assert np.linalg.norm(
-                realign(BipartiteOperator(gm @ f, k, k)).mat
-                - partial_transpose(realign(g)).mat
-            ) <= 1e-11
-            # (7) double partial transpose chain collapses to right flip
-            assert np.linalg.norm(
-                partial_transpose(realign(partial_transpose(g))).mat - gm @ f
-            ) <= 1e-11
-            # (8) multiplicativity over the star product
-            assert np.linalg.norm(
-                realign(star_product(g, d)).mat - rg @ rd
-            ) <= 1e-11
-            # (9) conjugation rule
-            assert np.linalg.norm(
-                realign(BipartiteOperator(f @ gm.conj() @ f, k, k)).mat - rg.conj().T
-            ) <= 1e-11

@@ -12,11 +12,6 @@ from triadops import (
     decompose,
     kron,
     ppt_pair_forces_invariance,
-    random_density,
-    random_invariant,
-    random_ppt,
-    random_separable,
-    random_spc,
     rng_from_seed,
 )
 from triadops.errors import DimensionMismatch, NotAState, NotPSD, PreconditionNotMet
@@ -104,13 +99,6 @@ def test_bound_realign_sq_fixtures(bell2):
     assert rep_bell.margin == pytest.approx(0.0, abs=1e-12)
 
 
-def test_bounds_random_psd_sweep():
-    for seed in range(100):
-        g = random_density(3, 9, seed)
-        assert bound_gamma_pt(g).margin >= -1e-9
-        assert bound_realign_sq(g).margin >= -1e-9
-
-
 def test_bounds_reject_non_psd():
     h = BipartiteOperator(np.diag([1.0, -1.0, 1.0, 1.0]), 2, 2)
     with pytest.raises(NotPSD):
@@ -135,23 +123,6 @@ def test_bound_triad_requires_flag(bell2):
         bound_triad(bell2, classify(bell2))
 
 
-def test_bound_triad_generator_sweep():
-    for k in (2, 3):
-        for seed in range(25):
-            for gen in (random_ppt, random_spc, random_invariant):
-                g = gen(k, seed)
-                rep = bound_triad(g, classify(g))
-                assert rep.margin >= -1e-9, (gen.__name__, k, seed)
-
-
-def test_ccnr_never_flags_separable():
-    # zero false positives over 500 draws
-    for k in (2, 3):
-        for seed in range(250):
-            sep, _ = random_separable(k, k + 2, seed)
-            assert ccnr_entanglement_flag(sep) is False
-
-
 def test_ppt_pair_reports(classical_diag2, identity_plus_u2, bell2):
     rep = ppt_pair_forces_invariance(identity_plus_u2)
     assert rep.both_ppt and rep.realign_distance <= 1e-12
@@ -159,22 +130,3 @@ def test_ppt_pair_reports(classical_diag2, identity_plus_u2, bell2):
     assert rep.both_ppt and rep.realign_distance <= 1e-12
     rep = ppt_pair_forces_invariance(bell2)
     assert not rep.both_ppt
-
-
-def test_ppt_pair_implication_on_perturbed_invariants(identity_plus_u2):
-    # mixing invariant states stays invariant; push far enough toward the
-    # PPT fixture and both the state and its realignment become PPT, at
-    # which point the realignment distance must vanish
-    for seed in range(25):
-        base = random_invariant(2, seed)
-        for t in np.linspace(0.0, 1.0, 11):
-            mixed = BipartiteOperator(
-                (1 - t) * base.mat + t * identity_plus_u2.mat, 2, 2
-            )
-            rep = ppt_pair_forces_invariance(mixed)
-            if rep.both_ppt:
-                scale = np.linalg.norm(mixed.mat)
-                assert rep.realign_distance <= 1e-8 * scale
-                break
-        else:
-            pytest.fail(f"no PPT mixture found for seed {seed}")

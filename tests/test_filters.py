@@ -38,15 +38,17 @@ def test_classical_diag_already_normal(mode, classical_diag2):
     assert np.allclose(fa, fa[0, 0] * np.eye(2))
 
 
-def test_prescaled_classical_diag_recovers_filter(classical_diag2):
-    d = np.diag([2.0, 1.0])
-    scaled = local_scale(classical_diag2, d, d)
-    fr = sinkhorn_filter(scaled, "symmetric")
+@pytest.mark.parametrize("diag", [[2.0, 1.0], [1.5, 1.0, 0.7]], ids=["k2", "k3"])
+def test_prescaled_classical_diag_recovers_filter(diag):
+    k = len(diag)
+    fixture = canonical("classical_diag", k)
+    d = np.diag(diag)
+    fr = sinkhorn_filter(local_scale(fixture, d, d), "symmetric")
     assert fr.converged
-    assert np.linalg.norm(fr.normal_form.mat - classical_diag2.mat) <= 1e-8
+    assert np.linalg.norm(fr.normal_form.mat - fixture.mat) <= 1e-8
     ratio = fr.filter_a.mat @ d
     ratio /= ratio[0, 0]
-    assert np.linalg.norm(ratio - np.eye(2)) <= 1e-7
+    assert np.linalg.norm(ratio - np.eye(k)) <= 1e-7
     assert fr.marginal_residual_a <= 1e-8 and fr.marginal_residual_b <= 1e-8
     assert fr.class_residual <= 1e-8
 

@@ -121,16 +121,3 @@ def test_canonical_unknown_name():
         canonical("garbage", 2)
     with pytest.raises(UnknownName):
         canonical("werner", 2)  # missing mixing parameter
-
-
-def test_class_soundness_500_sweep():
-    # every generator output passes its own class test, 500 seeds split
-    # across k = 2 and 3
-    for k in (2, 3):
-        for seed in range(250):
-            c = classify(random_spc(k, seed))
-            assert c.spc and c.residuals.spc_min_eigenvalue >= -1e-9
-            c = classify(random_invariant(k, seed))
-            assert c.invariant and c.residuals.invariance_distance <= 1e-9
-            c = classify(random_ppt(k, seed))
-            assert c.ppt and c.residuals.ppt_min_eigenvalue >= -1e-9
