@@ -19,161 +19,37 @@ A command-line shell (``triadops``) exposes the same operations on the JSON
 matrix format; see the README.
 """
 
-from . import errors
-from .contractions import (
-    contraction_by_permutation,
-    flip,
-    left_transpose,
-    maximally_entangled_vector,
-    partial_transpose,
-    realign,
-    star_product,
+from . import (
+    contractions,
+    criteria,
+    errors,
+    filters,
+    generators,
+    reducibility,
+    schmidt_maps,
+    tensor_core,
 )
-from .criteria import (
-    BoundReport,
-    PptPairReport,
-    TriadClassification,
-    TriadResiduals,
-    bound_gamma_pt,
-    bound_realign_sq,
-    bound_triad,
-    ccnr_entanglement_flag,
-    classify,
-    ppt_pair_forces_invariance,
-)
-from .filters import (
-    FilterResult,
-    ProbeResult,
-    StochasticityReport,
-    doubly_stochastic_check,
-    fully_indecomposable_probe,
-    sinkhorn_filter,
-)
-from .generators import (
-    canonical,
-    random_density,
-    random_invariant,
-    random_ppt,
-    random_separable,
-    random_spc,
-    rng_from_seed,
-)
-from .reducibility import (
-    DecompositionTree,
-    EqualCoefficientReport,
-    ExtractionFailure,
-    ProductTerm,
-    PsdEigenvectorResult,
-    RankBoundReport,
-    SeparableDecomposition,
-    SplitCertificate,
-    decompose,
-    equal_schmidt_certificate,
-    find_psd_eigenvector,
-    minimal_rank_extract,
-    rank_bound_check,
-    split,
-)
-from .schmidt_maps import (
-    HermitianBasisMatrix,
-    SchmidtDecomposition,
-    f_apply,
-    fg_apply,
-    fg_matrix,
-    g_apply,
-    g_matrix,
-    hermitian_basis,
-    hermitian_coords,
-    hermitian_from_coords,
-    reduced_a,
-    reduced_b,
-    schmidt,
-)
-from .tensor_core import (
-    BipartiteOperator,
-    LocalOperator,
-    Norms,
-    PsdReport,
-    SpectralData,
-    hermitian_eig,
-    inv_sqrt_psd,
-    kron,
-    norms,
-    psd_check,
-)
+from .contractions import *  # noqa: F401,F403
+from .criteria import *  # noqa: F401,F403
+from .filters import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
+from .reducibility import *  # noqa: F401,F403
+from .schmidt_maps import *  # noqa: F401,F403
+from .tensor_core import *  # noqa: F401,F403
 from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"
 
+# each module's own __all__ lists its public names once
 __all__ = [
     "errors",
-    "BipartiteOperator",
-    "LocalOperator",
-    "SpectralData",
-    "Norms",
-    "PsdReport",
-    "kron",
-    "hermitian_eig",
-    "norms",
-    "psd_check",
-    "inv_sqrt_psd",
-    "partial_transpose",
-    "left_transpose",
-    "realign",
-    "flip",
-    "maximally_entangled_vector",
-    "star_product",
-    "contraction_by_permutation",
-    "SchmidtDecomposition",
-    "HermitianBasisMatrix",
-    "reduced_a",
-    "reduced_b",
-    "g_apply",
-    "f_apply",
-    "fg_apply",
-    "schmidt",
-    "hermitian_basis",
-    "hermitian_coords",
-    "hermitian_from_coords",
-    "g_matrix",
-    "fg_matrix",
-    "TriadClassification",
-    "TriadResiduals",
-    "BoundReport",
-    "PptPairReport",
-    "classify",
-    "ccnr_entanglement_flag",
-    "bound_gamma_pt",
-    "bound_realign_sq",
-    "bound_triad",
-    "ppt_pair_forces_invariance",
-    "FilterResult",
-    "StochasticityReport",
-    "ProbeResult",
-    "sinkhorn_filter",
-    "doubly_stochastic_check",
-    "fully_indecomposable_probe",
-    "PsdEigenvectorResult",
-    "SplitCertificate",
-    "DecompositionTree",
-    "EqualCoefficientReport",
-    "RankBoundReport",
-    "ProductTerm",
-    "SeparableDecomposition",
-    "ExtractionFailure",
-    "find_psd_eigenvector",
-    "split",
-    "decompose",
-    "equal_schmidt_certificate",
-    "rank_bound_check",
-    "minimal_rank_extract",
-    "rng_from_seed",
-    "random_density",
-    "random_separable",
-    "random_spc",
-    "random_invariant",
-    "random_ppt",
-    "canonical",
+    *tensor_core.__all__,
+    *contractions.__all__,
+    *schmidt_maps.__all__,
+    *criteria.__all__,
+    *filters.__all__,
+    *reducibility.__all__,
+    *generators.__all__,
     "Tolerances",
     "DEFAULT",
 ]

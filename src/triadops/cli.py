@@ -24,7 +24,7 @@ from .criteria import (
     classify,
 )
 from .errors import PreconditionNotMet, ToolkitError
-from .filters import sinkhorn_filter
+from .filters import MAX_ITER, MODES, sinkhorn_filter
 from .generators import (
     canonical,
     random_density,
@@ -149,6 +149,16 @@ def _common_flags(parser: argparse.ArgumentParser, with_file: bool = True) -> No
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     for flag, field in _TOL_FLAGS.items():
         parser.add_argument(flag, dest=f"tol_{field}", type=float, default=None, help=argparse.SUPPRESS)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _default_seed() -> int:
@@ -276,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="filter normal form")
     _common_flags(p)
-    p.add_argument("--mode", choices=("general", "symmetric", "conjugate", "left"), default="general")
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--mode", choices=MODES, default="general")
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.set_defaults(fn=_cmd_filter)
 
     p = sub.add_parser("decompose", help="complete-reducibility decomposition tree")
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="density | separable | spc | invariant | ppt | canonical:NAME "
         "(NAME: classical_diag, bell, identity_plus_u, werner(a))",
     )
-    p.add_argument("--k", type=int, required=True, help="local dimension")
+    p.add_argument("--k", type=_positive_int, required=True, help="local dimension")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: TRIAD_SEED or 0)")
     p.add_argument("--rank", type=int, default=None, help="rank for --class density")
     p.add_argument("--terms", type=int, default=4, help="mixture terms for --class separable")

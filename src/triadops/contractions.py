@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .tensor_core import BipartiteOperator
+from .tensor_core import BipartiteOperator, _require_square
 
 __all__ = [
     "partial_transpose",
@@ -56,11 +56,7 @@ def realign(gamma: BipartiteOperator) -> BipartiteOperator:
     Sends a (x) b^t (x) c (x) d^t to a (x) c^t (x) b (x) d^t, is an involution,
     and preserves the Frobenius norm.  Requires equal factor dimensions.
     """
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch(
-            f"realign needs equal factor dimensions, got ({gamma.dim_a}, {gamma.dim_b})"
-        )
-    k = gamma.dim_a
+    k = _require_square(gamma, "realign")
     out = gamma.tensor4.transpose(0, 2, 1, 3).reshape(k * k, k * k)
     return BipartiteOperator(out, dim_a=k, dim_b=k)
 

@@ -19,12 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contractions import partial_transpose, realign
-from .errors import DimensionMismatch, NotAState, PreconditionNotMet
+from .errors import NotAState, PreconditionNotMet
 from .tensor_core import (
     BipartiteOperator,
     _herm_eigvalsh,
+    _hermitian_ok,
     _JsonRecord,
+    _psd_ok,
     _require_psd,
+    _require_square,
     norms,
     psd_check,
 )
@@ -73,32 +76,27 @@ class TriadClassification(_JsonRecord):
 
 def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClassification:
     """Evaluate all three class flags and the CCNR value in one pass."""
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("classification is defined for equal factor dimensions")
+    _require_square(gamma, "classification")
     mat = gamma.mat
     scale = float(np.linalg.norm(mat))
     tiny = np.finfo(float).tiny
-    herm_defect = float(np.linalg.norm(mat - mat.conj().T))
-    is_hermitian = herm_defect <= tols.herm * max(scale, tiny)
+    is_hermitian = _hermitian_ok(float(np.linalg.norm(mat - mat.conj().T)), scale, tols)
 
     w = _herm_eigvalsh(mat)
     op_norm = float(np.max(np.abs(w)))
     # every class flag presupposes a Hermitian PSD input
-    is_psd = is_hermitian and float(w[0]) >= -tols.psd * max(1.0, op_norm)
+    is_psd = is_hermitian and _psd_ok(float(w[0]), op_norm, tols)
     is_state = bool(is_psd and abs(np.trace(mat).real - 1.0) <= _TRACE_TOL)
 
     pt = partial_transpose(gamma)
     ppt_min = float(_herm_eigvalsh(pt.mat)[0])
-    ppt = bool(is_psd and ppt_min >= -tols.psd * max(1.0, op_norm))
+    ppt = is_psd and _psd_ok(ppt_min, op_norm, tols)
 
     rpt = realign(pt).mat
+    # the defect is already relative to ||gamma||, so its scale is 1
     spc_defect = float(np.linalg.norm(rpt - rpt.conj().T)) / max(scale, tiny)
     spc_min = float(_herm_eigvalsh(rpt)[0])
-    spc = bool(
-        is_psd
-        and spc_defect <= tols.herm
-        and spc_min >= -tols.psd * max(1.0, op_norm)
-    )
+    spc = is_psd and _hermitian_ok(spc_defect, 1.0, tols) and _psd_ok(spc_min, op_norm, tols)
 
     r = realign(gamma).mat
     inv_dist = float(np.linalg.norm(r - mat))
@@ -129,8 +127,7 @@ def ccnr_entanglement_flag(gamma: BipartiteOperator, tols: Tolerances = DEFAULT)
     report = psd_check(gamma, tols)
     if not report.is_psd or abs(np.trace(gamma.mat).real - 1.0) > _TRACE_TOL:
         raise NotAState("CCNR flag is defined for trace-one PSD inputs")
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("CCNR flag requires equal factor dimensions")
+    _require_square(gamma, "the CCNR flag")
     ccnr = float(np.sum(np.linalg.svd(realign(gamma).mat, compute_uv=False)))
     return bool(ccnr > 1.0 + tols.ccnr)
 
@@ -154,11 +151,29 @@ class BoundReport(_JsonRecord):
     margin: float
 
 
-def _bound_ingredients(gamma: BipartiteOperator) -> tuple[float, float, float]:
+def _bound_report(
+    gamma: BipartiteOperator, tols: Tolerances, lhs: BipartiteOperator | None = None
+) -> BoundReport:
+    """The bound on ``lhs``'s operator norm by min(||gamma_A||, ||gamma_B||, ||R(gamma)||).
+
+    With no ``lhs`` it is instead the bound ||R(gamma)||^2 <= ||gamma_A|| ||gamma_B||.
+    """
     na = norms(reduced_a(gamma)).operator_norm
     nb = norms(reduced_b(gamma)).operator_norm
     nr = norms(realign(gamma)).operator_norm
-    return na, nb, nr
+    if lhs is None:
+        state, margin = nr, na * nb - nr * nr
+    else:
+        state = norms(lhs).operator_norm
+        margin = min(na, nb, nr) - state
+    return BoundReport(
+        op_norm_state=state,
+        op_norm_a=na,
+        op_norm_b=nb,
+        op_norm_realign=nr,
+        bound_holds=bool(margin >= -tols.psd),
+        margin=float(margin),
+    )
 
 
 def bound_gamma_pt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> BoundReport:
@@ -166,37 +181,16 @@ def bound_gamma_pt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> Boun
 
     Holds for every PSD input; the margin quantifies the slack.
     """
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("bound requires equal factor dimensions")
+    _require_square(gamma, "the bound")
     _require_psd(gamma, tols)
-    na, nb, nr = _bound_ingredients(gamma)
-    lhs = norms(partial_transpose(gamma)).operator_norm
-    margin = min(na, nb, nr) - lhs
-    return BoundReport(
-        op_norm_state=lhs,
-        op_norm_a=na,
-        op_norm_b=nb,
-        op_norm_realign=nr,
-        bound_holds=bool(margin >= -tols.psd),
-        margin=float(margin),
-    )
+    return _bound_report(gamma, tols, partial_transpose(gamma))
 
 
 def bound_realign_sq(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> BoundReport:
     """Bound the squared realignment norm by the product of marginal norms."""
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("bound requires equal factor dimensions")
+    _require_square(gamma, "the bound")
     _require_psd(gamma, tols)
-    na, nb, nr = _bound_ingredients(gamma)
-    margin = na * nb - nr * nr
-    return BoundReport(
-        op_norm_state=nr,
-        op_norm_a=na,
-        op_norm_b=nb,
-        op_norm_realign=nr,
-        bound_holds=bool(margin >= -tols.psd),
-        margin=float(margin),
-    )
+    return _bound_report(gamma, tols)
 
 
 def bound_triad(
@@ -209,17 +203,7 @@ def bound_triad(
         raise PreconditionNotMet(
             "the operator-norm bound on the state itself needs at least one triad flag"
         )
-    na, nb, nr = _bound_ingredients(gamma)
-    lhs = norms(gamma).operator_norm
-    margin = min(na, nb, nr) - lhs
-    return BoundReport(
-        op_norm_state=lhs,
-        op_norm_a=na,
-        op_norm_b=nb,
-        op_norm_realign=nr,
-        bound_holds=bool(margin >= -tols.psd),
-        margin=float(margin),
-    )
+    return _bound_report(gamma, tols, gamma)
 
 
 @dataclass(frozen=True)
@@ -237,19 +221,17 @@ def ppt_pair_forces_invariance(
     state is invariant under realignment.  The function only reports; asserting
     the implication is the caller's (or the test suite's) job.
     """
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("requires equal factor dimensions")
+    _require_square(gamma, "the PPT-pair test")
     _require_psd(gamma, tols)
     op_norm = norms(gamma).operator_norm
-    thresh = -tols.psd * max(1.0, op_norm)
 
-    gamma_ppt = _herm_eigvalsh(partial_transpose(gamma).mat)[0] >= thresh
+    gamma_ppt = _psd_ok(_herm_eigvalsh(partial_transpose(gamma).mat)[0], op_norm, tols)
     r = realign(gamma)
-    scale = max(float(np.linalg.norm(gamma.mat)), np.finfo(float).tiny)
-    r_herm = float(np.linalg.norm(r.mat - r.mat.conj().T)) <= tols.herm * scale
-    r_psd = _herm_eigvalsh(r.mat)[0] >= thresh
-    r_ppt = _herm_eigvalsh(partial_transpose(r).mat)[0] >= thresh
+    defect = float(np.linalg.norm(r.mat - r.mat.conj().T))
+    r_herm = _hermitian_ok(defect, float(np.linalg.norm(gamma.mat)), tols)
+    r_psd = _psd_ok(_herm_eigvalsh(r.mat)[0], op_norm, tols)
+    r_ppt = _psd_ok(_herm_eigvalsh(partial_transpose(r).mat)[0], op_norm, tols)
 
-    both = bool(gamma_ppt and r_herm and r_psd and r_ppt)
+    both = gamma_ppt and r_herm and r_psd and r_ppt
     dist = float(np.linalg.norm(r.mat - gamma.mat))
     return PptPairReport(both_ppt=both, realign_distance=dist)

@@ -32,18 +32,12 @@ import numpy as np
 
 from .contractions import flip, partial_transpose, realign, star_product
 from .criteria import classify
-from .errors import (
-    DimensionMismatch,
-    MarginalRankDeficient,
-    PreconditionNotMet,
-    WrongClassForMode,
-)
+from .errors import MarginalRankDeficient, PreconditionNotMet, WrongClassForMode
 from .schmidt_maps import (
     SchmidtDecomposition,
     f_apply,
     fg_matrix,
     g_apply,
-    g_matrix,
     hermitian_basis,
     hermitian_from_coords,
     schmidt,
@@ -52,13 +46,14 @@ from .tensor_core import (
     BipartiteOperator,
     LocalOperator,
     _clusters,
+    _congruence,
     _herm_eigvalsh,
     _herm_support,
     _JsonRecord,
-    _kron,
     _partial_trace,
     _require_hermitian,
     _require_psd,
+    _require_square,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -72,6 +67,7 @@ __all__ = [
 ]
 
 MODES = ("general", "symmetric", "conjugate", "left")
+MAX_ITER = 10_000  # default iteration cap of the filter
 _COND_LIMIT = 1e12
 
 
@@ -149,15 +145,13 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tol
 
         if mode == "general":
             pa = _inv_power(ga, k, 0.5, "A", tols.rank)
-            big = _kron(pa, np.eye(k))
-            delta = big @ delta @ big.conj().T
+            delta = _congruence(pa, np.eye(k), delta)
             t1 = np.trace(delta).real
             delta /= t1
             fa = pa @ fa / np.sqrt(t1)
             gb = _partial_trace(delta.reshape(k, k, k, k), "b")
             pb = _inv_power(gb, k, 0.5, "B", tols.rank)
-            big = _kron(np.eye(k), pb)
-            delta = big @ delta @ big.conj().T
+            delta = _congruence(np.eye(k), pb, delta)
             t2 = np.trace(delta).real
             delta /= t2
             fb = pb @ fb / np.sqrt(t2)
@@ -165,8 +159,7 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tol
         else:
             q = _inv_power(ga, k, 0.25, "A", tols.rank)
             qb = q.conj() if mode == "conjugate" else q
-            big = _kron(q, qb)
-            delta = big @ delta @ big.conj().T
+            delta = _congruence(q, qb, delta)
             t = np.trace(delta).real
             delta /= t
             scale = t ** 0.25
@@ -197,9 +190,7 @@ def _identity_aligned_expansion(
     identity as an eigenvector.
     """
     k = normal_form.dim_a
-    mg = g_matrix(normal_form, tols).matrix
-    mfg = mg.T @ mg
-    mfg = 0.5 * (mfg + mfg.T)
+    mfg = fg_matrix(normal_form, tols).matrix
     n = k * k
     e0 = np.zeros(n)
     e0[0] = 1.0
@@ -267,10 +258,8 @@ def _normal_form(gamma: BipartiteOperator, mode: str, max_iter: int, tols: Toler
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("filtering requires equal factor dimensions")
+    k = _require_square(gamma, "filtering")
     _require_psd(gamma, tols)
-    k = gamma.dim_a
     mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
     mat = mat / np.trace(mat).real
     _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "a"), "A", tols.rank)
@@ -289,7 +278,7 @@ def _normal_form(gamma: BipartiteOperator, mode: str, max_iter: int, tols: Toler
 def sinkhorn_filter(
     gamma: BipartiteOperator,
     mode: str = "general",
-    max_iter: int = 10_000,
+    max_iter: int = MAX_ITER,
     tols: Tolerances = DEFAULT,
 ) -> FilterResult:
     """Bring a full-marginal-rank state to its filter normal form.
@@ -351,8 +340,7 @@ def _left_engine(mat: np.ndarray, k: int, max_iter: int, tols: Tolerances):
         omega, k, "conjugate", max_iter, tols
     )
 
-    big = _kron(qa, np.eye(k))
-    raw = big @ mat @ big.conj().T
+    raw = _congruence(qa, np.eye(k), mat)
     t = np.trace(raw).real
     delta = 0.5 * (raw + raw.conj().T) / t
     return delta, qa / np.sqrt(t), None, iterations, converged, log, res_a, res_b
@@ -374,13 +362,11 @@ def doubly_stochastic_check(
     maps applied to Id must return Id/k; the residuals are measured in the
     Id/sqrt(k) normalization on both the forward map and its adjoint.
     """
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("doubly stochastic check requires equal factor dimensions")
-    mat = _require_hermitian(gamma.mat, tols.herm)
+    k = _require_square(gamma, "the doubly stochastic check")
+    mat = _require_hermitian(gamma.mat, tols)
     trace = np.trace(mat).real
     if abs(trace) < 1e-14:
         raise PreconditionNotMet("trace too small to normalize")
-    k = gamma.dim_a
     gn = BipartiteOperator(mat / trace, k, k)
     v = np.eye(k) / np.sqrt(k)
     forward = float(np.linalg.norm(k * g_apply(gn, v).mat - v))
@@ -422,9 +408,7 @@ def fully_indecomposable_probe(
     verdict to inconclusive.
     """
     _require_psd(gamma, tols)
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("probe requires equal factor dimensions")
-    k = gamma.dim_a
+    k = _require_square(gamma, "the probe")
 
     candidates: list[np.ndarray] = []
     mfg = fg_matrix(gamma, tols).matrix

@@ -12,8 +12,7 @@ import numpy as np
 
 from .contractions import flip, maximally_entangled_vector, partial_transpose, realign
 from .errors import BadRank, FixedPointNotReached, RejectionBudgetExhausted, UnknownName
-from .tensor_core import BipartiteOperator, LocalOperator, _herm_eigvalsh, _kron
-from .tolerances import DEFAULT, Tolerances
+from .tensor_core import BipartiteOperator, LocalOperator, _clip_psd, _herm_eigvalsh, _kron
 
 __all__ = [
     "rng_from_seed",
@@ -78,19 +77,22 @@ def _random_hermitian_orthobasis(rng: np.random.Generator, k: int) -> list[np.nd
     return basis
 
 
-def random_spc(k: int, seed: int, budget: int = 1000) -> BipartiteOperator:
+def random_spc(k: int, seed: int) -> BipartiteOperator:
     """Random state of the form sum_i a_i B_i (x) B_i with orthonormal Hermitian B_i.
 
     The leading term is fixed at (1/k) Id/sqrt(k) (x) Id/sqrt(k), which pins
     the trace at one; the remaining coefficients are resampled (with a slow
-    scale back-off) until the total is PSD.
+    scale back-off, up to 1000 draws) until the total is PSD.  At k = 1 the
+    leading term is the whole state.
     """
     rng = rng_from_seed(seed)
     basis = _random_hermitian_orthobasis(rng, k)
     lead = _kron(basis[0], basis[0]) / k
+    if k == 1:
+        return BipartiteOperator(lead, dim_a=1, dim_b=1)
     tail = np.stack([_kron(b, b) for b in basis[1:]])
     scale = 0.5 / (k * k * np.sqrt(len(tail)))
-    for attempt in range(budget):
+    for attempt in range(1000):
         coeffs = rng.exponential(scale, size=len(tail))
         cand = lead + np.einsum("i,ijk->jk", coeffs, tail)
         cand = 0.5 * (cand + cand.conj().T)
@@ -98,32 +100,28 @@ def random_spc(k: int, seed: int, budget: int = 1000) -> BipartiteOperator:
             return BipartiteOperator(cand, dim_a=k, dim_b=k)
         if (attempt + 1) % 25 == 0:
             scale *= 0.75
-    raise RejectionBudgetExhausted(f"no PSD draw in {budget} attempts at k={k}")
+    raise RejectionBudgetExhausted(f"no PSD draw in 1000 attempts at k={k}")
 
 
-def random_invariant(
-    k: int, seed: int, max_sweeps: int = 5000, stop_tol: float = 1e-10
-) -> BipartiteOperator:
+def random_invariant(k: int, seed: int) -> BipartiteOperator:
     """Random realignment-invariant state via alternating projections.
 
     Starting from a full-rank random density, each sweep averages the state
     with its realignment (the orthogonal projection onto the fixed subspace),
     restores Hermiticity, clips negative eigenvalues, and renormalizes the
-    trace, until the realignment distance drops below ``stop_tol``.
+    trace, until the realignment distance drops below 1e-10 (at most 5000
+    sweeps).
     """
     gamma = random_density(k, k * k, seed).mat.copy()
-    for _ in range(max_sweeps):
+    for _ in range(5000):
         r = realign(BipartiteOperator(gamma, k, k)).mat
-        if np.linalg.norm(r - gamma) <= stop_tol:
+        if np.linalg.norm(r - gamma) <= 1e-10:
             out = 0.5 * (gamma + gamma.conj().T)
             return BipartiteOperator(out / np.trace(out).real, dim_a=k, dim_b=k)
-        gamma = 0.5 * (gamma + r)
-        gamma = 0.5 * (gamma + gamma.conj().T)
-        w, v = np.linalg.eigh(gamma)
-        gamma = (v * np.maximum(w, 0.0)) @ v.conj().T
+        gamma, _ = _clip_psd(0.5 * (gamma + r))
         gamma /= np.trace(gamma).real
     raise FixedPointNotReached(
-        f"alternating projection did not settle in {max_sweeps} sweeps (seed={seed})"
+        f"alternating projection did not settle in 5000 sweeps (seed={seed})"
     )
 
 
@@ -131,26 +129,27 @@ def _is_ppt_strict(mat: np.ndarray, k: int) -> bool:
     return bool(_herm_eigvalsh(partial_transpose(BipartiteOperator(mat, k, k)).mat)[0] >= 0.0)
 
 
-def random_ppt(k: int, seed: int, budget: int = 200_000, tols: Tolerances = DEFAULT) -> BipartiteOperator:
+def random_ppt(k: int, seed: int) -> BipartiteOperator:
     """Random PPT state.
 
     For k = 2 this is plain accept-reject over full-rank random densities
-    (about one in four draws is PPT).  From k = 3 on the acceptance rate
-    collapses below 1e-3, so the draw instead mixes a random separable state
-    with a little Gaussian PSD noise and alternately clips the negative
-    eigenvalues of the state and of its partial transpose; the resulting
-    distribution is ad hoc but the output is genuinely PPT.
+    (about one in four draws is PPT; at most 200000 draws).  From k = 3 on
+    the acceptance rate collapses below 1e-3, so the draw instead mixes a
+    random separable state with a little Gaussian PSD noise and alternately
+    clips the negative eigenvalues of the state and of its partial
+    transpose; the resulting distribution is ad hoc but the output is
+    genuinely PPT.
     """
     rng = rng_from_seed(seed)
     if k <= 2:
-        for _ in range(budget):
+        for _ in range(200_000):
             g = _complex_normal(rng, (k * k, k * k))
             rho = g @ g.conj().T
             rho = 0.5 * (rho + rho.conj().T)
             rho /= np.trace(rho).real
             if _is_ppt_strict(rho, k):
                 return BipartiteOperator(rho, dim_a=k, dim_b=k)
-        raise RejectionBudgetExhausted(f"no PPT draw in {budget} attempts at k={k}")
+        raise RejectionBudgetExhausted(f"no PPT draw in 200000 attempts at k={k}")
 
     sep, _ = random_separable(k, 2 * k * k, seed)
     noise = _complex_normal(rng, (k * k, k * k))
@@ -158,17 +157,11 @@ def random_ppt(k: int, seed: int, budget: int = 200_000, tols: Tolerances = DEFA
     noise /= np.trace(noise).real
     rho = 0.9 * sep.mat + 0.1 * noise
     for _ in range(500):
-        pt = partial_transpose(BipartiteOperator(rho, k, k)).mat
-        pt = 0.5 * (pt + pt.conj().T)
-        w, v = np.linalg.eigh(pt)
+        clipped, w = _clip_psd(partial_transpose(BipartiteOperator(rho, k, k)).mat)
         if w[0] >= 0.0 and _herm_eigvalsh(rho)[0] >= 0.0:
             rho = 0.5 * (rho + rho.conj().T)
             return BipartiteOperator(rho / np.trace(rho).real, dim_a=k, dim_b=k)
-        clipped = (v * np.maximum(w, 0.0)) @ v.conj().T
-        rho = partial_transpose(BipartiteOperator(clipped, k, k)).mat
-        rho = 0.5 * (rho + rho.conj().T)
-        w2, v2 = np.linalg.eigh(rho)
-        rho = (v2 * np.maximum(w2, 0.0)) @ v2.conj().T
+        rho, _ = _clip_psd(partial_transpose(BipartiteOperator(clipped, k, k)).mat)
         rho /= np.trace(rho).real
     raise RejectionBudgetExhausted(f"PPT re-projection did not settle at k={k}")
 

@@ -18,13 +18,12 @@ import numpy as np
 from .criteria import TriadClassification, classify
 from .errors import (
     CompleteReducibilityViolation,
-    DimensionMismatch,
     FullRankEigenvector,
     NumericalDegeneracy,
     PreconditionNotMet,
     ZeroMatrix,
 )
-from .filters import _normal_form
+from .filters import MAX_ITER, _normal_form
 from .schmidt_maps import (
     fg_apply,
     fg_matrix,
@@ -36,13 +35,16 @@ from .schmidt_maps import (
 from .tensor_core import (
     BipartiteOperator,
     LocalOperator,
+    _clip_psd,
     _clusters,
+    _congruence,
     _herm_eigvalsh,
     _herm_support,
     _JsonRecord,
     _kron,
     _partial_trace,
     _require_psd,
+    _require_square,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -87,8 +89,7 @@ class PsdEigenvectorResult:
 
 def _clip_psd_unit(mat: np.ndarray) -> np.ndarray:
     """Nearest-PSD projection followed by Frobenius normalization."""
-    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    out = (v * np.maximum(w, 0.0)) @ v.conj().T
+    out, _ = _clip_psd(mat)
     nrm = np.linalg.norm(out)
     return out / nrm if nrm > 0 else out
 
@@ -147,10 +148,8 @@ def find_psd_eigenvector(
     where the crossing point is a singular PSD eigenvector.  A 1 x 1 input
     has no candidate with a nontrivial kernel and returns not-found at once.
     """
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("eigenvector search requires equal factor dimensions")
+    k = _require_square(gamma, "the eigenvector search")
     _require_psd(gamma, tols)
-    k = gamma.dim_a
     if k == 1:
         return PsdEigenvectorResult(
             found=False, x=None, eigenvalue=None, full_rank_witness=LocalOperator(np.ones((1, 1)))
@@ -248,6 +247,18 @@ class SplitCertificate(_JsonRecord):
     residual: float
 
 
+def _split_blocks(
+    mat: np.ndarray, proj_v: np.ndarray, proj_w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The blocks of ``mat`` on supp(proj_v) (x) supp(proj_w) and on its
+    complement's product, and the residual ||mat - block_1 - block_2||.
+    """
+    eye = np.eye(proj_v.shape[0])
+    block_1 = _congruence(proj_v, proj_w, mat)
+    block_2 = _congruence(eye - proj_v, eye - proj_w, mat)
+    return block_1, block_2, float(np.linalg.norm(mat - block_1 - block_2))
+
+
 def split(
     gamma: BipartiteOperator, x: LocalOperator, tols: Tolerances = DEFAULT
 ) -> SplitCertificate:
@@ -258,9 +269,14 @@ def split(
     gamma was not actually in a triad class (or x not an eigenvector) and
     raises CompleteReducibilityViolation.
     """
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("split requires equal factor dimensions")
-    k = gamma.dim_a
+    return _split(gamma, x, tols)[0]
+
+
+def _split(
+    gamma: BipartiteOperator, x: LocalOperator, tols: Tolerances
+) -> tuple[SplitCertificate, np.ndarray, np.ndarray]:
+    """``split``, also returning the two blocks its residual was measured on."""
+    k = _require_square(gamma, "split")
     xm = 0.5 * (x.mat + x.mat.conj().T)
     w, v, cut = _herm_support(xm, tols.rank)
     basis_v = v[:, w > cut]
@@ -279,14 +295,7 @@ def split(
         w, v, cut = _herm_support(gx, tols.rank)
         basis_w = v[:, w > cut]
         proj_w = basis_w @ basis_w.conj().T
-    proj_v_perp = np.eye(k) - proj_v
-    proj_w_perp = np.eye(k) - proj_w
-
-    sandwich_1 = _kron(proj_v, proj_w)
-    sandwich_2 = _kron(proj_v_perp, proj_w_perp)
-    block_1 = sandwich_1 @ gamma.mat @ sandwich_1.conj().T
-    block_2 = sandwich_2 @ gamma.mat @ sandwich_2.conj().T
-    residual = float(np.linalg.norm(gamma.mat - block_1 - block_2))
+    block_1, block_2, residual = _split_blocks(gamma.mat, proj_v, proj_w)
     scale = max(float(np.linalg.norm(gamma.mat)), np.finfo(float).tiny)
     if residual > tols.split * scale:
         raise CompleteReducibilityViolation(
@@ -294,15 +303,16 @@ def split(
             "the input is not a triad-class state within tolerance"
         )
     lam, _ = _eigen_residual(gamma, xm / np.linalg.norm(xm))
-    return SplitCertificate(
+    cert = SplitCertificate(
         x=LocalOperator(xm),
         eigenvalue=lam,
         proj_v=LocalOperator(proj_v),
         proj_w=LocalOperator(proj_w),
-        proj_v_perp=LocalOperator(proj_v_perp),
-        proj_w_perp=LocalOperator(proj_w_perp),
+        proj_v_perp=LocalOperator(np.eye(k) - proj_v),
+        proj_w_perp=LocalOperator(np.eye(k) - proj_w),
         residual=residual,
     )
+    return cert, block_1, block_2
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +345,7 @@ class DecompositionTree(_JsonRecord):
             return self.state.mat
         total = np.zeros_like(self.state.mat)
         for child in self.children:
-            lift = _kron(child.embed_a, child.embed_b)
-            total = total + lift @ child.reconstruct() @ lift.conj().T
+            total = total + _congruence(child.embed_a, child.embed_b, child.reconstruct())
         return total
 
     def leaves(self) -> list["DecompositionTree"]:
@@ -386,15 +395,13 @@ def decompose(
             return DecompositionTree(state=state, leaf_status="weakly_irreducible")
         if depth <= 0:
             return DecompositionTree(state=state, leaf_status="not_split_found")
-        cert = split(state, found.x, tols)
+        cert, block_1, block_2 = _split(state, found.x, tols)
         node = DecompositionTree(state=state, certificate=cert)
         pairs = (
-            (cert.proj_v.mat, cert.proj_w.mat),
-            (cert.proj_v_perp.mat, cert.proj_w_perp.mat),
+            (block_1, cert.proj_v.mat, cert.proj_w.mat),
+            (block_2, cert.proj_v_perp.mat, cert.proj_w_perp.mat),
         )
-        for pv, pw in pairs:
-            sandwich = _kron(pv, pw)
-            block = sandwich @ mat @ sandwich.conj().T
+        for block, pv, pw in pairs:
             if np.trace(block).real <= 1e-12 * max(np.trace(mat).real, 1e-300):
                 continue
             wa, va, cut_a = _herm_support(pv, 0.5)
@@ -616,11 +623,7 @@ def _extract_normal_form(mat: np.ndarray, k: int, tols: Tolerances):
     basis_v_perp = u[:, m:]
     basis_w_perp = vg[:, ~keep]
 
-    s1 = _kron(proj_v, proj_w)
-    s2 = _kron(np.eye(k) - proj_v, np.eye(k) - proj_w)
-    block_1 = s1 @ mat @ s1.conj().T
-    block_2 = s2 @ mat @ s2.conj().T
-    residual = float(np.linalg.norm(mat - block_1 - block_2))
+    block_1, block_2, residual = _split_blocks(mat, proj_v, proj_w)
     if residual > tols.split * max(float(np.linalg.norm(mat)), 1e-300):
         raise _StepFailure("split", f"split residual {residual:.3e}", {"residual": residual})
 
@@ -655,9 +658,7 @@ def minimal_rank_extract(
     """
     if not classification.any_flag:
         raise PreconditionNotMet("extraction needs at least one triad flag")
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("extraction requires equal factor dimensions")
-    k = gamma.dim_a
+    k = _require_square(gamma, "extraction")
     rb_report = rank_bound_check(gamma, classification, tols)
     if rb_report.rank != k or rb_report.reduced_ranks != (k, k):
         raise PreconditionNotMet(
@@ -672,7 +673,7 @@ def minimal_rank_extract(
     else:
         mode = "general"
     # the filter's normal form and filters only; its Schmidt data is not needed
-    delta, fa, fb, iterations, converged, _, res_a, res_b = _normal_form(gamma, mode, 10_000, tols)
+    delta, fa, fb, iterations, converged, _, res_a, res_b = _normal_form(gamma, mode, MAX_ITER, tols)
     if not converged:
         return ExtractionFailure(
             step="filter",

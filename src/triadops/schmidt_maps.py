@@ -29,6 +29,7 @@ from .tensor_core import (
     _kron,
     _partial_trace,
     _require_hermitian,
+    _require_square,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -120,9 +121,7 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
     below ``rank_tol * s1`` are dropped.  Each left operator's phase is fixed
     by making its largest-modulus entry real positive.
     """
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("schmidt decomposition requires equal factor dimensions")
-    k = gamma.dim_a
+    k = _require_square(gamma, "the Schmidt decomposition")
     u, s, vh = np.linalg.svd(realign(gamma).mat)
     if s[0] <= 0:
         return SchmidtDecomposition(
@@ -214,10 +213,8 @@ class HermitianBasisMatrix:
 
 def g_matrix(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> HermitianBasisMatrix:
     """Matrix of the first-factor contraction map in the Hermitian basis."""
-    if gamma.dim_a != gamma.dim_b:
-        raise DimensionMismatch("hermitian-basis representation requires equal factor dimensions")
-    _require_hermitian(gamma.mat, tols.herm)
-    k = gamma.dim_a
+    k = _require_square(gamma, "the Hermitian-basis representation")
+    _require_hermitian(gamma.mat, tols)
     basis = hermitian_basis(k)
     # images[b] = g_apply(gamma, h_b), computed in one contraction
     images = np.einsum("ijaq,bai->bjq", gamma.tensor4, basis)

@@ -40,7 +40,7 @@ from .generators import (
     rng_from_seed,
 )
 from .reducibility import minimal_rank_extract, rank_bound_check, SeparableDecomposition
-from .tensor_core import BipartiteOperator, _kron, norms
+from .tensor_core import BipartiteOperator, _congruence, _kron, norms
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,7 @@ def _suite_filters(div: int, seed: int) -> tuple[bool, str]:
                 ("symmetric", random_spc(k, seed + 5100 + s), scale),
                 ("conjugate", random_invariant(k, seed + 5200 + s), scale.conj()),
             ):
-                big = _kron(scale, right)
-                m = big @ state.mat @ big.conj().T
+                m = _congruence(scale, right, state.mat)
                 m = 0.5 * (m + m.conj().T)
                 fr = sinkhorn_filter(BipartiteOperator(m / np.trace(m).real, k, k), mode)
                 if not fr.converged:
@@ -208,8 +207,7 @@ def _suite_reducibility(div: int, seed: int) -> tuple[bool, str]:
         for s in range(n // div):
             q, r = np.linalg.qr(_random_local(rng_from_seed(seed + 7500 + 13 * s + k), k))
             u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar unitary
-            big = _kron(u, u)
-            g = BipartiteOperator(big @ fixture.mat @ big.conj().T, k, k)
+            g = BipartiteOperator(_congruence(u, u, fixture.mat), k, k)
             out = minimal_rank_extract(g, classify(g))
             if not isinstance(out, SeparableDecomposition):
                 return False, f"extraction failed at step {out.step} (k={k}, draw {s})"

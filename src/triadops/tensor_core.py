@@ -18,7 +18,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotHermitian, NotPSD, ZeroMatrix
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD, ZeroMatrix
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -199,13 +199,38 @@ def kron(a: LocalOperator, b: LocalOperator) -> BipartiteOperator:
     return BipartiteOperator(_kron(a.mat, b.mat), dim_a=a.dim, dim_b=b.dim)
 
 
-def _require_hermitian(mat: np.ndarray, herm_tol: float) -> np.ndarray:
+def _congruence(a: np.ndarray, b: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The local congruence (a (x) b) mat (a (x) b)^*."""
+    big = _kron(a, b)
+    return big @ mat @ big.conj().T
+
+
+def _require_square(gamma: BipartiteOperator, what: str) -> int:
+    """Raise DimensionMismatch unless both factors of gamma have one dimension k; return k."""
+    if gamma.dim_a != gamma.dim_b:
+        raise DimensionMismatch(
+            f"{what} requires equal factor dimensions, got ({gamma.dim_a}, {gamma.dim_b})"
+        )
+    return gamma.dim_a
+
+
+def _hermitian_ok(defect: float, scale: float, tols: Tolerances) -> bool:
+    """The Hermiticity verdict: ``defect <= tols.herm * scale`` (scale floored at tiny)."""
+    return bool(defect <= tols.herm * max(scale, np.finfo(float).tiny))
+
+
+def _psd_ok(min_eig: float, op_norm: float, tols: Tolerances) -> bool:
+    """The PSD verdict: ``min_eig >= -tols.psd * max(1, op_norm)``."""
+    return bool(min_eig >= -tols.psd * max(1.0, op_norm))
+
+
+def _require_hermitian(mat: np.ndarray, tols: Tolerances) -> np.ndarray:
     """Check the relative Hermiticity defect and return the Hermitian part."""
     defect = np.linalg.norm(mat - mat.conj().T)
     scale = np.linalg.norm(mat)
-    if defect > herm_tol * max(scale, np.finfo(float).tiny):
+    if not _hermitian_ok(defect, scale, tols):
         raise NotHermitian(
-            f"Hermiticity defect {defect:.3e} exceeds {herm_tol:.1e} * ||a|| = {herm_tol * scale:.3e}"
+            f"Hermiticity defect {defect:.3e} exceeds {tols.herm:.1e} * ||a|| = {tols.herm * scale:.3e}"
         )
     return 0.5 * (mat + mat.conj().T)
 
@@ -215,6 +240,12 @@ def _require_psd(a: Operator, tols: Tolerances) -> None:
     report = psd_check(a, tols)
     if not report.is_psd:
         raise NotPSD(f"input has min eigenvalue {report.min_eigenvalue:.3e}")
+
+
+def _clip_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest PSD matrix to the Hermitian part of ``mat``, and that part's spectrum."""
+    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    return (v * np.maximum(w, 0.0)) @ v.conj().T, w
 
 
 def _herm_eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -257,7 +288,7 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     clusters the columns are ordered lexicographically by their rounded
     coordinates, so repeated runs (and golden files) agree bit for bit.
     """
-    mat = _require_hermitian(np.asarray(a.mat), tols.herm)
+    mat = _require_hermitian(np.asarray(a.mat), tols)
     try:
         w, v = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -301,11 +332,11 @@ def psd_check(a: Operator, tols: Tolerances = DEFAULT) -> PsdReport:
 
     The verdict is ``min_eig >= -tols.psd * max(1, operator_norm)``.
     """
-    mat = _require_hermitian(np.asarray(a.mat), tols.herm)
+    mat = _require_hermitian(np.asarray(a.mat), tols)
     w = np.linalg.eigvalsh(mat)
     min_eig = float(w[0])
     op_norm = float(np.max(np.abs(w))) if w.size else 0.0
-    return PsdReport(is_psd=bool(min_eig >= -tols.psd * max(1.0, op_norm)), min_eigenvalue=min_eig)
+    return PsdReport(is_psd=_psd_ok(min_eig, op_norm, tols), min_eigenvalue=min_eig)
 
 
 def inv_sqrt_psd(a: LocalOperator, tols: Tolerances = DEFAULT) -> LocalOperator:
@@ -314,11 +345,11 @@ def inv_sqrt_psd(a: LocalOperator, tols: Tolerances = DEFAULT) -> LocalOperator:
     Eigenvalues above ``tols.rank * max_eigenvalue`` map to 1/sqrt(eig), the
     rest to zero, so the result restricted to the kernel vanishes.
     """
-    _require_hermitian(a.mat, tols.herm)
+    _require_hermitian(a.mat, tols)
     w, v, cut = _herm_support(a.mat, tols.rank)
     if not np.any(w > cut):
         raise ZeroMatrix("all eigenvalues fall below the rank threshold")
-    if w[0] < -tols.psd * max(1.0, float(w[-1])):
+    if not _psd_ok(w[0], float(w[-1]), tols):
         raise NotPSD(f"negative eigenvalue {w[0]:.3e} in inv_sqrt_psd input")
     inv = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, np.finfo(float).tiny)), 0.0)
     out = (v * inv) @ v.conj().T

@@ -86,6 +86,13 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_cli(["classify", str(bad)]).returncode == 1
 
 
+@pytest.mark.parametrize("cls", ["density", "separable", "spc", "invariant", "ppt", "canonical:bell"])
+def test_generate_rejects_k_below_one(cls):
+    proc = run_cli(["generate", "--class", cls, "--k", "0"])
+    assert proc.returncode == 1
+    assert "--k: must be a positive integer" in proc.stderr
+
+
 def test_numerical_failures_exit_2(tmp_path):
     gen = run_cli(["generate", "--class", "canonical:bell", "--k", "2"])
     path = tmp_path / "bell.json"

@@ -91,11 +91,6 @@ def test_realign_rank_one_rule():
     assert np.allclose(out, np.kron(v.reshape(k, k), w.reshape(k, k)))
 
 
-def test_realign_requires_square_factors():
-    with pytest.raises(DimensionMismatch):
-        realign(BipartiteOperator(np.eye(6), 2, 3))
-
-
 def test_flip_permutation_and_conjugation():
     f2 = flip(2).mat
     expected = np.eye(4)[[0, 2, 1, 3]]

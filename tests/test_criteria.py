@@ -14,7 +14,7 @@ from triadops import (
     ppt_pair_forces_invariance,
     rng_from_seed,
 )
-from triadops.errors import DimensionMismatch, NotAState, NotPSD, PreconditionNotMet
+from triadops.errors import NotAState, NotPSD, PreconditionNotMet
 
 from conftest import random_psd_local
 
@@ -51,11 +51,6 @@ def test_classify_flags_need_hermitian_input():
             bound_triad(gamma, c)
         with pytest.raises(PreconditionNotMet):
             decompose(gamma)
-
-
-def test_classify_requires_square():
-    with pytest.raises(DimensionMismatch):
-        classify(BipartiteOperator(np.eye(6), 2, 3))
 
 
 def test_ccnr_flags(bell2, classical_diag2):

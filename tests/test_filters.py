@@ -17,13 +17,7 @@ from triadops import (
     rng_from_seed,
     sinkhorn_filter,
 )
-from triadops.errors import (
-    DimensionMismatch,
-    MarginalRankDeficient,
-    NotHermitian,
-    NotPSD,
-    WrongClassForMode,
-)
+from triadops.errors import MarginalRankDeficient, NotHermitian, NotPSD, WrongClassForMode
 
 from conftest import local_scale, random_pd_local
 
@@ -148,8 +142,6 @@ def test_mode_gates(bell2, classical_diag2, identity_plus_u2):
         sinkhorn_filter(canonical("werner", 2, alpha=0.5), "conjugate")
     with pytest.raises(NotPSD):
         sinkhorn_filter(BipartiteOperator(np.diag([1.0, -0.5, 1, 1]), 2, 2), "general")
-    with pytest.raises(DimensionMismatch):
-        sinkhorn_filter(BipartiteOperator(np.eye(6) / 6, 2, 3), "general")
 
 
 def test_marginal_rank_gate():

@@ -36,6 +36,23 @@ def test_generators_deterministic(draw):
     assert np.array_equal(draw(123).mat, draw(123).mat)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda s: random_density(1, 1, s),
+        lambda s: random_separable(1, 3, s)[0],
+        lambda s: random_spc(1, s),
+        lambda s: random_invariant(1, s),
+        lambda s: random_ppt(1, s),
+    ],
+    ids=["density", "separable", "spc", "invariant", "ppt"],
+)
+def test_generators_at_k1_return_the_unit_state(draw):
+    g = draw(7)
+    assert (g.dim_a, g.dim_b) == (1, 1)
+    assert np.allclose(g.mat, [[1.0]], rtol=0.0, atol=1e-14)
+
+
 def test_random_density_shape_and_rank():
     g = random_density(2, 4, 0)
     rep = psd_check(g)

@@ -23,7 +23,7 @@ from triadops import (
     schmidt,
     star_product,
 )
-from triadops.errors import DimensionMismatch, NotHermitian
+from triadops.errors import NotHermitian
 
 from conftest import random_hermitian, random_operator, random_psd_local
 
@@ -178,11 +178,6 @@ def test_schmidt_invariants_sweep():
         )
 
 
-def test_schmidt_requires_square():
-    with pytest.raises(DimensionMismatch):
-        schmidt(BipartiteOperator(np.eye(6), 2, 3))
-
-
 def test_hermitian_basis_structure():
     for k in (2, 3, 4, 5):
         basis = hermitian_basis(k)
@@ -234,8 +229,6 @@ def test_g_matrix_gates():
     rng = rng_from_seed(32)
     with pytest.raises(NotHermitian):
         g_matrix(random_operator(rng, 2))
-    with pytest.raises(DimensionMismatch):
-        g_matrix(BipartiteOperator(np.eye(6), 2, 3))
 
 
 def test_fg_matrix_matches_composite():

@@ -3,18 +3,26 @@ import json
 import numpy as np
 import pytest
 
+import triadops
 from triadops import (
+    DEFAULT,
     BipartiteOperator,
     LocalOperator,
+    TriadClassification,
+    TriadResiduals,
+    bound_gamma_pt,
+    classify,
+    find_psd_eigenvector,
     flip,
     hermitian_eig,
     inv_sqrt_psd,
     kron,
     norms,
+    ppt_pair_forces_invariance,
     psd_check,
     rng_from_seed,
 )
-from triadops.errors import NotHermitian, NotPSD, ZeroMatrix
+from triadops.errors import DimensionMismatch, NotHermitian, NotPSD, ZeroMatrix
 from triadops.schmidt_maps import hermitian_basis, hermitian_from_coords
 from triadops.tensor_core import _herm_eigvalsh, _kron
 
@@ -253,3 +261,62 @@ def test_json_round_trip(bell2):
     local = LocalOperator(np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 0.5]]))
     back_local = LocalOperator.from_json(json.loads(json.dumps(local.to_json())))
     assert np.array_equal(back_local.mat, local.mat)
+
+
+# Every public entry point defined only for equal factor dimensions, with
+# the arguments it takes after the state.  A PPT flag lets the entries that
+# need a triad flag reach their dimension check.
+_FLAGGED = TriadClassification(True, True, False, False, 1.0, TriadResiduals(0.0, 0.0, 0.0, 0.0))
+SQUARE_ONLY = {
+    "realign": (),
+    "schmidt": (),
+    "g_matrix": (),
+    "fg_matrix": (),
+    "classify": (),
+    "ccnr_entanglement_flag": (),
+    "bound_gamma_pt": (),
+    "bound_realign_sq": (),
+    "bound_triad": (_FLAGGED,),
+    "ppt_pair_forces_invariance": (),
+    "sinkhorn_filter": (),
+    "doubly_stochastic_check": (),
+    "fully_indecomposable_probe": (),
+    "find_psd_eigenvector": (),
+    "split": (LocalOperator(np.diag([1.0, 0.0])),),
+    "decompose": (),
+    "equal_schmidt_certificate": (_FLAGGED,),
+    "minimal_rank_extract": (_FLAGGED,),
+}
+
+
+@pytest.mark.parametrize("name", list(SQUARE_ONLY))
+def test_square_only_entry_points_reject_rectangles(name):
+    g = rng_from_seed(5).standard_normal((6, 6))
+    state = BipartiteOperator(g @ g.T / np.trace(g @ g.T), 2, 3)  # a valid state
+    with pytest.raises(DimensionMismatch, match=r"\(2, 3\)"):
+        getattr(triadops, name)(state, *SQUARE_ONLY[name])
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("depth", [0.5, 2.0])
+def test_psd_floor_agrees_across_entry_points(norm, depth):
+    # a diagonal state equals its partial transpose, so PPT holds exactly
+    # when the state is PSD; its lowest eigenvalue sits at depth x the floor
+    floor = DEFAULT.psd * max(1.0, norm)
+    gamma = BipartiteOperator(np.diag([norm, norm / 2, norm / 3, -depth * floor]), 2, 2)
+
+    def accepts(fn):
+        try:
+            fn(gamma)
+        except NotPSD:
+            return False
+        return True
+
+    verdicts = {
+        "classify.ppt": classify(gamma).ppt,
+        "psd_check": psd_check(gamma).is_psd,
+        "bound_gamma_pt": accepts(bound_gamma_pt),
+        "ppt_pair_forces_invariance": accepts(ppt_pair_forces_invariance),
+        "find_psd_eigenvector": accepts(find_psd_eigenvector),
+    }
+    assert set(verdicts.values()) == {depth < 1}, verdicts
