@@ -23,7 +23,7 @@ from .criteria import (
     bound_triad,
     classify,
 )
-from .errors import PreconditionNotMet, ToolkitError
+from .errors import BadRank, PreconditionNotMet, ToolkitError, UnknownName
 from .filters import MAX_ITER, MODES, sinkhorn_filter
 from .generators import (
     canonical,
@@ -230,31 +230,40 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    choice = args.cls
-    if choice == "density":
-        rank = args.rank if args.rank is not None else args.k * args.k
-        op = random_density(args.k, rank, seed)
-    elif choice == "separable":
-        op, _ = random_separable(args.k, args.terms, seed)
-    elif choice == "spc":
-        op = random_spc(args.k, seed)
-    elif choice == "invariant":
-        op = random_invariant(args.k, seed)
-    elif choice == "ppt":
-        op = random_ppt(args.k, seed)
-    elif choice.startswith("canonical:"):
-        name = choice.split(":", 1)[1]
-        match = re.fullmatch(r"werner\(([-+0-9.eE]+)\)", name)
-        if match:
-            op = canonical("werner", args.k, alpha=float(match.group(1)))
-        else:
-            op = canonical(name, args.k)
-    else:
-        print(f"unknown --class {choice!r}", file=sys.stderr)
+    try:
+        op = _generate(args)
+    except (BadRank, UnknownName) as exc:
+        # out-of-range generator arguments are usage errors, like a bad --k
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    if op is None:
+        print(f"unknown --class {args.cls!r}", file=sys.stderr)
         return 1
     print(_format_json(op.to_json()))
     return 0
+
+
+def _generate(args) -> BipartiteOperator | None:
+    """The state ``generate`` asks for, or None for an unknown --class."""
+    seed = args.seed if args.seed is not None else _default_seed()
+    choice = args.cls
+    if choice == "density":
+        return random_density(args.k, args.rank or args.k * args.k, seed)
+    if choice == "separable":
+        return random_separable(args.k, args.terms, seed)[0]
+    if choice == "spc":
+        return random_spc(args.k, seed)
+    if choice == "invariant":
+        return random_invariant(args.k, seed)
+    if choice == "ppt":
+        return random_ppt(args.k, seed)
+    if choice.startswith("canonical:"):
+        name = choice.split(":", 1)[1]
+        match = re.fullmatch(r"werner\(([-+0-9.eE]+)\)", name)
+        if match:
+            return canonical("werner", args.k, alpha=float(match.group(1)))
+        return canonical(name, args.k)
+    return None
 
 
 def _cmd_selftest(args) -> int:
@@ -309,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=_positive_int, required=True, help="local dimension")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: TRIAD_SEED or 0)")
-    p.add_argument("--rank", type=int, default=None, help="rank for --class density")
-    p.add_argument("--terms", type=int, default=4, help="mixture terms for --class separable")
+    p.add_argument("--rank", type=_positive_int, default=None, help="rank for --class density")
+    p.add_argument("--terms", type=_positive_int, default=4, help="mixture terms for --class separable")
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suites")

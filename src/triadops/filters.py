@@ -14,18 +14,37 @@ whose reduced states are both Id/k.  Four modes are provided:
                 bi-orthogonal expansion whose leading left operator is
                 Id/sqrt(k) with the largest coefficient
 
-The symmetric and conjugate updates scale both factors at once, so they use
-the damped step Q = (k * marginal)^(-1/4); the undamped inverse square root
-overshoots and cycles with period two already on diagonal states.  The
-damping does not move the fixed points.
+The general mode alternates exact one-sided normalizations; its monitor is
+the larger trace defect |1 - t| of the two half-steps, 0 up to roundoff.
 
-Convergence monitor: the trace of the scaled iterate before renormalization.
-It equals 1 exactly at a fixed point; its deficiency (1 - trace) is logged
-per iteration and is non-increasing along the run.
+The symmetric and conjugate modes (and left mode, which runs the conjugate
+engine on an auxiliary state) minimize the potential
+
+    f(H) = log tr[delta (E (x) E~)],   E = exp(H), E~ = E or conj(E),
+
+over traceless Hermitian H, where delta is the current iterate.  f is
+convex along every geodesic t -> exp(tH), and its gradient vanishes exactly
+when G = ga + gb (ga + gb^T in conjugate mode) is a multiple of Id; the
+inputs of these modes have gb = ga (or gb = ga^T), so there both marginals
+are Id/k.  Each iteration takes a Newton step in the k^2 - 1 real
+coordinates of the traceless Hermitian basis, safeguarded by a step cap and
+an Armijo backtracking line search (gradient direction when the Newton
+direction does not descend), and applies it as the congruence
+exp(alpha H / 2) (x) (the same, or its conjugate).  Steps converge
+quadratically near the fixed point, in about 8 iterations at k <= 6.  A run
+that stepped at all takes one more step once the residual is within
+``tols.filter``, which carries the residual to roundoff; an input that is
+already normal takes none.
+
+Convergence monitor of these modes: the cumulative sum of log t, with t the
+trace of each scaled iterate before renormalization.  The line search makes
+every log t negative (or below roundoff when the predicted decrease is), so
+the monitor is non-increasing along the run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +69,7 @@ from .tensor_core import (
     _herm_eigvalsh,
     _herm_support,
     _JsonRecord,
+    _kron,
     _partial_trace,
     _require_hermitian,
     _require_psd,
@@ -69,6 +89,9 @@ __all__ = [
 MODES = ("general", "symmetric", "conjugate", "left")
 MAX_ITER = 10_000  # default iteration cap of the filter
 _COND_LIMIT = 1e12
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
+_MAX_STEP = 2.0  # cap on the operator norm of one step's alpha * H
+_ROUNDOFF_DECREASE = 1e-13  # predicted decreases below this are taken unchecked
 
 
 @dataclass(frozen=True)
@@ -112,26 +135,78 @@ def _guarded_eigh(marginal: np.ndarray, side: str, rank_tol: float) -> tuple[np.
     return w, v
 
 
-def _inv_power(marginal: np.ndarray, k: int, power: float, side: str, rank_tol: float) -> np.ndarray:
-    """(k * marginal)^(-power) through the guarded eigendecomposition."""
+def _inv_sqrt(marginal: np.ndarray, k: int, side: str, rank_tol: float) -> np.ndarray:
+    """(k * marginal)^(-1/2) through the guarded eigendecomposition."""
     w, v = _guarded_eigh(marginal, side, rank_tol)
-    out = (v * (k * w) ** (-power)) @ v.conj().T
+    out = (v * (k * w) ** (-0.5)) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
 
-def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tolerances):
-    """Iterate marginal scalings until both reduced states are Id/k.
+def _newton_step(delta: np.ndarray, ga: np.ndarray, gb: np.ndarray, k: int, conjugate: bool) -> np.ndarray:
+    """exp(alpha H / 2) for one safeguarded Newton step on the one-filter potential.
 
-    Returns (delta, fa, fb, iterations, converged, log) with
-    delta = (fa (x) fb) mat_normalized (fa (x) fb)^* exactly.
+    The potential is f(H) = log tr[delta (E (x) E~)] over traceless Hermitian
+    H, with E = exp(H) and E~ = E (symmetric) or conj(E) (conjugate); f(0) = 0
+    since delta has trace 1.  In the coordinates of the traceless Hermitian
+    basis B_a its gradient at 0 is tr(G B_a), G = ga + gb (or ga + gb^T), and
+    its Hessian S + 2Q - g g^T with S_ab = Re tr(G B_a B_b) and
+    Q_ab = tr[delta (B_a (x) B~_b)].  A failed or non-descending Newton solve
+    falls back to the gradient.  The step length alpha starts at 1, capped so
+    that ||alpha H|| <= 2, and halves until Armijo's condition holds on
+    log t(alpha) = f(alpha H) or the predicted decrease is below roundoff.
+    """
+    basis = hermitian_basis(k)[1:]
+    flat = basis.reshape(k * k - 1, k * k)  # row a is the row-major vec(B_a)
+    flat_t = flat.conj()  # row a is vec(B_a^T)
+    g_mat = ga + (gb.T if conjugate else gb)
+    grad = (flat_t @ g_mat.ravel()).real
+    # realigned[(i, p), (j, q)] = delta[(i, j), (p, q)], so that
+    # tr[delta (X (x) Y)] = vec(X^T) . realigned . vec(Y^T).  S + 2Q is then
+    # the real part of flat_t W flat^T with W = G (x) Id + X + X^*, where X is
+    # realigned itself (conjugate) or realigned with its column index pair
+    # swapped (symmetric).
+    t4 = delta.reshape(k, k, k, k)
+    realigned = t4.transpose(0, 2, 1, 3).reshape(k * k, k * k)
+    x = realigned if conjugate else t4.transpose(0, 2, 3, 1).reshape(k * k, k * k)
+    w = _kron(g_mat, np.eye(k)) + x + x.conj().T
+    hess = (flat_t @ w @ flat.T).real - np.outer(grad, grad)
+    try:
+        d = -np.linalg.solve(hess, grad)
+        slope = float(grad @ d)
+    except np.linalg.LinAlgError:
+        slope = np.nan
+    if not slope < 0:  # also catches a NaN from a singular solve
+        d = -grad
+        slope = -float(grad @ grad)
+
+    lam, u = np.linalg.eigh((d @ flat).reshape(k, k))
+    alpha = min(1.0, _MAX_STEP / max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny))
+    while abs(alpha * slope) >= _ROUNDOFF_DECREASE:
+        e = (u * np.exp(alpha * lam)) @ u.conj().T
+        vec_t = e.conj().ravel()
+        t = float((vec_t @ realigned @ (e.ravel() if conjugate else vec_t)).real)
+        if t > 0 and math.log(t) <= _ARMIJO * alpha * slope:
+            break
+        alpha *= 0.5
+    return (u * np.exp(0.5 * alpha * lam)) @ u.conj().T
+
+
+def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tolerances):
+    """Scale the marginals until both reduced states are Id/k.
+
+    Returns (delta, fa, fb, iterations, converged, log, res_a, res_b) with
+    delta = (fa (x) fb) mat_normalized (fa (x) fb)^* exactly.  A one-filter
+    run that needed any step takes one more once the residual is within
+    ``tols.filter``.
     """
     delta = mat / np.trace(mat).real
     fa = np.eye(k, dtype=complex)
     fb = np.eye(k, dtype=complex)
     eye_k = np.eye(k) / k
     log: list[dict] = []
-    converged = False
+    converged = polished = False
     iterations = 0
+    monitor = 0.0
 
     for iterations in range(1, max_iter + 1):
         ga = _partial_trace(delta.reshape(k, k, k, k), "a")
@@ -139,39 +214,41 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tol
         res_a = float(np.linalg.norm(ga - eye_k))
         res_b = float(np.linalg.norm(gb - eye_k))
         if max(res_a, res_b) <= tols.filter:
-            converged = True
-            iterations -= 1
-            break
+            if mode == "general" or iterations == 1 or polished:
+                converged = True
+                iterations -= 1
+                break
+            polished = True
 
         if mode == "general":
-            pa = _inv_power(ga, k, 0.5, "A", tols.rank)
+            pa = _inv_sqrt(ga, k, "A", tols.rank)
             delta = _congruence(pa, np.eye(k), delta)
             t1 = np.trace(delta).real
             delta /= t1
             fa = pa @ fa / np.sqrt(t1)
             gb = _partial_trace(delta.reshape(k, k, k, k), "b")
-            pb = _inv_power(gb, k, 0.5, "B", tols.rank)
+            pb = _inv_sqrt(gb, k, "B", tols.rank)
             delta = _congruence(np.eye(k), pb, delta)
             t2 = np.trace(delta).real
             delta /= t2
             fb = pb @ fb / np.sqrt(t2)
             monitor = max(abs(1.0 - t1), abs(1.0 - t2))
         else:
-            q = _inv_power(ga, k, 0.25, "A", tols.rank)
-            qb = q.conj() if mode == "conjugate" else q
-            delta = _congruence(q, qb, delta)
+            _guarded_eigh(ga, "A", tols.rank)
+            p = _newton_step(delta, ga, gb, k, mode == "conjugate")
+            delta = _congruence(p, p.conj() if mode == "conjugate" else p, delta)
             t = np.trace(delta).real
             delta /= t
-            scale = t ** 0.25
-            fa = q @ fa / scale
-            fb = qb @ fb / scale
-            monitor = 1.0 - t
+            fa = p @ fa / t ** 0.25
+            monitor += math.log(t)
 
         delta = 0.5 * (delta + delta.conj().T)
         log.append(
             {"iteration": iterations, "residual_a": res_a, "residual_b": res_b, "monitor": monitor}
         )
 
+    if mode != "general":
+        fb = fa.conj() if mode == "conjugate" else fa
     res_a = float(np.linalg.norm(_partial_trace(delta.reshape(k, k, k, k), "a") - eye_k))
     res_b = float(np.linalg.norm(_partial_trace(delta.reshape(k, k, k, k), "b") - eye_k))
     return delta, fa, fb, iterations, converged, log, res_a, res_b
@@ -215,27 +292,25 @@ def _identity_aligned_expansion(
                 basis.append(cand / nrm)
         v[:, cluster] = np.column_stack(basis)
 
-    coeffs, coord_list = [], []
-    a_top = float(np.sqrt(max(w[0], 0.0)))
-    for i in range(n):
-        a = float(np.sqrt(max(w[i], 0.0)))
-        if a <= tols.rank * max(a_top, np.finfo(float).tiny):
-            break
-        c = v[:, i]
-        pivot = int(np.argmax(np.abs(c)))
-        if c[pivot] < 0:
-            c = -c
-        coeffs.append(a)
-        coord_list.append(c)
+    a = np.sqrt(np.maximum(w, 0.0))
+    small = a <= tols.rank * max(float(a[0]), np.finfo(float).tiny)
+    m = int(np.argmax(small)) if small.any() else n
+    coeffs = a[:m]
+    # sign fix: each kept eigenvector's largest-modulus coordinate is positive
+    coords = v[:, :m]
+    pivots = coords[np.argmax(np.abs(coords), axis=0), np.arange(m)]
+    coords = coords * np.where(pivots < 0, -1.0, 1.0)
 
-    lefts = np.einsum("an,aij->nij", np.reshape(coord_list, (-1, n)).T, hermitian_basis(k))
-    images = np.einsum("ijaq,nai->njq", normal_form.tensor4, lefts)
+    lefts = (coords.T @ hermitian_basis(k).reshape(n, n)).reshape(m, k, k)
+    # images[i] = g_apply(normal_form, lefts[i]), as one product
+    g_rows = normal_form.tensor4.transpose(2, 0, 1, 3).reshape(n, n)
+    images = (lefts.reshape(m, n) @ g_rows).reshape(m, k, k)
     lefts = 0.5 * (lefts + lefts.conj().swapaxes(1, 2))
     images = 0.5 * (images + images.conj().swapaxes(1, 2))
     expansion = SchmidtDecomposition(
-        coefficients=np.asarray(coeffs),
-        left_ops=[LocalOperator(left) for left in lefts],
-        right_ops=[LocalOperator(image / a) for a, image in zip(coeffs, images)],
+        coefficients=coeffs,
+        left_ops=LocalOperator._stack(lefts),
+        right_ops=LocalOperator._stack(images / coeffs[:, None, None]),
     )
     return expansion, id_defect
 

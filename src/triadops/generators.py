@@ -48,6 +48,8 @@ def random_separable(
     k: int, terms: int, seed: int
 ) -> tuple[BipartiteOperator, list[tuple[float, LocalOperator, LocalOperator]]]:
     """Dirichlet-weighted mixture of random pure product states, plus its recipe."""
+    if terms < 1:
+        raise BadRank(f"terms must be at least 1, got {terms}")
     rng = rng_from_seed(seed)
     weights = rng.dirichlet(np.ones(terms))
     total = np.zeros((k * k, k * k), dtype=complex)

@@ -654,7 +654,8 @@ def minimal_rank_extract(
     nonzero eigenvalues are verified to equal 1/k, and the split recursion
     peels off product blocks; the filters are undone at the end.  Tolerance
     failures inside the recursion come back as an ExtractionFailure naming
-    the failing step.
+    the failing step.  Terms come by descending weight, equal weights by
+    ascending tr(x diag(1..k)) (see ``_stable_order``).
     """
     if not classification.any_flag:
         raise PreconditionNotMet("extraction needs at least one triad flag")
@@ -709,5 +710,22 @@ def minimal_rank_extract(
             detail=f"undoing the filters left residual {residual:.3e}",
             residuals={"residual": residual},
         )
-    terms.sort(key=lambda t: -t.weight)
-    return SeparableDecomposition(terms=terms, reconstruction_residual=residual)
+    return SeparableDecomposition(terms=_stable_order(terms, tols), reconstruction_residual=residual)
+
+
+def _stable_order(terms: list[ProductTerm], tols: Tolerances) -> list[ProductTerm]:
+    """Terms by descending weight, ties by ascending tr(x diag(1..k)).
+
+    Consecutive weights that differ by at most ``tols.equal_coeff`` times the
+    largest weight are ties, so roundoff in the weights does not decide the
+    order of terms that carry the same weight.
+    """
+    terms = sorted(terms, key=lambda t: -t.weight)
+    weights = np.array([t.weight for t in terms])
+    ordered: list[ProductTerm] = []
+    for cluster in _clusters(weights, tols.equal_coeff * max(weights[0], np.finfo(float).tiny)):
+        ordered += sorted(
+            (terms[i] for i in cluster),
+            key=lambda t: float(np.diagonal(t.left.mat).real @ np.arange(1, t.left.dim + 1)),
+        )
+    return ordered

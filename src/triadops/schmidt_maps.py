@@ -128,21 +128,17 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
             coefficients=np.zeros(0), left_ops=[], right_ops=[]
         )
     keep = s > tols.rank * s[0]
-    lefts, rights = [], []
-    for i in np.nonzero(keep)[0]:
-        a = u[:, i].reshape(k, k)
-        b = vh[i, :].reshape(k, k)
-        j = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
-        pivot = a[j]
-        if abs(pivot) > 0:
-            phase = np.conj(pivot) / abs(pivot)
-            a = a * phase
-            b = b * np.conj(phase)
-        lefts.append(LocalOperator(a))
-        rights.append(LocalOperator(b))
+    lefts = u[:, keep].T
+    pivots = lefts[np.arange(len(lefts)), np.argmax(np.abs(lefts), axis=1)]
+    # scalar arithmetic per pivot: numpy's array abs and division round differently
+    phases = np.array([[np.conj(p) / abs(p) if abs(p) > 0 else 1.0] for p in pivots])
     coeffs = s[keep].copy()
     coeffs.setflags(write=False)
-    return SchmidtDecomposition(coefficients=coeffs, left_ops=lefts, right_ops=rights)
+    return SchmidtDecomposition(
+        coefficients=coeffs,
+        left_ops=LocalOperator._stack((lefts * phases).reshape(-1, k, k)),
+        right_ops=LocalOperator._stack((vh[keep] * np.conj(phases)).reshape(-1, k, k)),
+    )
 
 
 # ---------------------------------------------------------------------------

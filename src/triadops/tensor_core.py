@@ -35,10 +35,12 @@ __all__ = [
 ]
 
 
-def _as_locked_complex(entries) -> np.ndarray:
+def _as_locked_complex(entries, stacked: bool = False) -> np.ndarray:
+    """Read-only complex C-order copy of a finite square matrix, or of a stack of them."""
     mat = np.array(entries, dtype=complex, order="C")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"entries must be a square matrix, got shape {mat.shape}")
+    if mat.ndim != 2 + stacked or mat.shape[-2] != mat.shape[-1]:
+        what = "stack of square matrices" if stacked else "square matrix"
+        raise ValueError(f"entries must be a {what}, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.view(float))):
         raise ValueError("entries must be finite (no NaN/Inf)")
     mat.setflags(write=False)
@@ -64,6 +66,18 @@ class LocalOperator:
 
     def __repr__(self):
         return f"LocalOperator(dim={self.dim})"
+
+    @classmethod
+    def _stack(cls, entries) -> list["LocalOperator"]:
+        """One operator per matrix of an (n, d, d) stack, validated once as a whole."""
+        stack = _as_locked_complex(entries, stacked=True)
+        ops = []
+        for mat in stack:
+            op = object.__new__(cls)
+            object.__setattr__(op, "dim", mat.shape[0])
+            object.__setattr__(op, "mat", mat)
+            ops.append(op)
+        return ops
 
     def to_json(self) -> dict:
         return {

@@ -93,6 +93,34 @@ def test_generate_rejects_k_below_one(cls):
     assert "--k: must be a positive integer" in proc.stderr
 
 
+def _exit_code(argv):
+    """main's exit code, including argparse's SystemExit on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("flag, cls", [("--terms", "separable"), ("--rank", "density")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_generate_rejects_nonpositive_counts(flag, cls, value, capsys):
+    assert _exit_code(["generate", "--class", cls, "--k", "2", flag, value]) == 1
+    assert f"{flag}: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--class", "density", "--rank", "99", "--k", "2"], "BadRank"),
+        (["--class", "canonical:werner(2)", "--k", "2"], "UnknownName"),
+    ],
+)
+def test_generator_argument_errors_exit_1(argv, error, capsys):
+    assert main(["generate", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {error}:" in captured.err
+
+
 def test_numerical_failures_exit_2(tmp_path):
     gen = run_cli(["generate", "--class", "canonical:bell", "--k", "2"])
     path = tmp_path / "bell.json"

@@ -106,6 +106,19 @@ def test_conjugate_mode_random_invariant(k):
         assert np.linalg.norm(top - overlap * np.eye(k) / np.sqrt(k)) <= 1e-7
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("mode", ["symmetric", "conjugate"])
+def test_one_filter_modes_converge_in_few_steps(mode, k):
+    # the damped (k * marginal)^(-1/4) step needed about 30 iterations here
+    make = _scaled_spc if mode == "symmetric" else _scaled_invariant
+    for seed in range(4):
+        fr = sinkhorn_filter(make(k, seed), mode)
+        assert fr.converged and fr.iterations <= 12, (seed, fr.iterations)
+        assert max(fr.marginal_residual_a, fr.marginal_residual_b) <= 1e-9
+        monitors = [entry["monitor"] for entry in fr.iteration_log]
+        assert monitors[-1] < 0.0
+
+
 def test_general_mode_random_density():
     for seed in range(10):
         g = random_density(3, 9, seed)

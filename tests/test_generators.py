@@ -78,6 +78,8 @@ def test_random_separable_is_ppt_and_contractive():
     single, _ = random_separable(2, 1, 7)
     c = classify(single)
     assert c.ppt and c.ccnr_value <= 1 + 1e-9
+    with pytest.raises(BadRank):
+        random_separable(2, 0, 7)
 
 
 def test_random_spc_class_and_marginals():

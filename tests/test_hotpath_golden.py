@@ -4,15 +4,17 @@ The CLI goldens stop at k = 3.  This file stores, per case, the SHA-256
 digest of ``cli._format_json(result.to_json())`` (17 significant digits, so
 every float64 round-trips) for ``sinkhorn_filter`` in every mode and for
 ``decompose``, on library-generated states and on a seeded Haar V (x) V
-rotation of classical_diag, and for ``minimal_rank_extract`` on
+rotation of classical_diag, for the symmetric and conjugate modes on
+random_spc and random_invariant under a seeded positive definite filter
+(inputs on which those modes iterate), and for ``minimal_rank_extract`` on
 classical_diag under seeded Haar V (x) V, V (x) conj(V) and V (x) W.  A mode,
 a decomposition or an extraction that the input does not admit records the
 name of the error raised.
 
 The remaining cases reach the records no other golden serializes:
-``ppt_pair_forces_invariance`` and ``doubly_stochastic_check`` on every state
-above at k = 4, ``fully_indecomposable_probe`` on classical_diag (a
-decomposable witness pair) and on random_spc (indecomposable_likely), and a
+``ppt_pair_forces_invariance`` and ``doubly_stochastic_check`` on each
+library-generated and rotated state at k = 4, ``fully_indecomposable_probe``
+on classical_diag (a decomposable witness pair) and on random_spc (indecomposable_likely), and a
 constructed ``ExtractionFailure``, since no generated input declines.
 
 To rewrite the goldens after a deliberate output change, run
@@ -45,7 +47,7 @@ from triadops import (
 from triadops.cli import _format_json
 from triadops.errors import ToolkitError
 
-from conftest import haar_unitary
+from conftest import haar_unitary, local_scale, random_pd_local
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "hotpath.json"
 MODES = ("general", "symmetric", "conjugate", "left")
@@ -69,6 +71,19 @@ STATES = {
 }
 
 
+def _pd_scaled(gamma, k, seed, right):
+    """gamma under a seeded positive definite V (x) V or V (x) conj(V) (right = "V", "Vbar")."""
+    v = random_pd_local(rng_from_seed(seed), k)
+    return local_scale(gamma, v, v if right == "V" else v.conj())
+
+
+# inputs that are not yet normal, so the one-filter modes iterate
+ITERATING = {
+    "spc-PD": ("symmetric", lambda k: _pd_scaled(random_spc(k, 11), k, 80 + k, "V")),
+    "invariant-PD": ("conjugate", lambda k: _pd_scaled(random_invariant(k, 11), k, 90 + k, "Vbar")),
+}
+
+
 def _digest(call):
     try:
         text = _format_json(call().to_json())
@@ -85,6 +100,10 @@ def _collect():
             for mode in MODES:
                 yield f"{name} k{k} filter {mode}", _digest(lambda: sinkhorn_filter(gamma, mode))
             yield f"{name} k{k} decompose", _digest(lambda: decompose(gamma))
+    for k in (4, 5, 6):
+        for name, (mode, make) in ITERATING.items():
+            gamma = make(k)
+            yield f"{name} k{k} filter {mode}", _digest(lambda: sinkhorn_filter(gamma, mode))
     for k in (4, 5, 6):
         for right in ("V", "Vbar", "W"):
             gamma = _rotated_classical_diag(k, 70 + k, right)

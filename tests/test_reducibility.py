@@ -30,7 +30,7 @@ from triadops.errors import (
 
 from triadops.reducibility import _rank_deficient_eigenvector
 
-from conftest import haar_unitary, random_psd_local
+from conftest import haar_unitary, local_scale, random_pd_local, random_psd_local
 
 
 def test_find_eigenvector_product_state():
@@ -269,6 +269,53 @@ def test_extract_rotated_classical_diag(k):
             assert np.linalg.eigvalsh(y.mat)[0] >= -1e-9
         # ground truth: the weights of the rotated mixture are all 1/k
         assert max(abs(w - 1.0 / k) for w, _, _ in out.terms) <= 1e-7
+
+
+@pytest.mark.parametrize("right", ["V", "Vbar"])
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_extract_classical_diag_under_pd_filters(k, right):
+    # a positive definite, non-unitary V (x) V or V (x) conj(V) makes the
+    # symmetric or conjugate filter iterate; stopped as soon as its residual
+    # fell under tols.filter, the filter left split residuals above bound on
+    # keys 35 (k = 4, Vbar), 8 (k = 5) and 9 (k = 6)
+    cd = canonical("classical_diag", k)
+    for key in (*range(10), 35):
+        v = random_pd_local(rng_from_seed(400 + 10 * k + key), k)
+        g = local_scale(cd, v, v if right == "V" else v.conj())
+        cls = classify(g)
+        assert cls.spc if right == "V" else cls.invariant
+        out = minimal_rank_extract(g, cls)
+        assert isinstance(out, SeparableDecomposition), (k, right, key, out)
+        assert out.reconstruction_residual <= 1e-7
+        assert len(out.terms) == k
+
+
+def _diagonal_moment(x):
+    """tr(x diag(1..k)), the tie-break key of equal-weight terms."""
+    return float(np.trace(x @ np.diag(np.arange(1.0, len(x) + 1))).real)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_extract_orders_equal_weights_by_diagonal_moment(k):
+    # equal weights tie within tols.equal_coeff; roundoff must not order them
+    cd = canonical("classical_diag", k)
+    for key in range(60, 64):
+        u = haar_unitary(rng_from_seed(key), k)
+        g = local_scale(cd, u, u)
+        out = minimal_rank_extract(g, classify(g))
+        moments = [_diagonal_moment(x.mat) for _, x, _ in out.terms]
+        assert moments == sorted(moments), (k, key)
+
+
+def test_extract_orders_unequal_weights_first():
+    # weights (0.3, 0.4, 0.3) on |ii><ii|: 0.4 leads, then the tied pair by moment
+    diag = np.zeros(9)
+    diag[[0, 4, 8]] = [0.3, 0.4, 0.3]
+    u = haar_unitary(rng_from_seed(70), 3)
+    g = local_scale(BipartiteOperator(np.diag(diag), 3, 3), u, u)
+    out = minimal_rank_extract(g, classify(g))
+    assert [round(t.weight, 9) for t in out.terms] == [0.4, 0.3, 0.3]
+    assert _diagonal_moment(out.terms[1].left.mat) < _diagonal_moment(out.terms[2].left.mat)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
