@@ -34,7 +34,10 @@ exp(alpha H / 2) (x) (the same, or its conjugate).  Steps converge
 quadratically near the fixed point, in about 8 iterations at k <= 6.  A run
 that stepped at all takes one more step once the residual is within
 ``tols.filter``, which carries the residual to roundoff; an input that is
-already normal takes none.
+already normal takes none.  A run stops unconverged when a step predicted
+to gain less than roundoff left the residual no lower: marginals that drift
+apart (gb != ga, or != ga^T) by more than ``tols.filter`` leave no fixed
+point where both are Id/k.
 
 Convergence monitor of these modes: the cumulative sum of log t, with t the
 trace of each scaled iterate before renormalization.  The line search makes
@@ -142,8 +145,11 @@ def _inv_sqrt(marginal: np.ndarray, k: int, side: str, rank_tol: float) -> np.nd
     return 0.5 * (out + out.conj().T)
 
 
-def _newton_step(delta: np.ndarray, ga: np.ndarray, gb: np.ndarray, k: int, conjugate: bool) -> np.ndarray:
-    """exp(alpha H / 2) for one safeguarded Newton step on the one-filter potential.
+def _newton_step(
+    delta: np.ndarray, ga: np.ndarray, gb: np.ndarray, k: int, conjugate: bool
+) -> tuple[np.ndarray, float]:
+    """exp(alpha H / 2) for one safeguarded Newton step on the one-filter
+    potential, and the step's predicted decrease |alpha * slope|.
 
     The potential is f(H) = log tr[delta (E (x) E~)] over traceless Hermitian
     H, with E = exp(H) and E~ = E (symmetric) or conj(E) (conjugate); f(0) = 0
@@ -188,7 +194,7 @@ def _newton_step(delta: np.ndarray, ga: np.ndarray, gb: np.ndarray, k: int, conj
         if t > 0 and math.log(t) <= _ARMIJO * alpha * slope:
             break
         alpha *= 0.5
-    return (u * np.exp(0.5 * alpha * lam)) @ u.conj().T
+    return (u * np.exp(0.5 * alpha * lam)) @ u.conj().T, abs(alpha * slope)
 
 
 def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tolerances):
@@ -197,7 +203,8 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tol
     Returns (delta, fa, fb, iterations, converged, log, res_a, res_b) with
     delta = (fa (x) fb) mat_normalized (fa (x) fb)^* exactly.  A one-filter
     run that needed any step takes one more once the residual is within
-    ``tols.filter``.
+    ``tols.filter``.  It stalls, and stops unconverged, when a step whose
+    predicted decrease was below roundoff left the residual no lower.
     """
     delta = mat / np.trace(mat).real
     fa = np.eye(k, dtype=complex)
@@ -207,6 +214,7 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tol
     converged = polished = False
     iterations = 0
     monitor = 0.0
+    predicted = residual = math.inf  # of the previous step and iterate
 
     for iterations in range(1, max_iter + 1):
         ga = _partial_trace(delta.reshape(k, k, k, k), "a")
@@ -219,6 +227,10 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tol
                 iterations -= 1
                 break
             polished = True
+        if predicted < _ROUNDOFF_DECREASE and max(res_a, res_b) >= residual:
+            iterations -= 1
+            break
+        residual = max(res_a, res_b)
 
         if mode == "general":
             pa = _inv_sqrt(ga, k, "A", tols.rank)
@@ -235,7 +247,7 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tol
             monitor = max(abs(1.0 - t1), abs(1.0 - t2))
         else:
             _guarded_eigh(ga, "A", tols.rank)
-            p = _newton_step(delta, ga, gb, k, mode == "conjugate")
+            p, predicted = _newton_step(delta, ga, gb, k, mode == "conjugate")
             delta = _congruence(p, p.conj() if mode == "conjugate" else p, delta)
             t = np.trace(delta).real
             delta /= t
@@ -361,9 +373,10 @@ def sinkhorn_filter(
     The input is trace-normalized first.  Symmetric mode requires an SPC
     input and conjugate mode a realignment-invariant one (WrongClassForMode
     otherwise); every mode requires both reduced states to have full rank.
-    Runs that exhaust ``max_iter`` return their partial result with
-    ``converged=False`` instead of raising, since decomposable inputs may
-    cycle and the iteration log is useful evidence.
+    Runs that exhaust ``max_iter``, or that stall (one-filter modes; see the
+    module docstring), return their partial result with ``converged=False``
+    instead of raising, since decomposable inputs may cycle and the
+    iteration log is useful evidence.
     """
     delta, fa, fb, iterations, converged, log, res_a, res_b = _normal_form(
         gamma, mode, max_iter, tols

@@ -28,7 +28,6 @@ from .schmidt_maps import (
     fg_apply,
     fg_matrix,
     g_apply,
-    hermitian_basis,
     hermitian_from_coords,
     schmidt,
 )
@@ -75,10 +74,13 @@ __all__ = [
 class PsdEigenvectorResult:
     """Outcome of the singular-PSD eigenvector search.
 
-    ``found=False`` certifies (by dense eigensolve) that no eigenvector of
-    the composite contraction map is PSD with a nontrivial kernel; the top
-    eigenvector, necessarily positive definite in that case, is returned as
-    the witness.
+    ``found=False`` certifies that the top eigenvalue cluster (width
+    1e-8 * lambda_max) of the composite contraction map holds no PSD element
+    with a nontrivial kernel.  For triad-class inputs that is complete: a
+    state that splits has such an element in its top cluster.  Lower
+    clusters are not searched.  The normalized projection of the identity
+    onto the top cluster, positive definite for triad-class inputs, is
+    returned as the witness.
     """
 
     found: bool
@@ -101,52 +103,43 @@ def _eigen_residual(gamma: BipartiteOperator, x: np.ndarray) -> tuple[float, flo
     return lam, float(np.linalg.norm(y - lam * x))
 
 
-def _bisect_boundary(x_pd: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
+def _psd_boundary(x_pd: np.ndarray, whiten: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
     """Walk from a PD matrix along a Hermitian direction to the PSD boundary.
 
-    Returns the (normalized) matrix where the smallest eigenvalue crosses
-    zero, which is PSD and singular; None if no sign change is found.
+    With x_pd = L L^* and ``whiten`` = L^-1, x_pd + t D = L (Id + t M) L^*
+    for M = L^-1 D L^-*, so the walk first turns singular at t = -1/mu, mu
+    the smallest eigenvalue of M for t > 0 (tried first) and the largest for
+    t < 0.  Returns the crossing point, PSD and singular, normalized; None
+    when neither side crosses.
     """
-    for sign in (1.0, -1.0):
-        t_hi = None
-        t = sign
-        for _ in range(60):
-            if _herm_eigvalsh(x_pd + t * direction)[0] < 0:
-                t_hi = t
-                break
-            t *= 2.0
-        if t_hi is None:
-            continue
-        lo, hi = 0.0, t_hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # adjacent floats: neither endpoint can move again
-            if _herm_eigvalsh(x_pd + mid * direction)[0] < 0:
-                hi = mid
-            else:
-                lo = mid
-        out = x_pd + lo * direction
-        return _clip_psd_unit(out)
-    return None
+    mu = _herm_eigvalsh(whiten @ direction @ whiten.conj().T)
+    if mu[0] < 0:
+        t = -1.0 / mu[0]
+    elif mu[-1] > 0:
+        t = -1.0 / mu[-1]
+    else:
+        return None
+    return _clip_psd_unit(x_pd + t * direction)
 
 
 def find_psd_eigenvector(
     gamma: BipartiteOperator, tols: Tolerances = DEFAULT
 ) -> PsdEigenvectorResult:
-    """Search for a PSD eigenvector of the composite contraction map with a kernel.
+    """Search the top eigenvalue cluster of the composite contraction map for
+    a PSD eigenvector with a kernel.
 
-    One dense eigensolve of the Hermitian-basis matrix drives the search.
-    The first candidate is the normalized identity's projection onto the top
-    eigenvalue cluster, which is the limit of power iteration from the
-    identity; it is also the witness when nothing is found.  The projector
-    onto the kernel of the first reduced state comes next when that marginal
-    is singular (it is always an eigenvector, with eigenvalue zero).  Then
-    every eigenvalue cluster is scanned: each basis eigenvector is tested
-    with both signs, and inside degenerate clusters that contain a positive
-    definite element the search walks line segments to the PSD boundary,
-    where the crossing point is a singular PSD eigenvector.  A 1 x 1 input
-    has no candidate with a nontrivial kernel and returns not-found at once.
+    One dense eigensolve of the Hermitian-basis matrix gives the clusters.
+    The candidate is the identity's projection onto the top cluster, the
+    limit of power iteration from the identity, which is PSD (Evans and
+    Hoegh-Krohn).  When it is positive definite and the cluster has
+    dimension at least 2, the search walks from it along each of the
+    cluster's other directions to the PSD boundary; every crossing point is
+    a singular PSD element of the cluster.  ``found=False`` certifies that
+    the top cluster (width 1e-8 * lambda_max) holds no singular PSD element.
+    For triad-class inputs that is complete, since a state that splits has
+    one there (complete reducibility, Cariello); other inputs are not
+    searched below the top cluster.  A 1 x 1 input has no candidate with a
+    nontrivial kernel and returns not-found at once.
     """
     k = _require_square(gamma, "the eigenvector search")
     _require_psd(gamma, tols)
@@ -173,53 +166,30 @@ def find_psd_eigenvector(
 
     # Coordinate 0 is Id/sqrt(k); its projection onto the top cluster is
     # nonzero because that eigenspace holds a PSD element of positive trace.
-    clusters = _clusters(w, 1e-8 * lam_scale)
-    top = v[:, clusters[0]]
-    witness = hermitian_from_coords(top @ top[0, :], k)
-    hit = _accept(witness)
+    top = v[:, _clusters(w, 1e-8 * lam_scale)[0]]
+    coords = top @ top[0, :]
+    raw = hermitian_from_coords(coords, k)
+    hit = _accept(raw)
     if hit is not None:
         return hit
+    witness = _clip_psd_unit(raw)
 
-    wa, va, cut = _herm_support(_partial_trace(gamma.tensor4, "a"), tols.rank)
-    dead = wa <= cut
-    if 0 < int(np.sum(dead)) < k:
-        hit = _accept(va[:, dead] @ va[:, dead].conj().T)
-        if hit is not None:
-            return hit
-
-    # Every eigenvector as a matrix, signed in the order (h0, +), (h0, -),
-    # (h1, +), ...; max() below keeps the first of equal maxima.
-    mats = np.einsum("an,aij->nij", v, hermitian_basis(k))
-    signed = (mats[:, None] * np.array([1.0, -1.0])[None, :, None, None]).reshape(-1, k, k)
-    lows = _herm_eigvalsh(signed)[:, 0]
-    for cluster in clusters:
-        scan = range(2 * cluster.start, 2 * cluster.stop)
-        for n in scan:
-            if lows[n] >= -1e-12:
-                hit = _accept(signed[n])
-                if hit is not None:
-                    return hit
-        if len(cluster) < 2:
-            continue
-        # Walk from the most positive element toward the other directions.
-        best_n = max(scan, key=lows.__getitem__)
-        if lows[best_n] <= 1e-12:
-            continue
-        best = signed[best_n]
-        for h in mats[cluster.start : cluster.stop]:
-            if np.linalg.norm(h - best) < 1e-12 or np.linalg.norm(h + best) < 1e-12:
+    wx, vx, cut = _herm_support(witness, tols.rank)
+    if top.shape[1] >= 2 and wx[0] > cut:
+        whiten = vx.conj().T / np.sqrt(wx)[:, None]
+        # the cluster's directions orthogonal to the witness: each has
+        # eigenvalues of both signs, so each walk crosses the boundary
+        others = top - np.outer(coords, coords @ top) / (coords @ coords)
+        for d in others.T:
+            if np.linalg.norm(d) < 1e-8:
                 continue
-            boundary = _bisect_boundary(best, h)
-            if boundary is not None:
-                hit = _accept(boundary)
-                if hit is not None:
-                    return hit
+            boundary = _psd_boundary(witness, whiten, hermitian_from_coords(d, k))
+            hit = None if boundary is None else _accept(boundary)
+            if hit is not None:
+                return hit
 
     return PsdEigenvectorResult(
-        found=False,
-        x=None,
-        eigenvalue=None,
-        full_rank_witness=LocalOperator(_clip_psd_unit(witness)),
+        found=False, x=None, eigenvalue=None, full_rank_witness=LocalOperator(witness)
     )
 
 
@@ -336,7 +306,6 @@ class DecompositionTree(_JsonRecord):
     embed_b: np.ndarray | None = field(default=None, metadata={"json": False})
     leaf_status: str | None = None  # weakly_irreducible | not_split_found | None
     certificate: SplitCertificate | None = None
-    separable_decomposition: list[ProductTerm] | None = None
     children: list["DecompositionTree"] = field(default_factory=list)
 
     def reconstruct(self) -> np.ndarray:
@@ -374,8 +343,9 @@ def decompose(
 
     Each internal node carries the split certificate that produced its
     children; children are compressed to the supports of their local blocks
-    before recursing.  Leaves are marked ``weakly_irreducible`` when the
-    dense eigensolve certifies that no singular PSD eigenvector exists, and
+    before recursing.  Leaves are marked ``weakly_irreducible`` when
+    ``find_psd_eigenvector`` certifies that the top eigenvalue cluster holds
+    no singular PSD element (complete for triad-class blocks), and
     ``not_split_found`` when the depth cap is hit or a compressed block ends
     up with unequal local dimensions (where the square-only search does not
     apply).

@@ -211,10 +211,10 @@ def g_matrix(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> HermitianB
     """Matrix of the first-factor contraction map in the Hermitian basis."""
     k = _require_square(gamma, "the Hermitian-basis representation")
     _require_hermitian(gamma.mat, tols)
-    basis = hermitian_basis(k)
-    # images[b] = g_apply(gamma, h_b), computed in one contraction
-    images = np.einsum("ijaq,bai->bjq", gamma.tensor4, basis)
-    mat = np.ascontiguousarray(np.einsum("bjq,ajq->ab", images, basis.conj()).real)
+    # entry [a, b] is vec(h_b^T) . realign(gamma) . vec(h_a^T), and row a of
+    # ``rows`` is vec(h_a^T)
+    rows = hermitian_basis(k).reshape(k * k, k * k).conj()
+    mat = np.ascontiguousarray((rows @ realign(gamma).mat.T @ rows.T).real)
     mat.setflags(write=False)
     return HermitianBasisMatrix(dim=k, matrix=mat)
 

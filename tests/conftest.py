@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -32,12 +34,38 @@ def haar_unitary(rng, k):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def haar_congruence(op: BipartiteOperator, rng, right: str) -> BipartiteOperator:
+    """op under Haar V (x) V, V (x) conj(V) or V (x) W (right = "V", "Vbar", "W"), not re-Hermitized."""
+    u = haar_unitary(rng, op.dim_a)
+    v = {"V": lambda: u, "Vbar": u.conj, "W": lambda: haar_unitary(rng, op.dim_a)}[right]()
+    big = np.kron(u, v)
+    return BipartiteOperator(big @ op.mat @ big.conj().T, op.dim_a, op.dim_b)
+
+
 def local_scale(op: BipartiteOperator, s: np.ndarray, t: np.ndarray) -> BipartiteOperator:
     """(s (x) t) op (s (x) t)^*, trace-normalized."""
     big = np.kron(s, t)
     out = big @ op.mat @ big.conj().T
     out = 0.5 * (out + out.conj().T)
     return BipartiteOperator(out / np.trace(out).real, op.dim_a, op.dim_b)
+
+
+def rewrite_goldens(path, cases):
+    """Write ``cases`` to the golden file ``path`` and print the names of the
+    cases whose golden changed, was added or was removed.
+    """
+    old = json.loads(path.read_text()) if path.exists() else {}
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(cases, indent=1) + "\n")
+    for name in cases:
+        if name not in old:
+            print(f"added: {name}")
+        elif old[name] != cases[name]:
+            print(f"changed: {name}")
+    for name in old:
+        if name not in cases:
+            print(f"removed: {name}")
+    print(f"wrote {len(cases)} cases to {path}")
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@ numbers come from a determinant-pencil root and are compared to 1e-12
 relative to max(1, |golden value|).
 
 To rewrite the goldens after a deliberate output change, run
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py``; it prints the names of
+the cases whose stored output changed.
 """
 
 import contextlib
@@ -19,6 +20,8 @@ import tempfile
 import pytest
 
 from triadops.cli import main
+
+from conftest import rewrite_goldens
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "cli.json"
 INPUTS = [
@@ -113,7 +116,4 @@ def test_cli_json_matches_goldens(tmp_path, goldens):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        cases = dict(_collect(pathlib.Path(tmp)))
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
-    print(f"wrote {len(cases)} cases to {GOLDEN}")
+        rewrite_goldens(GOLDEN, dict(_collect(pathlib.Path(tmp))))

@@ -18,6 +18,8 @@ from triadops import (
     sinkhorn_filter,
 )
 from triadops.errors import MarginalRankDeficient, NotHermitian, NotPSD, WrongClassForMode
+from triadops.generators import _complex_normal
+from triadops.tolerances import DEFAULT
 
 from conftest import local_scale, random_pd_local
 
@@ -146,6 +148,20 @@ def test_unconverged_run_returns_flagged_result():
     assert not fr.converged
     assert fr.iterations == 2
     assert len(fr.iteration_log) == 2
+
+
+def test_stalled_symmetric_run_stops_unconverged():
+    # The marginals of this SPC input (PD V (x) V, cond(V) = 404) drift apart
+    # by 2.7e-9 > tols.filter; from iteration 10 the steps are roundoff and
+    # the residual stays put, where the run once spent all MAX_ITER steps.
+    g = _complex_normal(rng_from_seed(5125), (4, 4))
+    v = g @ g.conj().T + 0.02 * np.eye(4)
+    op = local_scale(random_spc(4, 101), v, v)
+    fr = sinkhorn_filter(op, "symmetric")
+    assert not fr.converged
+    assert fr.iterations <= 30
+    assert len(fr.iteration_log) == fr.iterations
+    assert max(fr.marginal_residual_a, fr.marginal_residual_b) > DEFAULT.filter
 
 
 def test_mode_gates(bell2, classical_diag2, identity_plus_u2):

@@ -18,17 +18,15 @@ on classical_diag (a decomposable witness pair) and on random_spc (indecomposabl
 constructed ``ExtractionFailure``, since no generated input declines.
 
 To rewrite the goldens after a deliberate output change, run
-``PYTHONPATH=src python tests/test_hotpath_golden.py``.
+``PYTHONPATH=src python tests/test_hotpath_golden.py``; it prints the names
+of the cases whose digest changed.
 """
 
 import hashlib
 import json
 import pathlib
 
-import numpy as np
-
 from triadops import (
-    BipartiteOperator,
     ExtractionFailure,
     canonical,
     classify,
@@ -47,7 +45,7 @@ from triadops import (
 from triadops.cli import _format_json
 from triadops.errors import ToolkitError
 
-from conftest import haar_unitary, local_scale, random_pd_local
+from conftest import haar_congruence, local_scale, random_pd_local, rewrite_goldens
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "hotpath.json"
 MODES = ("general", "symmetric", "conjugate", "left")
@@ -55,11 +53,7 @@ MODES = ("general", "symmetric", "conjugate", "left")
 
 def _rotated_classical_diag(k, seed, right="V"):
     """classical_diag under V (x) V, V (x) conj(V) or V (x) W (right = "V", "Vbar", "W")."""
-    rng = rng_from_seed(seed)
-    u = haar_unitary(rng, k)
-    v = {"V": lambda: u, "Vbar": u.conj, "W": lambda: haar_unitary(rng, k)}[right]()
-    big = np.kron(u, v)
-    return BipartiteOperator(big @ canonical("classical_diag", k).mat @ big.conj().T, k, k)
+    return haar_congruence(canonical("classical_diag", k), rng_from_seed(seed), right)
 
 
 STATES = {
@@ -132,7 +126,4 @@ def test_hot_path_matches_goldens():
 
 
 if __name__ == "__main__":
-    cases = dict(_collect())
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
-    print(f"wrote {len(cases)} cases to {GOLDEN}")
+    rewrite_goldens(GOLDEN, dict(_collect()))

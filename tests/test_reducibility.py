@@ -28,9 +28,9 @@ from triadops.errors import (
     PreconditionNotMet,
 )
 
-from triadops.reducibility import _rank_deficient_eigenvector
+from triadops.reducibility import _psd_boundary, _rank_deficient_eigenvector
 
-from conftest import haar_unitary, local_scale, random_pd_local, random_psd_local
+from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local, random_psd_local
 
 
 def test_find_eigenvector_product_state():
@@ -82,6 +82,57 @@ def test_not_found_witness_is_a_positive_definite_eigenvector(k):
         y = fg_apply(g, x).mat
         lam = float(np.trace(x.conj().T @ y).real)
         assert np.linalg.norm(y - lam * x) <= 1e-8 * lam
+
+
+@pytest.mark.parametrize("right", ["V", "Vbar", "W"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_rotated_classical_diag_splits_into_k_leaves(k, right):
+    # The top cluster of the composite map is the rotated diagonal algebra;
+    # eigh picks an arbitrary basis of it, which for k >= 4 rarely holds a
+    # singular PSD element, yet the walk from the identity's projection finds
+    # one.  Key 1000 at k = 5 under V (x) V once gave one weakly_irreducible
+    # leaf of side 5.
+    cd = canonical("classical_diag", k)
+    for key in range(1000, 1040):
+        leaves = decompose(haar_congruence(cd, np.random.default_rng(key), right)).leaves()
+        assert len(leaves) == k, (key, len(leaves))
+        assert all(leaf.leaf_status == "weakly_irreducible" for leaf in leaves), key
+        assert all(leaf.state.dim_a == leaf.state.dim_b == 1 for leaf in leaves), key
+
+
+def _bisected_boundary(x_pd, direction, sign):
+    """Reference crossing point on the side ``sign`` of x_pd, by doubling and bisection."""
+    hi = sign
+    while np.linalg.eigvalsh(x_pd + hi * direction)[0] >= 0:
+        hi *= 2.0
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.linalg.eigvalsh(x_pd + mid * direction)[0] < 0:
+            hi = mid
+        else:
+            lo = mid
+    out = x_pd + lo * direction
+    return out / np.linalg.norm(out)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_closed_form_boundary_matches_bisection(k):
+    rng = rng_from_seed(900 + k)
+    for _ in range(5):
+        x = random_pd_local(rng, k)
+        w, v = np.linalg.eigh(x)
+        whiten = v.conj().T / np.sqrt(w)[:, None]
+        h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        # a Hermitian direction crosses on the positive side; a PSD one
+        # only on the negative side
+        for direction, sign in ((h + h.conj().T, 1.0), (h @ h.conj().T, -1.0)):
+            got = _psd_boundary(x, whiten, direction)
+            low = np.linalg.eigvalsh(got)
+            assert abs(low[0]) <= 1e-12 * low[-1]  # singular and PSD up to roundoff
+            assert np.linalg.norm(got - _bisected_boundary(x, direction, sign)) <= 1e-12
 
 
 def test_find_eigenvector_one_by_one_is_not_found():
