@@ -1,9 +1,10 @@
 """Minimal rank forces separability, and the decomposition is constructive.
 
 A triad-class state whose rank equals both reduced ranks (= k) is
-separable; the extraction below filters the state to identity marginals,
-finds rank-deficient eigenvectors by solving a determinant pencil, splits,
-and recurses down to pure product blocks.
+separable; the extraction below filters the state to identity marginals
+and reads the product terms off one eigensolve: the top eigenspace of the
+filtered state's composite contraction map is spanned by the projectors
+P(a_i) of its terms, and their common eigenbasis gives the a_i.
 
 Run:  python demos/06_minimal_rank_separability.py
 """

@@ -157,21 +157,24 @@ def _bound_report(
     """The bound on ``lhs``'s operator norm by min(||gamma_A||, ||gamma_B||, ||R(gamma)||).
 
     With no ``lhs`` it is instead the bound ||R(gamma)||^2 <= ||gamma_A|| ||gamma_B||.
+    The bound holds when the margin is at least ``-tols.psd`` times the
+    right-hand side, a verdict that does not change when gamma is scaled.
     """
     na = norms(reduced_a(gamma)).operator_norm
     nb = norms(reduced_b(gamma)).operator_norm
     nr = norms(realign(gamma)).operator_norm
     if lhs is None:
-        state, margin = nr, na * nb - nr * nr
+        state, rhs = nr, na * nb
+        margin = rhs - nr * nr
     else:
-        state = norms(lhs).operator_norm
-        margin = min(na, nb, nr) - state
+        state, rhs = norms(lhs).operator_norm, min(na, nb, nr)
+        margin = rhs - state
     return BoundReport(
         op_norm_state=state,
         op_norm_a=na,
         op_norm_b=nb,
         op_norm_realign=nr,
-        bound_holds=bool(margin >= -tols.psd),
+        bound_holds=bool(margin >= -tols.psd * rhs),
         margin=float(margin),
     )
 

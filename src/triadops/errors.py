@@ -49,10 +49,6 @@ class CompleteReducibilityViolation(ToolkitError):
     """Split residual exceeded tolerance; the input was not in a triad class."""
 
 
-class NumericalDegeneracy(ToolkitError):
-    """Determinant pencil was identically singular for every eigenvector pair."""
-
-
 class BadRank(ToolkitError):
     """Requested rank is outside the admissible range."""
 

@@ -4,8 +4,9 @@ For states in the triad classes, every PSD eigenvector of the composite
 contraction map with a nontrivial kernel splits the state into two blocks
 with orthogonal local supports.  Applying the split recursively decomposes a
 state into weakly irreducible components.  When the state additionally has
-minimal rank (equal to its full reduced ranks), the recursion terminates in
-pure product blocks and yields an explicit separable decomposition.
+minimal rank (equal to its full reduced ranks), it is separable, and its
+product terms are read off the top eigenspace of the composite map of its
+filter normal form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .criteria import TriadClassification, classify
 from .errors import (
     CompleteReducibilityViolation,
     FullRankEigenvector,
-    NumericalDegeneracy,
     PreconditionNotMet,
     ZeroMatrix,
 )
@@ -103,6 +103,17 @@ def _eigen_residual(gamma: BipartiteOperator, x: np.ndarray) -> tuple[float, flo
     return lam, float(np.linalg.norm(y - lam * x))
 
 
+def _identity_split(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the identity's projection onto the span of ``top``'s
+    orthonormal columns, and those columns made orthogonal to it.
+
+    Coordinate 0 is Id/sqrt(k).  The projection is nonzero whenever the span
+    holds an element of nonzero trace.
+    """
+    coords = top @ top[0, :]
+    return coords, top - np.outer(coords, coords @ top) / (coords @ coords)
+
+
 def _psd_boundary(x_pd: np.ndarray, whiten: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
     """Walk from a PD matrix along a Hermitian direction to the PSD boundary.
 
@@ -164,10 +175,10 @@ def find_psd_eigenvector(
             return None
         return PsdEigenvectorResult(found=True, x=LocalOperator(cand), eigenvalue=lam)
 
-    # Coordinate 0 is Id/sqrt(k); its projection onto the top cluster is
-    # nonzero because that eigenspace holds a PSD element of positive trace.
+    # the identity's projection is nonzero: the top eigenspace holds a PSD
+    # element of positive trace
     top = v[:, _clusters(w, 1e-8 * lam_scale)[0]]
-    coords = top @ top[0, :]
+    coords, others = _identity_split(top)
     raw = hermitian_from_coords(coords, k)
     hit = _accept(raw)
     if hit is not None:
@@ -177,9 +188,8 @@ def find_psd_eigenvector(
     wx, vx, cut = _herm_support(witness, tols.rank)
     if top.shape[1] >= 2 and wx[0] > cut:
         whiten = vx.conj().T / np.sqrt(wx)[:, None]
-        # the cluster's directions orthogonal to the witness: each has
+        # the cluster's directions orthogonal to the witness each have
         # eigenvalues of both signs, so each walk crosses the boundary
-        others = top - np.outer(coords, coords @ top) / (coords @ coords)
         for d in others.T:
             if np.linalg.norm(d) < 1e-8:
                 continue
@@ -215,18 +225,6 @@ class SplitCertificate(_JsonRecord):
     proj_v_perp: LocalOperator
     proj_w_perp: LocalOperator
     residual: float
-
-
-def _split_blocks(
-    mat: np.ndarray, proj_v: np.ndarray, proj_w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The blocks of ``mat`` on supp(proj_v) (x) supp(proj_w) and on its
-    complement's product, and the residual ||mat - block_1 - block_2||.
-    """
-    eye = np.eye(proj_v.shape[0])
-    block_1 = _congruence(proj_v, proj_w, mat)
-    block_2 = _congruence(eye - proj_v, eye - proj_w, mat)
-    return block_1, block_2, float(np.linalg.norm(mat - block_1 - block_2))
 
 
 def split(
@@ -265,7 +263,9 @@ def _split(
         w, v, cut = _herm_support(gx, tols.rank)
         basis_w = v[:, w > cut]
         proj_w = basis_w @ basis_w.conj().T
-    block_1, block_2, residual = _split_blocks(gamma.mat, proj_v, proj_w)
+    block_1 = _congruence(proj_v, proj_w, gamma.mat)
+    block_2 = _congruence(np.eye(k) - proj_v, np.eye(k) - proj_w, gamma.mat)
+    residual = float(np.linalg.norm(gamma.mat - block_1 - block_2))
     scale = max(float(np.linalg.norm(gamma.mat)), np.finfo(float).tiny)
     if residual > tols.split * scale:
         raise CompleteReducibilityViolation(
@@ -497,117 +497,55 @@ class ExtractionFailure(_JsonRecord):
     residuals: dict
 
 
-class _StepFailure(Exception):
-    def __init__(self, step: str, detail: str, residuals: dict | None = None):
-        super().__init__(detail)
-        self.step = step
-        self.detail = detail
-        self.residuals = residuals or {}
+def _extract_normal_form(
+    mat: np.ndarray, k: int, tols: Tolerances
+) -> list[tuple[float, np.ndarray, np.ndarray]] | ExtractionFailure:
+    """Product terms of a trace-1 state with marginals Id/k, read off one
+    eigensolve of its composite contraction map.
 
-
-def _rank_deficient_eigenvector(
-    vecs: np.ndarray, k: int, rank_tol: float
-) -> np.ndarray:
-    """Combine two eigenvectors into one whose k x k reshape is singular.
-
-    Scans eigenvector pairs; for each pair the mixing parameter solves the
-    determinant pencil det(M_i + alpha * M_j) = 0.  The pairs are reached only
-    when every M_i has full rank, so the roots are alpha = -1/mu for the
-    nonzero eigenvalues mu of M_i^-1 M_j.  Raises NumericalDegeneracy when no
-    root gives a rank-deficient combination.
+    A separable such state of rank k is (1/k) sum_i P(a_i) (x) P(b_i) with
+    orthonormal {a_i} and {b_i}.  The composite map then has the k-fold top
+    eigenvalue 1/k^2, its top eigenspace is spanned by the P(a_i), and the
+    eigenspace's directions orthogonal to the identity commute, with common
+    eigenbasis {a_i}.  Returns [(weight, x, y)] with trace-1 PSD local
+    factors, or the ExtractionFailure of the step that failed.
     """
-    n = vecs.shape[1]
-    mats = vecs.T.reshape(n, k, k)
-
-    def _reshape_ranks(stack: np.ndarray) -> np.ndarray:
-        s = np.linalg.svd(stack.reshape(-1, k, k), compute_uv=False)
-        return np.where(s[:, 0] > 0, np.sum(s > rank_tol * s[:, :1], axis=1), 0)
-
-    deficient = np.nonzero(_reshape_ranks(mats) < k)[0]
-    if deficient.size:
-        return vecs[:, deficient[0]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                mu = np.linalg.eigvals(np.linalg.solve(mats[i], mats[j]))
-            except np.linalg.LinAlgError:
-                continue
-            alphas = -1.0 / mu[mu != 0]
-            order = np.lexsort((alphas.imag.round(12), alphas.real.round(12), np.abs(alphas).round(12)))
-            cands = vecs[:, i] + alphas[order][:, None] * vecs[:, j]
-            # one 1-D norm per candidate: norm(axis=1) sums in another order
-            nrms = np.array([np.linalg.norm(c) for c in cands])
-            keep = ~(nrms < 1e-10)
-            cands = cands[keep] / nrms[keep, None]
-            ranks = _reshape_ranks(cands)
-            hits = np.nonzero((0 < ranks) & (ranks < k))[0]
-            if hits.size:
-                return cands[hits[0]]
-    raise NumericalDegeneracy(
-        "no eigenvector pair produced a rank-deficient combination"
-    )
-
-
-def _extract_normal_form(mat: np.ndarray, k: int, tols: Tolerances):
-    """Recursive product extraction for a trace-1 state with marginals Id/k
-    and k eigenvalues equal to 1/k.  Returns [(weight, x, y)] with trace-1
-    PSD local factors summing back to the input.
-    """
-    if k == 1:
-        return [(float(np.real(mat[0, 0])), np.eye(1, dtype=complex), np.eye(1, dtype=complex))]
-
-    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    top = w[::-1][:k]
-    spread = float(np.max(np.abs(top - 1.0 / k)) * k)
+    w, v = np.linalg.eigh(fg_matrix(BipartiteOperator(mat, k, k), tols).matrix)
+    spread = float(np.max(np.abs(w[::-1][:k] - 1.0 / k**2)) * k**2)
     if spread > tols.equal_coeff:
-        raise _StepFailure(
-            "equal-eigenvalues",
-            f"top-{k} eigenvalues deviate from 1/k by relative {spread:.3e}",
-            {"spread": spread},
+        return ExtractionFailure(
+            step="equal-eigenvalues",
+            detail=f"top-{k} eigenvalues of the composite map deviate from 1/k^2 by relative {spread:.3e}",
+            residuals={"spread": spread},
         )
-    eigvecs = v[:, ::-1][:, :k]
+    _, others = _identity_split(v[:, ::-1][:, :k])
 
-    combo = _rank_deficient_eigenvector(eigvecs, k, tols.rank)
-    u, s, vh = np.linalg.svd(combo.reshape(k, k))
-    m = int(np.sum(s > tols.rank * s[0]))
-    if not 0 < m < k:
-        raise _StepFailure("rank-deficiency", f"combined eigenvector has rank {m}", {})
-
-    basis_v = u[:, :m]
-    proj_v = basis_v @ basis_v.conj().T
-
-    # A positive map's image support depends only on its PSD input's support,
-    # so the flat projector stands in for the eigenvector: the eigenvector's
-    # weights s**2 would push small valid directions under the rank cutoff.
-    state = BipartiteOperator(mat, k, k)
-    wg, vg, cut = _herm_support(g_apply(state, proj_v).mat, tols.rank)
-    keep = wg > cut
-    if int(np.sum(keep)) != m:
-        raise _StepFailure(
-            "image-rank",
-            f"image of the split eigenvector has rank {int(np.sum(keep))}, expected {m}",
-            {},
+    # Refine the groups of a common eigenbasis along each direction in turn;
+    # a direction that ties two a_i leaves them grouped for a later one.  The
+    # directions' eigenvalues are at most 1, so the width is relative.
+    groups = [np.eye(k, dtype=complex)]
+    for d in others.T:
+        dm = hermitian_from_coords(d, k)
+        refined = []
+        for q in groups:
+            if q.shape[1] == 1:
+                refined.append(q)
+                continue
+            wd, vd = np.linalg.eigh(q.conj().T @ dm @ q)
+            refined += [q @ vd[:, c] for c in _clusters(wd, 1e-8)]
+        groups = refined
+    if len(groups) < k:
+        return ExtractionFailure(
+            step="common-eigenbasis",
+            detail=f"the top eigenspace resolved {len(groups)} of {k} product directions",
+            residuals={},
         )
-    basis_w = vg[:, keep]
-    proj_w = basis_w @ basis_w.conj().T
-    basis_v_perp = u[:, m:]
-    basis_w_perp = vg[:, ~keep]
-
-    block_1, block_2, residual = _split_blocks(mat, proj_v, proj_w)
-    if residual > tols.split * max(float(np.linalg.norm(mat)), 1e-300):
-        raise _StepFailure("split", f"split residual {residual:.3e}", {"residual": residual})
 
     terms = []
-    for block, ba, bb in (
-        (block_1, basis_v, basis_w),
-        (block_2, basis_v_perp, basis_w_perp),
-    ):
+    for a in groups:
+        block = _compress_block(mat, a, np.eye(k))
         weight = float(np.trace(block).real)
-        if weight <= 1e-12:
-            continue
-        child = _compress_block(block, ba, bb) / weight
-        for wt, x, y in _extract_normal_form(child, ba.shape[1], tols):
-            terms.append((weight * wt, ba @ x @ ba.conj().T, bb @ y @ bb.conj().T))
+        terms.append((weight, a @ a.conj().T, block / weight))
     return terms
 
 
@@ -619,13 +557,22 @@ def minimal_rank_extract(
     """Constructive separable decomposition of a minimal-rank triad state.
 
     Preconditions: at least one triad flag, and the state's rank equals both
-    reduced ranks equals the local dimension k.  The state is filtered to
-    identity marginals (with the filter mode matching its class), its k
-    nonzero eigenvalues are verified to equal 1/k, and the split recursion
-    peels off product blocks; the filters are undone at the end.  Tolerance
-    failures inside the recursion come back as an ExtractionFailure naming
-    the failing step.  Terms come by descending weight, equal weights by
-    ascending tr(x diag(1..k)) (see ``_stable_order``).
+    reduced ranks equals the local dimension k.  A tolerance failure comes
+    back as an ExtractionFailure naming its step:
+
+    ``filter``             the state is filtered to identity marginals, with
+                           the filter mode matching its class;
+    ``equal-eigenvalues``  the top k eigenvalues of the filtered state's
+                           composite map must equal 1/k^2;
+    ``common-eigenbasis``  their eigenspace, spanned by the P(a_i) of the
+                           product terms, must resolve k directions a_i;
+                           each gives the term P(a_i) (x) B_i, B_i the
+                           state compressed to a_i on the first factor;
+    ``reconstruction``     with the filters undone, the terms must sum to
+                           the trace-normalized input.
+
+    Terms come by descending weight, equal weights by ascending
+    tr(x diag(1..k)) (see ``_stable_order``).
     """
     if not classification.any_flag:
         raise PreconditionNotMet("extraction needs at least one triad flag")
@@ -652,10 +599,9 @@ def minimal_rank_extract(
             residuals={"marginal_residual_a": res_a, "marginal_residual_b": res_b},
         )
 
-    try:
-        raw_terms = _extract_normal_form(delta, k, tols)
-    except _StepFailure as exc:
-        return ExtractionFailure(step=exc.step, detail=exc.detail, residuals=exc.residuals)
+    raw_terms = _extract_normal_form(delta, k, tols)
+    if isinstance(raw_terms, ExtractionFailure):
+        return raw_terms
 
     fa_inv = np.linalg.inv(fa)
     fb_inv = np.linalg.inv(fb)

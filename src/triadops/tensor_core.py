@@ -234,8 +234,8 @@ def _hermitian_ok(defect: float, scale: float, tols: Tolerances) -> bool:
 
 
 def _psd_ok(min_eig: float, op_norm: float, tols: Tolerances) -> bool:
-    """The PSD verdict: ``min_eig >= -tols.psd * max(1, op_norm)``."""
-    return bool(min_eig >= -tols.psd * max(1.0, op_norm))
+    """The PSD verdict: ``min_eig >= -tols.psd * op_norm``."""
+    return bool(min_eig >= -tols.psd * op_norm)
 
 
 def _require_hermitian(mat: np.ndarray, tols: Tolerances) -> np.ndarray:
@@ -344,7 +344,8 @@ def norms(a: Operator) -> Norms:
 def psd_check(a: Operator, tols: Tolerances = DEFAULT) -> PsdReport:
     """Decide positive semidefiniteness of a Hermitian operator.
 
-    The verdict is ``min_eig >= -tols.psd * max(1, operator_norm)``.
+    The verdict is ``min_eig >= -tols.psd * operator_norm``, so it does not
+    change when the operator is scaled.
     """
     mat = _require_hermitian(np.asarray(a.mat), tols)
     w = np.linalg.eigvalsh(mat)

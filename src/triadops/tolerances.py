@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Tolerances:
     herm: float = 1e-10          # Hermiticity defect, relative to Frobenius norm
-    psd: float = 1e-9            # admissible negative eigenvalue, relative to max(1, op norm)
+    psd: float = 1e-9            # negative eigenvalue / bound margin, relative to op norm / bound
     rank: float = 1e-8           # eigenvalue / singular-value cutoff, relative to the largest
     invariance: float = 1e-8     # ||realign(g) - g|| relative to ||g||
     ccnr: float = 1e-9           # strict exceedance required above the CCNR threshold 1

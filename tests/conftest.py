@@ -5,6 +5,17 @@ import pytest
 
 from triadops import BipartiteOperator, canonical
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # the same examples on every run, and no example database written
+    settings.register_profile(
+        "tier1", derandomize=True, deadline=None, max_examples=40, database=None
+    )
+    settings.load_profile("tier1")
+
 
 def random_operator(rng, k, m=None):
     m = k if m is None else m

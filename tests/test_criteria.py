@@ -14,7 +14,9 @@ from triadops import (
     ppt_pair_forces_invariance,
     rng_from_seed,
 )
+from triadops.criteria import _bound_report
 from triadops.errors import NotAState, NotPSD, PreconditionNotMet
+from triadops.tolerances import DEFAULT
 
 from conftest import random_psd_local
 
@@ -31,6 +33,22 @@ def test_classify_bell(bell2):
     assert not c.ppt and not c.spc and not c.invariant
     assert c.ccnr_value == pytest.approx(2.0, abs=1e-12)
     assert c.residuals.ppt_min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_bell_verdicts_do_not_depend_on_scale(bell2, scale):
+    # an absolute PSD floor once flagged the Bell state ppt and spc at scale
+    # 1e-9, and decompose then raised CompleteReducibilityViolation
+    gamma = BipartiteOperator(scale * bell2.mat, 2, 2)
+    c = classify(gamma)
+    assert not (c.ppt or c.spc or c.invariant)
+    with pytest.raises(PreconditionNotMet):
+        decompose(gamma)
+    assert bound_gamma_pt(gamma).bound_holds and bound_realign_sq(gamma).bound_holds
+    # ||gamma|| = 1 exceeds ||gamma_A|| = 1/2: a violation, by a margin of -scale / 2
+    report = _bound_report(gamma, DEFAULT, gamma)
+    assert report.margin == pytest.approx(-0.5 * scale)
+    assert not report.bound_holds
 
 
 def test_classify_identity_plus_u(identity_plus_u2):

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from triadops import (
+    DEFAULT,
     BipartiteOperator,
+    ExtractionFailure,
     LocalOperator,
     ProductTerm,
     SeparableDecomposition,
@@ -28,7 +32,8 @@ from triadops.errors import (
     PreconditionNotMet,
 )
 
-from triadops.reducibility import _psd_boundary, _rank_deficient_eigenvector
+from triadops.cli import main
+from triadops.reducibility import _psd_boundary
 
 from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local, random_psd_local
 
@@ -287,19 +292,46 @@ def test_rank_bound_generator_sweep_up_to_k4():
                 assert rank_bound_check(g, classify(g)).bound_holds, (k, seed, gen)
 
 
-def test_extract_classical_diag(classical_diag2):
-    out = minimal_rank_extract(classical_diag2, classify(classical_diag2))
-    assert isinstance(out, SeparableDecomposition)
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0 / k] * k for k in range(1, 7)] + [[0.2, 0.3, 0.5], [0.05, 0.1, 0.15, 0.3, 0.4]],
+    ids=lambda w: "-".join(f"{x:.3g}" for x in w),
+)
+def test_extract_classical_diag(weights):
+    # unrotated, the top eigenspace is exactly degenerate, and eigh's basis
+    # of it ties coefficients that only later directions separate
+    k = len(weights)
+    diag = np.zeros(k * k)
+    diag[np.arange(k) * (k + 1)] = weights
+    g = BipartiteOperator(np.diag(diag), k, k)
+    out = minimal_rank_extract(g, classify(g))
+    assert isinstance(out, SeparableDecomposition), (weights, out)
     assert out.reconstruction_residual <= 1e-12
-    assert sorted(round(w, 9) for w, _, _ in out.terms) == [0.5, 0.5]
-    assert np.linalg.norm(out.reconstruct() - classical_diag2.mat) <= 1e-12
+    assert sorted(w for w, _, _ in out.terms) == pytest.approx(sorted(weights), abs=1e-9)
+    assert np.linalg.norm(out.reconstruct() - g.mat) <= 1e-12
+
+
+def test_extract_reports_the_failing_step(tmp_path, capsys):
+    # no roundoff meets a spread tolerance of 1e-30, so the returned failure
+    # names the equal-eigenvalues step, and certify exits 2 with its report
+    g = haar_congruence(canonical("classical_diag", 3), rng_from_seed(60), "V")
+    out = minimal_rank_extract(g, classify(g), DEFAULT.but(equal_coeff=1e-30))
+    assert isinstance(out, ExtractionFailure)
+    assert out.step == "equal-eigenvalues"
+    assert out.residuals["spread"] > 1e-30
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(g.to_json()))
+    assert main(["certify", str(path), "--json", "--tol-eq", "1e-30"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["classification", "equal_schmidt", "rank_bound", "extraction"]
+    assert report["extraction"]["step"] == "equal-eigenvalues"
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_extract_rotated_classical_diag(k):
     cd = canonical("classical_diag", k)
-    # at k = 5 and 6, Haar draws on which extraction once declined at step
-    # image-rank: the split eigenvector's singular values spanned 1e-5
+    # at k = 5 and 6, Haar draws on which an earlier extraction method
+    # declined; they stay as regression inputs
     for key in {5: [89], 6: [196]}.get(k, range(60, 68)):
         rng = rng_from_seed(key)
         u = haar_unitary(rng, k)
@@ -388,16 +420,6 @@ def test_extract_random_rank_k_mixtures(k):
         out = minimal_rank_extract(g, classify(g))
         assert isinstance(out, SeparableDecomposition), (k, seed, out)
         assert out.reconstruction_residual <= 1e-7
-
-
-def test_pencil_root_gives_rank_one_combination():
-    # vec(I/sqrt2) and vec(diag(1,-1)/sqrt2) both have full rank, so the pair
-    # loop must solve det(M_1 + alpha M_2) = 0, whose roots are alpha = +-1
-    vecs = np.column_stack([np.eye(2).ravel(), np.diag([1.0, -1.0]).ravel()]) / np.sqrt(2)
-    combo = _rank_deficient_eigenvector(vecs.astype(complex), 2, 1e-8)
-    assert np.linalg.matrix_rank(combo.reshape(2, 2)) == 1
-    expected = [(vecs[:, 0] + a * vecs[:, 1]) / np.sqrt(2) for a in (1.0, -1.0)]
-    assert min(np.linalg.norm(combo - e) for e in expected) <= 1e-12
 
 
 def test_extract_preconditions(bell2, identity_plus_u2):

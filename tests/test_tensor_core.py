@@ -106,9 +106,9 @@ def test_private_kron_matches_numpy_bit_for_bit():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_stacked_linalg_matches_per_matrix_calls_bit_for_bit(k):
-    # The PSD-eigenvector search, the extraction pencil and the normal form's
-    # expansion each screen their candidates in one stacked call; that gives
-    # the same results only if every stacked matrix gets the bits it gets alone.
+    # Code that screens its candidates in one stacked call (none in src/
+    # does today) gives the same results as a loop only if every stacked
+    # matrix gets the bits it gets alone.
     rng = rng_from_seed(103 + k)
     shape = (2 * k * k, k, k)
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -302,7 +302,7 @@ def test_square_only_entry_points_reject_rectangles(name):
 def test_psd_floor_agrees_across_entry_points(norm, depth):
     # a diagonal state equals its partial transpose, so PPT holds exactly
     # when the state is PSD; its lowest eigenvalue sits at depth x the floor
-    floor = DEFAULT.psd * max(1.0, norm)
+    floor = DEFAULT.psd * norm
     gamma = BipartiteOperator(np.diag([norm, norm / 2, norm / 3, -depth * floor]), 2, 2)
 
     def accepts(fn):
