@@ -3,7 +3,7 @@
 A symmetric filter (same invertible matrix on both factors) keeps SPC
 states SPC; a conjugate filter keeps invariant states invariant.  The
 normal form's largest Schmidt coefficient is exactly 1/k with the
-normalized identity as its left operator.
+normalized identity as its left operator, in every mode.
 
 Run:  python demos/04_filter_normal_forms.py
 """
@@ -54,6 +54,13 @@ sd = result.schmidt_of_normal_form
 print("\ntop Schmidt coefficient:", f"{sd.coefficients[0]:.12f}", "(1/k =", f"{1 / k:.12f})")
 print("top left operator is Id/sqrt(k):",
       np.allclose(sd.left_ops[0].mat, np.eye(k) / np.sqrt(k), atol=1e-7))
+
+# two independent filters: the expansion again leads with Id/sqrt(k)
+general = sinkhorn_filter(hidden, mode="general")
+gsd = general.schmidt_of_normal_form
+print("\ngeneral mode: top coefficient", f"{gsd.coefficients[0]:.12f}")
+print("general mode first left operator (times sqrt(k)):")
+print(np.round(gsd.left_ops[0].mat * np.sqrt(k), 9).real + 0.0)  # + 0.0 clears -0
 
 # the one-sided variant: only the first factor is filtered
 left = sinkhorn_filter(hidden, mode="left")

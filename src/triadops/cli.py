@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="filter normal form")
     _common_flags(p)
     p.add_argument("--mode", choices=MODES, default="general")
-    p.add_argument("--max-iter", type=int, default=MAX_ITER)
+    p.add_argument("--max-iter", type=_positive_int, default=MAX_ITER)
     p.set_defaults(fn=_cmd_filter)
 
     p = sub.add_parser("decompose", help="complete-reducibility decomposition tree")

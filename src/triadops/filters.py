@@ -10,9 +10,14 @@ whose reduced states are both Id/k.  Four modes are provided:
     conjugate   one filter on the first factor and its conjugate on the
                 second (valid for realignment-invariant states); the output
                 stays invariant
-    left        one filter on the first factor only, followed by a
-                bi-orthogonal expansion whose leading left operator is
-                Id/sqrt(k) with the largest coefficient
+    left        one filter on the first factor only; the leading left
+                operator of the normal form's expansion is Id/sqrt(k), with
+                the largest coefficient
+
+Every mode reports the operator Schmidt expansion of its normal form, read
+off one SVD of the Hermitian-basis matrix of the contraction map: Hermitian,
+orthonormal operators on both sides, with Id/sqrt(k) first, rotated to the
+front of its coefficient cluster.
 
 The general mode alternates exact one-sided normalizations; its monitor is
 the larger trace defect |1 - t| of the two half-steps, 0 up to roundoff.
@@ -57,12 +62,13 @@ from .criteria import classify
 from .errors import MarginalRankDeficient, PreconditionNotMet, WrongClassForMode
 from .schmidt_maps import (
     SchmidtDecomposition,
+    _identity_split,
     f_apply,
     fg_matrix,
     g_apply,
+    g_matrix,
     hermitian_basis,
     hermitian_from_coords,
-    schmidt,
 )
 from .tensor_core import (
     BipartiteOperator,
@@ -103,13 +109,16 @@ class FilterResult(_JsonRecord):
 
     ``normal_form`` equals (filter_a (x) filter_b) applied to the
     trace-normalized input as a congruence (M . M*), with filter_b = Id in
-    left mode.  ``class_residual`` quantifies how well the output keeps its
+    left mode.  ``schmidt_of_normal_form`` is its operator Schmidt
+    expansion, Hermitian and identity first in every mode (module
+    docstring); coefficients below ``tols.rank`` times the largest are
+    dropped.  ``class_residual`` quantifies how well the output keeps its
     class shape: the SPC defect in symmetric mode, the realignment distance
-    in conjugate mode, and the identity-eigenvector defect of the composite
-    contraction map in left mode.  In left mode the marginal residuals refer
-    to the internally scaled star-product object whose convergence defines
-    the mode, not to ``normal_form`` itself (a one-sided filter does not make
-    both marginals Id/k).
+    in conjugate mode, the identity-eigenvector defect of the composite
+    contraction map in left mode, and None in general mode.  In left mode
+    the marginal residuals refer to the internally scaled star-product
+    object whose convergence defines the mode, not to ``normal_form`` itself
+    (a one-sided filter does not make both marginals Id/k).
     """
 
     mode: str
@@ -269,62 +278,42 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, max_iter: int, tols: Tol
 def _identity_aligned_expansion(
     normal_form: BipartiteOperator, tols: Tolerances
 ) -> tuple[SchmidtDecomposition, float]:
-    """Schmidt data of a normal form through the composite map's eigenbasis.
+    """Schmidt data of a normal form, read off one SVD of its contraction map.
 
-    Exact eigenvectors of the numerical composite matrix make both operator
-    families orthonormal by construction, and the identity direction (an
-    eigenvector of any converged normal form, possibly inside a degenerate
-    cluster where a plain SVD would pick an arbitrary basis) is rotated to
-    the front of its cluster.  Returns the expansion and the residual of the
-    identity as an eigenvector.
+    With M = U S V^T the Hermitian-basis matrix of the first-factor map, the
+    normal form is sum_i s_i A_i (x) B_i, where A_i has the coordinates v_i
+    and B_i the coordinates M v_i / s_i; both families are Hermitian and
+    orthonormal.  The identity direction (a right singular vector of any
+    converged normal form, possibly inside a degenerate cluster where the
+    SVD picks an arbitrary basis) is rotated to the front of its cluster.
+    Singular values below ``tols.rank * s_1`` are dropped.  Returns the
+    expansion and the residual of the identity as an eigenvector of M^T M.
     """
     k = normal_form.dim_a
-    mfg = fg_matrix(normal_form, tols).matrix
     n = k * k
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    id_defect = float(np.linalg.norm(mfg[:, 0] - mfg[0, 0] * e0))
+    m = g_matrix(normal_form, tols).matrix
+    _, s, vt = np.linalg.svd(m)
+    v = vt.T.copy()
+    jstar = int(np.argmax(np.abs(v[0])))
+    cluster = next(c for c in _clusters(s, 1e-8 * s[0]) if jstar in c)
+    coords, others = _identity_split(v[:, cluster])
+    rest = np.linalg.svd(others, full_matrices=False)[0][:, : len(cluster) - 1]
+    v[:, cluster] = np.column_stack([coords / np.linalg.norm(coords), rest])
 
-    w, v = np.linalg.eigh(mfg)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    jstar = int(np.argmax(np.abs(v[0, :])))
-    scale = max(float(w[0]), np.finfo(float).tiny)
-    cluster = next(c for c in _clusters(w, 1e-8 * scale) if jstar in c)
-    block = v[:, cluster]
-    proj = block @ (block.T @ e0)
-    if np.linalg.norm(proj) > 1e-6:
-        basis = [proj / np.linalg.norm(proj)]
-        for col in range(block.shape[1]):
-            cand = block[:, col]
-            for b in basis:
-                cand = cand - (b @ cand) * b
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-8 and len(basis) < block.shape[1]:
-                basis.append(cand / nrm)
-        v[:, cluster] = np.column_stack(basis)
-
-    a = np.sqrt(np.maximum(w, 0.0))
-    small = a <= tols.rank * max(float(a[0]), np.finfo(float).tiny)
-    m = int(np.argmax(small)) if small.any() else n
-    coeffs = a[:m]
-    # sign fix: each kept eigenvector's largest-modulus coordinate is positive
-    coords = v[:, :m]
-    pivots = coords[np.argmax(np.abs(coords), axis=0), np.arange(m)]
-    coords = coords * np.where(pivots < 0, -1.0, 1.0)
-
-    lefts = (coords.T @ hermitian_basis(k).reshape(n, n)).reshape(m, k, k)
-    # images[i] = g_apply(normal_form, lefts[i]), as one product
-    g_rows = normal_form.tensor4.transpose(2, 0, 1, 3).reshape(n, n)
-    images = (lefts.reshape(m, n) @ g_rows).reshape(m, k, k)
-    lefts = 0.5 * (lefts + lefts.conj().swapaxes(1, 2))
-    images = 0.5 * (images + images.conj().swapaxes(1, 2))
+    keep = int(np.sum(s > tols.rank * s[0]))
+    lefts = v[:, :keep]
+    # sign fix: each kept left operator's largest-modulus coordinate is positive
+    lefts = lefts * np.sign(lefts[np.argmax(np.abs(lefts), axis=0), np.arange(keep)])
+    rights = (m @ lefts) / s[:keep]
+    ops = (np.hstack([lefts, rights]).T @ hermitian_basis(k).reshape(n, n)).reshape(2 * keep, k, k)
+    ops = 0.5 * (ops + ops.conj().swapaxes(1, 2))
     expansion = SchmidtDecomposition(
-        coefficients=coeffs,
-        left_ops=LocalOperator._stack(lefts),
-        right_ops=LocalOperator._stack(images / coeffs[:, None, None]),
+        coefficients=s[:keep],
+        left_ops=LocalOperator._stack(ops[:keep]),
+        right_ops=LocalOperator._stack(ops[keep:]),
     )
-    return expansion, id_defect
+    # column 0 of M^T M is the composite map applied to Id/sqrt(k)
+    return expansion, float(np.linalg.norm((m.T @ m[:, 0])[1:]))
 
 
 def _spc_defect(op: BipartiteOperator) -> float:
@@ -345,6 +334,8 @@ def _normal_form(gamma: BipartiteOperator, mode: str, max_iter: int, tols: Toler
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     k = _require_square(gamma, "filtering")
     _require_psd(gamma, tols)
     mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
@@ -372,8 +363,9 @@ def sinkhorn_filter(
 
     The input is trace-normalized first.  Symmetric mode requires an SPC
     input and conjugate mode a realignment-invariant one (WrongClassForMode
-    otherwise); every mode requires both reduced states to have full rank.
-    Runs that exhaust ``max_iter``, or that stall (one-filter modes; see the
+    otherwise); every mode requires both reduced states to have full rank,
+    and ``max_iter`` must be at least 1 (ValueError otherwise).  Runs that
+    exhaust ``max_iter``, or that stall (one-filter modes; see the
     module docstring), return their partial result with ``converged=False``
     instead of raising, since decomposable inputs may cycle and the
     iteration log is useful evidence.
@@ -383,17 +375,15 @@ def sinkhorn_filter(
     )
     k = gamma.dim_a
     normal_form = BipartiteOperator(delta, k, k)
-    if mode == "general":
-        # no identity structure is guaranteed here; plain SVD data
-        expansion, class_residual = schmidt(normal_form, tols), None
+    expansion, id_defect = _identity_aligned_expansion(normal_form, tols)
+    if mode == "symmetric":
+        class_residual = _spc_defect(normal_form)
+    elif mode == "conjugate":
+        class_residual = float(np.linalg.norm(realign(normal_form).mat - delta))
+    elif mode == "left":
+        class_residual = id_defect
     else:
-        expansion, id_defect = _identity_aligned_expansion(normal_form, tols)
-        if mode == "symmetric":
-            class_residual = _spc_defect(normal_form)
-        elif mode == "conjugate":
-            class_residual = float(np.linalg.norm(realign(normal_form).mat - delta))
-        else:
-            class_residual = id_defect
+        class_residual = None
     return FilterResult(
         mode=mode,
         filter_a=LocalOperator(fa),
@@ -415,8 +405,8 @@ def _left_engine(mat: np.ndarray, k: int, max_iter: int, tols: Tolerances):
     The conjugate-mode engine is run on the star product of the state with
     its flip-conjugated complex conjugate (whose realignment is PSD by
     construction), and the resulting filter is applied to the first factor
-    only.  The expansion is then read off the eigenbasis of the composite
-    contraction map, which by construction fixes the identity direction.
+    only.  The identity is then a right singular vector of the normal
+    form's contraction map, and leads its expansion.
     """
     f = flip(k).mat
     state = BipartiteOperator(mat, k, k)
@@ -453,7 +443,7 @@ def doubly_stochastic_check(
     k = _require_square(gamma, "the doubly stochastic check")
     mat = _require_hermitian(gamma.mat, tols)
     trace = np.trace(mat).real
-    if abs(trace) < 1e-14:
+    if abs(trace) <= 1e-14 * np.linalg.norm(mat):
         raise PreconditionNotMet("trace too small to normalize")
     gn = BipartiteOperator(mat / trace, k, k)
     v = np.eye(k) / np.sqrt(k)

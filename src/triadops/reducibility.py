@@ -25,6 +25,7 @@ from .errors import (
 )
 from .filters import MAX_ITER, _normal_form
 from .schmidt_maps import (
+    _identity_split,
     fg_apply,
     fg_matrix,
     g_apply,
@@ -101,17 +102,6 @@ def _eigen_residual(gamma: BipartiteOperator, x: np.ndarray) -> tuple[float, flo
     y = fg_apply(gamma, x).mat
     lam = float(np.real(np.trace(x.conj().T @ y)))
     return lam, float(np.linalg.norm(y - lam * x))
-
-
-def _identity_split(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the identity's projection onto the span of ``top``'s
-    orthonormal columns, and those columns made orthogonal to it.
-
-    Coordinate 0 is Id/sqrt(k).  The projection is nonzero whenever the span
-    holds an element of nonzero trace.
-    """
-    coords = top @ top[0, :]
-    return coords, top - np.outer(coords, coords @ top) / (coords @ coords)
 
 
 def _psd_boundary(x_pd: np.ndarray, whiten: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
@@ -519,27 +509,33 @@ def _extract_normal_form(
             residuals={"spread": spread},
         )
     _, others = _identity_split(v[:, ::-1][:, :k])
+    directions = [hermitian_from_coords(d, k) for d in others.T]
 
-    # Refine the groups of a common eigenbasis along each direction in turn;
-    # a direction that ties two a_i leaves them grouped for a later one.  The
-    # directions' eigenvalues are at most 1, so the width is relative.
-    groups = [np.eye(k, dtype=complex)]
-    for d in others.T:
-        dm = hermitian_from_coords(d, k)
-        refined = []
-        for q in groups:
-            if q.shape[1] == 1:
-                refined.append(q)
-                continue
+    # The directions form a Parseval frame of the eigenspace's traceless
+    # part, which holds every P(a_i) - P(a_j) (norm sqrt 2).  So for any two
+    # a_i in a group some direction's eigenvalues on the group differ by at
+    # least sqrt(2/k), and its widest gap is at least sqrt(2/k)/(k-1).  Each
+    # group is split at the gaps of at least half that in the first direction
+    # that has one, never at a near-tie that roundoff still mixes.
+    min_gap = 0.5 * np.sqrt(2.0 / k) / max(k - 1, 1)
+    pending, groups = [np.eye(k, dtype=complex)], []
+    while pending:
+        q = pending.pop()
+        if q.shape[1] == 1:
+            groups.append(q)
+            continue
+        for dm in directions:
             wd, vd = np.linalg.eigh(q.conj().T @ dm @ q)
-            refined += [q @ vd[:, c] for c in _clusters(wd, 1e-8)]
-        groups = refined
-    if len(groups) < k:
-        return ExtractionFailure(
-            step="common-eigenbasis",
-            detail=f"the top eigenspace resolved {len(groups)} of {k} product directions",
-            residuals={},
-        )
+            parts = _clusters(wd, min_gap)
+            if len(parts) > 1:
+                pending += [q @ vd[:, c] for c in parts]
+                break
+        else:
+            return ExtractionFailure(
+                step="common-eigenbasis",
+                detail=f"no direction splits {q.shape[1]} of the {k} product directions",
+                residuals={},
+            )
 
     terms = []
     for a in groups:

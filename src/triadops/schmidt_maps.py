@@ -195,6 +195,17 @@ def hermitian_from_coords(coords: np.ndarray, k: int) -> np.ndarray:
     return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), basis)
 
 
+def _identity_split(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the identity's projection onto the span of ``top``'s
+    orthonormal columns, and those columns made orthogonal to it.
+
+    Coordinate 0 is Id/sqrt(k).  The projection is nonzero whenever the span
+    holds an element of nonzero trace.
+    """
+    coords = top @ top[0, :]
+    return coords, top - np.outer(coords, coords @ top) / (coords @ coords)
+
+
 @dataclass(frozen=True)
 class HermitianBasisMatrix:
     """Real k^2 x k^2 matrix of a Hermitian-preserving map in the fixed basis.

@@ -108,6 +108,14 @@ def test_generate_rejects_nonpositive_counts(flag, cls, value, capsys):
     assert f"{flag}: must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_filter_rejects_max_iter_below_one(value, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(run_cli_format(canonical("classical_diag", 2)))
+    assert _exit_code(["filter", str(path), "--max-iter", value]) == 1
+    assert "--max-iter: must be a positive integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

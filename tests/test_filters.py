@@ -21,7 +21,7 @@ from triadops.errors import MarginalRankDeficient, NotHermitian, NotPSD, WrongCl
 from triadops.generators import _complex_normal
 from triadops.tolerances import DEFAULT
 
-from conftest import local_scale, random_pd_local
+from conftest import haar_congruence, local_scale, random_pd_local
 
 
 @pytest.mark.parametrize("mode", ["general", "symmetric", "conjugate"])
@@ -142,6 +142,12 @@ def test_monitor_is_nonincreasing():
             assert all(abs(e["monitor"]) <= 1e-12 for e in fr.iteration_log)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_max_iter_below_one_is_rejected(max_iter, classical_diag2):
+    with pytest.raises(ValueError, match="max_iter"):
+        sinkhorn_filter(classical_diag2, "symmetric", max_iter=max_iter)
+
+
 def test_unconverged_run_returns_flagged_result():
     op = _scaled_spc(3, 0)
     fr = sinkhorn_filter(op, "symmetric", max_iter=2)
@@ -162,6 +168,22 @@ def test_stalled_symmetric_run_stops_unconverged():
     assert fr.iterations <= 30
     assert len(fr.iteration_log) == fr.iterations
     assert max(fr.marginal_residual_a, fr.marginal_residual_b) > DEFAULT.filter
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_rotated_classical_diag_expansion_has_k_terms_identity_first(k):
+    # the normal form's exact expansion is (1/k) sum_i P(v_i) (x) P(w_i): k
+    # equal coefficients, whose span holds Id/sqrt(k)
+    for right in ("V", "Vbar", "W"):
+        g = haar_congruence(canonical("classical_diag", k), rng_from_seed(30 + k), right)
+        for mode in ("general", "symmetric", "conjugate", "left"):
+            try:
+                sd = sinkhorn_filter(g, mode).schmidt_of_normal_form
+            except WrongClassForMode:
+                continue
+            assert len(sd.coefficients) == k, (right, mode, len(sd.coefficients))
+            top = sd.left_ops[0].mat
+            assert np.linalg.norm(top - np.eye(k) / np.sqrt(k)) <= 1e-12, (right, mode)
 
 
 def test_mode_gates(bell2, classical_diag2, identity_plus_u2):

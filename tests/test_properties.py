@@ -10,7 +10,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from triadops import BipartiteOperator, SeparableDecomposition, classify, minimal_rank_extract
+from triadops import (
+    BipartiteOperator,
+    SeparableDecomposition,
+    classify,
+    decompose,
+    doubly_stochastic_check,
+    minimal_rank_extract,
+    random_density,
+    random_invariant,
+    random_ppt,
+    random_spc,
+    sinkhorn_filter,
+)
+from triadops.errors import ToolkitError, WrongClassForMode
 from triadops.tolerances import DEFAULT
 
 from conftest import haar_unitary, local_scale, random_pd_local
@@ -47,3 +60,77 @@ def test_minimal_rank_extract_recovers_k_product_terms(k, kind, weights, seed):
             assert np.linalg.eigvalsh(f)[0] >= -DEFAULT.psd
     residual = np.linalg.norm(out.reconstruct() - g.mat)
     assert residual <= DEFAULT.separable * max(1.0, np.linalg.norm(g.mat))
+
+
+GENERATORS = {
+    "spc": random_spc,
+    "invariant": random_invariant,
+    "ppt": random_ppt,
+    "density": lambda k, seed: random_density(k, k * k, seed),
+}
+MODES = ("general", "symmetric", "conjugate", "left")
+
+
+def _verdicts(g):
+    """Class flags, doubly-stochastic verdict, decompose leaves and filter
+    convergence per mode; a refused call records its error's name."""
+
+    def outcome(call):
+        try:
+            return call()
+        except ToolkitError as exc:
+            return type(exc).__name__
+
+    c = classify(g)
+    return (
+        (c.ppt, c.spc, c.invariant),
+        outcome(lambda: doubly_stochastic_check(g).doubly_stochastic),
+        outcome(
+            lambda: [(n.state.dim_a, n.state.dim_b, n.leaf_status) for n in decompose(g).leaves()]
+        ),
+        [outcome(lambda: sinkhorn_filter(g, mode).converged) for mode in MODES],
+    )
+
+
+@given(
+    k=st.integers(2, 4),
+    kind=st.sampled_from(["spc", "invariant", "ppt"]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-15.0, 6.0),
+)
+def test_verdicts_do_not_depend_on_scale(k, kind, seed, exponent):
+    # gamma -> c gamma with c log-uniform in [1e-15, 1e6]
+    g = GENERATORS[kind](k, seed)
+    scaled = BipartiteOperator(10.0**exponent * g.mat, k, k)
+    assert _verdicts(scaled) == _verdicts(g)
+
+
+@given(
+    k=st.integers(2, 4),
+    kind=st.sampled_from(list(GENERATORS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_expansion_is_orthonormal_and_normal_forms_stay_fixed(k, kind, seed):
+    # a PD V (x) V keeps SPC, V (x) conj(V) invariance and V (x) W PPT
+    rng = np.random.default_rng(seed)
+    v = random_pd_local(rng, k)
+    w = {"spc": v, "invariant": v.conj()}.get(kind)
+    g = local_scale(GENERATORS[kind](k, seed), v, random_pd_local(rng, k) if w is None else w)
+    for mode in MODES:
+        try:
+            fr = sinkhorn_filter(g, mode)
+        except WrongClassForMode:
+            continue
+        if not fr.converged:
+            continue
+        sd = fr.schmidt_of_normal_form
+        for ops in (sd.left_ops, sd.right_ops):
+            flat = np.array([op.mat.ravel() for op in ops])
+            gram = flat.conj() @ flat.T
+            assert np.max(np.abs(gram - np.eye(len(ops)))) <= 1e-7, mode
+        # the coefficients dropped below tols.rank * s_1 are missing from the sum
+        nf = fr.normal_form.mat
+        bound = 1e-9 * np.linalg.norm(nf)
+        bound += DEFAULT.rank * sd.coefficients[0] * np.sqrt(k * k - len(sd.coefficients))
+        assert np.linalg.norm(sd.reconstruct().mat - nf) <= bound, mode
+        assert sinkhorn_filter(fr.normal_form, mode).iterations == 0, mode

@@ -373,6 +373,26 @@ def test_extract_classical_diag_under_pd_filters(k, right):
         assert len(out.terms) == k
 
 
+@pytest.mark.parametrize("right", ["V", "Vbar", "W"])
+@pytest.mark.parametrize("k", [5, 6])
+def test_extract_does_not_split_at_near_ties(k, right):
+    # a near-tie in one direction must not split a group, since roundoff
+    # still mixes its eigenvectors; a 1e-8 gap rule left residuals up to
+    # 2.1e-10 here (k = 5, V, key 52)
+    cd = canonical("classical_diag", k)
+    worst = 0.0
+    for key in range(60):
+        rng = rng_from_seed(4000 + 100 * k + key)
+        v = random_pd_local(rng, k)
+        w = {"V": v, "Vbar": v.conj(), "W": None}[right]
+        g = local_scale(cd, v, random_pd_local(rng, k) if w is None else w)
+        out = minimal_rank_extract(g, classify(g))
+        assert isinstance(out, SeparableDecomposition), (key, out)
+        assert len(out.terms) == k
+        worst = max(worst, out.reconstruction_residual)
+    assert worst <= 5e-11
+
+
 def _diagonal_moment(x):
     """tr(x diag(1..k)), the tie-break key of equal-weight terms."""
     return float(np.trace(x @ np.diag(np.arange(1.0, len(x) + 1))).real)
