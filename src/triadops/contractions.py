@@ -15,6 +15,7 @@ Entry rules under the row-major composite index:
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -36,18 +37,29 @@ __all__ = [
 _SLOT_AXIS = {1: 0, 2: 2, 3: 1, 4: 3}
 
 
+def _tensor_axes(sig: tuple[int, ...]) -> tuple[int, ...]:
+    """The 4-tensor transpose realizing the slot permutation ``sig`` (one-line, 1-based)."""
+    axes = [0, 0, 0, 0]
+    for s, image in enumerate(sig, start=1):
+        axes[_SLOT_AXIS[s]] = _SLOT_AXIS[image]
+    return tuple(axes)
+
+
+# The 4-tensor transpose of each of the 24 contractions, keyed by sigma.
+_AXES = {sig: _tensor_axes(sig) for sig in permutations((1, 2, 3, 4))}
+_PARTIAL_TRANSPOSE = _AXES[1, 2, 4, 3]
+_LEFT_TRANSPOSE = _AXES[2, 1, 3, 4]
+_REALIGN = _AXES[1, 3, 2, 4]
+
+
 def partial_transpose(gamma: BipartiteOperator) -> BipartiteOperator:
     """Transpose the second factor (slot swap 3<->4); an involution."""
-    k, m = gamma.dim_a, gamma.dim_b
-    out = gamma.tensor4.transpose(0, 3, 2, 1).reshape(k * m, k * m)
-    return BipartiteOperator(out, dim_a=k, dim_b=m)
+    return gamma._permuted(_PARTIAL_TRANSPOSE, gamma.dim_a, gamma.dim_b)
 
 
 def left_transpose(gamma: BipartiteOperator) -> BipartiteOperator:
     """Transpose the first factor (slot swap 1<->2); an involution."""
-    k, m = gamma.dim_a, gamma.dim_b
-    out = gamma.tensor4.transpose(2, 1, 0, 3).reshape(k * m, k * m)
-    return BipartiteOperator(out, dim_a=k, dim_b=m)
+    return gamma._permuted(_LEFT_TRANSPOSE, gamma.dim_a, gamma.dim_b)
 
 
 def realign(gamma: BipartiteOperator) -> BipartiteOperator:
@@ -57,8 +69,7 @@ def realign(gamma: BipartiteOperator) -> BipartiteOperator:
     and preserves the Frobenius norm.  Requires equal factor dimensions.
     """
     k = _require_square(gamma, "realign")
-    out = gamma.tensor4.transpose(0, 2, 1, 3).reshape(k * k, k * k)
-    return BipartiteOperator(out, dim_a=k, dim_b=k)
+    return gamma._permuted(_REALIGN, k, k)
 
 
 def maximally_entangled_vector(k: int) -> np.ndarray:
@@ -110,19 +121,16 @@ def contraction_by_permutation(sigma: Sequence[int], gamma: BipartiteOperator) -
     (1,4,3,2) right-multiplication by the flip operator.  Permutations that
     mix the two factors require k = m.
     """
-    sig = (0,) + tuple(int(x) for x in sigma)
-    if sorted(sig[1:]) != [1, 2, 3, 4]:
-        raise ValueError(f"sigma must be a permutation of (1,2,3,4), got {sig[1:]}")
+    sig = tuple(int(x) for x in sigma)
+    axes = _AXES.get(sig)
+    if axes is None:
+        raise ValueError(f"sigma must be a permutation of (1,2,3,4), got {sig}")
 
     k, m = gamma.dim_a, gamma.dim_b
-    slot_dim = {1: k, 2: k, 3: m, 4: m}
-    out_a, out_b = slot_dim[sig[1]], slot_dim[sig[3]]
-    if slot_dim[sig[1]] != slot_dim[sig[2]] or slot_dim[sig[3]] != slot_dim[sig[4]]:
+    slot_dim = (None, k, k, m, m)
+    out_a, out_b = slot_dim[sig[0]], slot_dim[sig[2]]
+    if out_a != slot_dim[sig[1]] or out_b != slot_dim[sig[3]]:
         raise DimensionMismatch(
-            f"permutation {sig[1:]} mixes factors of unequal dimensions ({k}, {m})"
+            f"permutation {sig} mixes factors of unequal dimensions ({k}, {m})"
         )
-    axes = [0, 0, 0, 0]
-    for s in (1, 2, 3, 4):
-        axes[_SLOT_AXIS[s]] = _SLOT_AXIS[sig[s]]
-    out = gamma.tensor4.transpose(axes).reshape(out_a * out_b, out_a * out_b)
-    return BipartiteOperator(out, dim_a=out_a, dim_b=out_b)
+    return gamma._permuted(axes, out_a, out_b)

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contractions import flip, maximally_entangled_vector, partial_transpose, realign
+from .contractions import _PARTIAL_TRANSPOSE, _REALIGN, flip, maximally_entangled_vector
 from .errors import BadRank, FixedPointNotReached, RejectionBudgetExhausted, UnknownName
-from .tensor_core import BipartiteOperator, LocalOperator, _clip_psd, _herm_eigvalsh, _kron
+from .tensor_core import (
+    BipartiteOperator,
+    LocalOperator,
+    _clip_psd,
+    _herm_eigvalsh,
+    _kron,
+    _permute_slots,
+)
 
 __all__ = [
     "rng_from_seed",
@@ -52,30 +59,36 @@ def random_separable(
         raise BadRank(f"terms must be at least 1, got {terms}")
     rng = rng_from_seed(seed)
     weights = rng.dirichlet(np.ones(terms))
+    # per term, in stream order: the real and imaginary parts of x, then of y
+    draws = rng.standard_normal((terms, 4, k))
+    xs = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+    ys = (draws[:, 2] + 1j * draws[:, 3]) / np.sqrt(2.0)
     total = np.zeros((k * k, k * k), dtype=complex)
-    ground_truth = []
-    for w in weights:
-        x = _complex_normal(rng, k)
+    pxs, pys = [], []
+    for w, x, y in zip(weights, xs, ys):
         x /= np.linalg.norm(x)
-        y = _complex_normal(rng, k)
         y /= np.linalg.norm(y)
         px, py = np.outer(x, x.conj()), np.outer(y, y.conj())
         total += w * _kron(px, py)
-        ground_truth.append((float(w), LocalOperator(px), LocalOperator(py)))
+        pxs.append(px)
+        pys.append(py)
+    ground_truth = list(zip(weights.tolist(), LocalOperator._stack(pxs), LocalOperator._stack(pys)))
     return BipartiteOperator(0.5 * (total + total.conj().T), dim_a=k, dim_b=k), ground_truth
 
 
 def _random_hermitian_orthobasis(rng: np.random.Generator, k: int) -> list[np.ndarray]:
     """Random orthonormal Hermitian set starting with Id/sqrt(k), full size k^2."""
     basis = [np.eye(k, dtype=complex) / np.sqrt(k)]
+    adjoints = [basis[0].conj().T]
     while len(basis) < k * k:
         h = _complex_normal(rng, (k, k))
         h = 0.5 * (h + h.conj().T)
-        for b in basis:
-            h = h - np.trace(b.conj().T @ h) * b
+        for b, b_adj in zip(basis, adjoints):
+            h = h - (b_adj @ h).trace() * b
         nrm = np.linalg.norm(h)
         if nrm > 1e-8:
             basis.append(h / nrm)
+            adjoints.append(basis[-1].conj().T)
     return basis
 
 
@@ -116,7 +129,7 @@ def random_invariant(k: int, seed: int) -> BipartiteOperator:
     """
     gamma = random_density(k, k * k, seed).mat.copy()
     for _ in range(5000):
-        r = realign(BipartiteOperator(gamma, k, k)).mat
+        r = _permute_slots(gamma, k, k, _REALIGN)
         if np.linalg.norm(r - gamma) <= 1e-10:
             out = 0.5 * (gamma + gamma.conj().T)
             return BipartiteOperator(out / np.trace(out).real, dim_a=k, dim_b=k)
@@ -128,7 +141,7 @@ def random_invariant(k: int, seed: int) -> BipartiteOperator:
 
 
 def _is_ppt_strict(mat: np.ndarray, k: int) -> bool:
-    return bool(_herm_eigvalsh(partial_transpose(BipartiteOperator(mat, k, k)).mat)[0] >= 0.0)
+    return bool(_herm_eigvalsh(_permute_slots(mat, k, k, _PARTIAL_TRANSPOSE))[0] >= 0.0)
 
 
 def random_ppt(k: int, seed: int) -> BipartiteOperator:
@@ -159,11 +172,11 @@ def random_ppt(k: int, seed: int) -> BipartiteOperator:
     noise /= np.trace(noise).real
     rho = 0.9 * sep.mat + 0.1 * noise
     for _ in range(500):
-        clipped, w = _clip_psd(partial_transpose(BipartiteOperator(rho, k, k)).mat)
+        clipped, w = _clip_psd(_permute_slots(rho, k, k, _PARTIAL_TRANSPOSE))
         if w[0] >= 0.0 and _herm_eigvalsh(rho)[0] >= 0.0:
             rho = 0.5 * (rho + rho.conj().T)
             return BipartiteOperator(rho / np.trace(rho).real, dim_a=k, dim_b=k)
-        rho, _ = _clip_psd(partial_transpose(BipartiteOperator(clipped, k, k)).mat)
+        rho, _ = _clip_psd(_permute_slots(clipped, k, k, _PARTIAL_TRANSPOSE))
         rho /= np.trace(rho).real
     raise RejectionBudgetExhausted(f"PPT re-projection did not settle at k={k}")
 

@@ -41,7 +41,7 @@ def _as_locked_complex(entries, stacked: bool = False) -> np.ndarray:
     if mat.ndim != 2 + stacked or mat.shape[-2] != mat.shape[-1]:
         what = "stack of square matrices" if stacked else "square matrix"
         raise ValueError(f"entries must be a {what}, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(float))):
+    if not np.isfinite(mat.view(float)).all():
         raise ValueError("entries must be finite (no NaN/Inf)")
     mat.setflags(write=False)
     return mat
@@ -121,6 +121,20 @@ class BipartiteOperator:
         """Read-only view with axes (row_a, row_b, col_a, col_b)."""
         k, m = self.dim_a, self.dim_b
         return self.mat.reshape(k, m, k, m)
+
+    def _permuted(self, axes: tuple[int, ...], dim_a: int, dim_b: int) -> "BipartiteOperator":
+        """The operator on C^dim_a (x) C^dim_b whose 4-tensor is this one's with ``axes`` permuted.
+
+        The entries are this operator's, already checked finite, so the result
+        is locked without ``__init__``'s copy and check.
+        """
+        mat = _permute_slots(self.mat, self.dim_a, self.dim_b, axes)
+        mat.setflags(write=False)
+        op = object.__new__(BipartiteOperator)
+        object.__setattr__(op, "dim_a", dim_a)
+        object.__setattr__(op, "dim_b", dim_b)
+        object.__setattr__(op, "mat", mat)
+        return op
 
     def to_json(self) -> dict:
         return {
@@ -206,6 +220,12 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     (ra, ca), (rb, cb) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
+def _permute_slots(mat: np.ndarray, k: int, m: int, axes: tuple[int, ...]) -> np.ndarray:
+    """A (k*m) x (k*m) matrix with the axes of its (k, m, k, m) tensor permuted."""
+    side = k * m
+    return mat.reshape(k, m, k, m).transpose(axes).reshape(side, side)
 
 
 def kron(a: LocalOperator, b: LocalOperator) -> BipartiteOperator:
@@ -300,7 +320,9 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     Eigenvalues are sorted descending.  Each eigenvector's phase is fixed by
     making its largest-modulus coordinate real positive, and within degenerate
     clusters the columns are ordered lexicographically by their rounded
-    coordinates, so repeated runs (and golden files) agree bit for bit.
+    coordinates, so repeated runs (and golden files) agree bit for bit.  A
+    cluster's width is ``1e-12 * max|eigenvalue|``, so it scales with the
+    input.
     """
     mat = _require_hermitian(np.asarray(a.mat), tols)
     try:
@@ -309,23 +331,21 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
+    if w.size:
+        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(w.size)]
+        # scalar arithmetic per pivot: numpy's array abs and division round differently
+        v *= np.array([p.conjugate() / abs(p) if abs(p) > 0 else 1.0 for p in pivots])
 
-    for col in range(v.shape[1]):
-        j = int(np.argmax(np.abs(v[:, col])))
-        pivot = v[j, col]
-        if abs(pivot) > 0:
-            v[:, col] *= np.conj(pivot) / abs(pivot)
-
-    # Reorder inside degenerate clusters only; the eigenvalue order is kept.
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    for cluster in _clusters(w, 1e-12 * scale):
-        if len(cluster) > 1:
-            keys = [
-                tuple(np.round(np.concatenate([v[:, c].real, v[:, c].imag]), 10))
-                for c in cluster
-            ]
-            order = sorted(range(len(cluster)), key=lambda i: keys[i])
-            v[:, cluster] = v[:, [cluster[i] for i in order]]
+        # Reorder inside degenerate clusters only; the eigenvalue order is kept.
+        scale = max(abs(float(w[0])), abs(float(w[-1])), np.finfo(float).tiny)
+        for cluster in _clusters(w, 1e-12 * scale):
+            if len(cluster) > 1:
+                keys = [
+                    tuple(np.round(np.concatenate([v[:, c].real, v[:, c].imag]), 10))
+                    for c in cluster
+                ]
+                order = sorted(range(len(cluster)), key=lambda i: keys[i])
+                v[:, cluster] = v[:, [cluster[i] for i in order]]
     w.setflags(write=False)
     v.setflags(write=False)
     return SpectralData(eigenvalues=w, eigenvectors=v)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,44 @@ def test_all_24_preserve_frobenius():
         fro = norms(g).frobenius_norm
         for sigma in _all_permutations():
             assert abs(norms(contraction_by_permutation(sigma, g)).frobenius_norm - fro) <= 1e-12
+
+
+def test_all_24_are_locked_transposes_that_round_trip_json():
+    # each result is read-only, equals the defining transpose of the input's
+    # slots (slot s of the output holds slot sigma(s) of the input), and
+    # serializes losslessly
+    rng = rng_from_seed(15)
+    for k, m in ((2, 2), (3, 3), (2, 3)):
+        g = random_operator(rng, k, m)
+        slots = g.mat.reshape(k, m, k, m).transpose(0, 2, 1, 3)  # (row_a, col_a, row_b, col_b)
+        for sigma in _all_permutations():
+            out_slots = slots.transpose([s - 1 for s in sigma])
+            if out_slots.shape[0] != out_slots.shape[1]:
+                with pytest.raises(DimensionMismatch):
+                    contraction_by_permutation(sigma, g)
+                continue
+            out = contraction_by_permutation(sigma, g)
+            assert (out.dim_a, out.dim_b) == (out_slots.shape[0], out_slots.shape[2]), sigma
+            expected = out_slots.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+            assert np.array_equal(out.mat, expected), sigma
+            assert not out.mat.flags.writeable, sigma
+            with pytest.raises(ValueError):
+                out.mat[0, 0] = 1.0
+            back = BipartiteOperator.from_json(json.loads(json.dumps(out.to_json())))
+            assert (back.dim_a, back.dim_b) == (out.dim_a, out.dim_b), sigma
+            assert np.array_equal(back.mat, out.mat), sigma
+
+
+def test_operator_copies_the_callers_array():
+    # the copy boundary is __init__: a caller mutating its array afterwards
+    # changes neither the operator nor the contractions taken from it
+    arr = random_operator(rng_from_seed(16), 2).mat.copy()
+    original = arr.copy()
+    g = BipartiteOperator(arr, 2, 2)
+    images = [contraction_by_permutation(sigma, g) for sigma in _all_permutations()]
+    before = [image.mat.copy() for image in images]
+    arr[:] = 7.0
+    assert np.array_equal(g.mat, original)
+    for sigma, image, mat in zip(_all_permutations(), images, before):
+        assert np.array_equal(image.mat, mat), sigma
+        assert np.array_equal(contraction_by_permutation(sigma, g).mat, mat), sigma

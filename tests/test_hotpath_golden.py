@@ -17,6 +17,12 @@ library-generated and rotated state at k = 4, ``fully_indecomposable_probe``
 on classical_diag (a decomposable witness pair) and on random_spc (indecomposable_likely), and a
 constructed ``ExtractionFailure``, since no generated input declines.
 
+The survey path has its own cases: each of the five generators at k = 4..6
+(seed 12), and ``hermitian_eig`` on those states and on classical_diag,
+bell and identity_plus_u at k = 2..4, whose degenerate clusters exercise
+the reordering.  An eigendecomposition is digested as the bytes of its
+eigenvalues followed by those of its eigenvectors.
+
 To rewrite the goldens after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_hotpath_golden.py``; it prints the names
 of the cases whose digest changed.
@@ -33,11 +39,13 @@ from triadops import (
     decompose,
     doubly_stochastic_check,
     fully_indecomposable_probe,
+    hermitian_eig,
     minimal_rank_extract,
     ppt_pair_forces_invariance,
     random_density,
     random_invariant,
     random_ppt,
+    random_separable,
     random_spc,
     rng_from_seed,
     sinkhorn_filter,
@@ -78,6 +86,21 @@ ITERATING = {
 }
 
 
+GENERATORS = {
+    "density": lambda k: random_density(k, k * k, 12),
+    "separable": lambda k: random_separable(k, 2 * k, 12)[0],
+    "ppt": lambda k: random_ppt(k, 12),
+    "spc": lambda k: random_spc(k, 12),
+    "invariant": lambda k: random_invariant(k, 12),
+}
+
+
+def _eig_digest(gamma):
+    spectral = hermitian_eig(gamma)
+    data = spectral.eigenvalues.tobytes() + spectral.eigenvectors.tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
 def _digest(call):
     try:
         text = _format_json(call().to_json())
@@ -115,6 +138,14 @@ def _collect():
     yield "extraction-failure", _digest(
         lambda: ExtractionFailure("split", "forced", {"residual": 1e-3})
     )
+    for k in (4, 5, 6):
+        for name, make in GENERATORS.items():
+            gamma = make(k)
+            yield f"{name} k{k} generate", _digest(lambda: gamma)
+            yield f"{name} k{k} hermitian_eig", _eig_digest(gamma)
+    for k in (2, 3, 4):
+        for name in ("classical_diag", "bell", "identity_plus_u"):
+            yield f"{name} k{k} hermitian_eig", _eig_digest(canonical(name, k))
 
 
 def test_hot_path_matches_goldens():

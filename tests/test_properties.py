@@ -134,3 +134,38 @@ def test_filter_expansion_is_orthonormal_and_normal_forms_stay_fixed(k, kind, se
         bound += DEFAULT.rank * sd.coefficients[0] * np.sqrt(k * k - len(sd.coefficients))
         assert np.linalg.norm(sd.reconstruct().mat - nf) <= bound, mode
         assert sinkhorn_filter(fr.normal_form, mode).iterations == 0, mode
+
+
+@given(
+    k=st.integers(2, 5),
+    kind=st.sampled_from(["spc", "invariant", "ppt"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decomposition_tree_reconstructs_its_input(k, kind, seed):
+    # two generated states of the class on complementary local subspaces; a
+    # block-diagonal PD congruence and a Haar rotation, V (x) V for SPC,
+    # V (x) conj(V) for invariant and V (x) W for PPT, keep both the class
+    # and the split
+    rng = np.random.default_rng(seed)
+    a = int(rng.integers(1, k))
+    eye = np.eye(k)
+    mat = sum(
+        np.kron(e, e) @ GENERATORS[kind](e.shape[1], seed + i).mat @ np.kron(e, e).T
+        for i, e in enumerate((eye[:, :a], eye[:, a:]))
+    )
+
+    def local():
+        blocks = np.zeros((k, k), dtype=complex)
+        blocks[:a, :a] = random_pd_local(rng, a)
+        blocks[a:, a:] = random_pd_local(rng, k - a)
+        return haar_unitary(rng, k) @ blocks
+
+    v = local()
+    w = {"spc": v, "invariant": v.conj(), "ppt": local()}[kind]
+    g = local_scale(BipartiteOperator(mat, k, k), v, w)
+    assert getattr(classify(g), kind)
+
+    tree = decompose(g)
+    assert len(tree.leaves()) >= 2
+    residual = np.linalg.norm(tree.reconstruct() - g.mat)
+    assert residual <= k * DEFAULT.split * np.linalg.norm(g.mat)

@@ -20,6 +20,7 @@ from triadops import (
     norms,
     ppt_pair_forces_invariance,
     psd_check,
+    random_density,
     rng_from_seed,
 )
 from triadops.errors import DimensionMismatch, NotHermitian, NotPSD, ZeroMatrix
@@ -150,6 +151,17 @@ def test_hermitian_eig_reconstruction_sweep():
         rebuilt = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.conj().T
         assert np.linalg.norm(rebuilt - h) <= 1e-10 * np.linalg.norm(h)
         assert np.all(np.diff(sd.eigenvalues) <= 1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-13, 1e-15])
+def test_hermitian_eig_pairs_vectors_with_values_at_any_scale(scale):
+    # reordering inside a degenerate cluster must keep every eigenvector with
+    # its eigenvalue at any scale, so the cluster width is relative
+    a = scale * random_density(3, 9, 1).mat
+    sd = hermitian_eig(BipartiteOperator(a, 3, 3))
+    v, w = sd.eigenvectors, sd.eigenvalues
+    assert np.linalg.norm(a @ v - v * w) <= 1e-13 * np.linalg.norm(a)
+    assert np.all(np.diff(w) <= 0.0)
 
 
 def test_hermitian_eig_deterministic():
