@@ -324,35 +324,6 @@ def _spc_defect(op: BipartiteOperator) -> float:
     return herm + max(0.0, -min_eig)
 
 
-def _normal_form(gamma: BipartiteOperator, mode: str, max_iter: int, tols: Tolerances):
-    """Check a filter input, then run the scaling engine of its mode.
-
-    Raises what ``sinkhorn_filter`` documents, in the same order.  Returns
-    (delta, fa, fb, iterations, converged, log, res_a, res_b) as
-    ``_scaling_engine`` does, with fb = None in left mode; no Schmidt data
-    and no class residual are computed.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    k = _require_square(gamma, "filtering")
-    _require_psd(gamma, tols)
-    mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
-    mat = mat / np.trace(mat).real
-    _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "a"), "A", tols.rank)
-    _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "b"), "B", tols.rank)
-
-    if mode == "symmetric" and not classify(gamma, tols).spc:
-        raise WrongClassForMode("symmetric mode needs an SPC input")
-    if mode == "conjugate" and not classify(gamma, tols).invariant:
-        raise WrongClassForMode("conjugate mode needs a realignment-invariant input")
-
-    if mode == "left":
-        return _left_engine(mat, k, max_iter, tols)
-    return _scaling_engine(mat, k, mode, max_iter, tols)
-
-
 def sinkhorn_filter(
     gamma: BipartiteOperator,
     mode: str = "general",
@@ -370,10 +341,26 @@ def sinkhorn_filter(
     instead of raising, since decomposable inputs may cycle and the
     iteration log is useful evidence.
     """
-    delta, fa, fb, iterations, converged, log, res_a, res_b = _normal_form(
-        gamma, mode, max_iter, tols
-    )
-    k = gamma.dim_a
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    k = _require_square(gamma, "filtering")
+    _require_psd(gamma, tols)
+    mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
+    mat = mat / np.trace(mat).real
+    _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "a"), "A", tols.rank)
+    _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "b"), "B", tols.rank)
+    if mode == "symmetric" and not classify(gamma, tols).spc:
+        raise WrongClassForMode("symmetric mode needs an SPC input")
+    if mode == "conjugate" and not classify(gamma, tols).invariant:
+        raise WrongClassForMode("conjugate mode needs a realignment-invariant input")
+
+    if mode == "left":
+        run = _left_engine(mat, k, max_iter, tols)
+    else:
+        run = _scaling_engine(mat, k, mode, max_iter, tols)
+    delta, fa, fb, iterations, converged, log, res_a, res_b = run
     normal_form = BipartiteOperator(delta, k, k)
     expansion, id_defect = _identity_aligned_expansion(normal_form, tols)
     if mode == "symmetric":

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionNotMet,
     ZeroMatrix,
 )
-from .filters import MAX_ITER, _normal_form
+from .filters import MAX_ITER, _scaling_engine
 from .schmidt_maps import (
     _identity_split,
     fg_apply,
@@ -556,8 +556,10 @@ def minimal_rank_extract(
     reduced ranks equals the local dimension k.  A tolerance failure comes
     back as an ExtractionFailure naming its step:
 
-    ``filter``             the state is filtered to identity marginals, with
-                           the filter mode matching its class;
+    ``filter``             the state is filtered to identity marginals by the
+                           two-sided (general) filter, whatever its class:
+                           a rank-k normal form with both marginals Id/k
+                           has orthonormal product factors on both sides;
     ``equal-eigenvalues``  the top k eigenvalues of the filtered state's
                            composite map must equal 1/k^2;
     ``common-eigenbasis``  their eigenspace, spanned by the P(a_i) of the
@@ -580,18 +582,19 @@ def minimal_rank_extract(
             f"{rb_report.rank} and reduced ranks {rb_report.reduced_ranks}"
         )
 
-    if classification.spc:
-        mode = "symmetric"
-    elif classification.invariant:
-        mode = "conjugate"
-    else:
-        mode = "general"
-    # the filter's normal form and filters only; its Schmidt data is not needed
-    delta, fa, fb, iterations, converged, _, res_a, res_b = _normal_form(gamma, mode, MAX_ITER, tols)
+    _require_psd(gamma, tols)
+    gn = 0.5 * (gamma.mat + gamma.mat.conj().T)
+    gn = gn / np.trace(gn).real
+
+    # no marginal guard: the rank check capped both marginals' condition
+    # numbers at 1 / tols.rank, below the filter's limit
+    delta, fa, fb, iterations, converged, _, res_a, res_b = _scaling_engine(
+        gn, k, "general", MAX_ITER, tols
+    )
     if not converged:
         return ExtractionFailure(
             step="filter",
-            detail=f"{mode} filter did not converge in {iterations} iterations",
+            detail=f"general filter did not converge in {iterations} iterations",
             residuals={"marginal_residual_a": res_a, "marginal_residual_b": res_b},
         )
 
@@ -601,8 +604,6 @@ def minimal_rank_extract(
 
     fa_inv = np.linalg.inv(fa)
     fb_inv = np.linalg.inv(fb)
-    gn = 0.5 * (gamma.mat + gamma.mat.conj().T)
-    gn = gn / np.trace(gn).real
 
     terms: list[ProductTerm] = []
     total = np.zeros_like(gn)

@@ -205,16 +205,26 @@ def _suite_reducibility(div: int, seed: int) -> tuple[bool, str]:
     for k, n in ((2, 34), (3, 33), (4, 33)):
         fixture = canonical("classical_diag", k)
         for s in range(n // div):
-            q, r = np.linalg.qr(_random_local(rng_from_seed(seed + 7500 + 13 * s + k), k))
+            rng = rng_from_seed(seed + 7500 + 13 * s + k)
+            q, r = np.linalg.qr(_random_local(rng, k))
             u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar unitary
-            g = BipartiteOperator(_congruence(u, u, fixture.mat), k, k)
-            out = minimal_rank_extract(g, classify(g))
-            if not isinstance(out, SeparableDecomposition):
-                return False, f"extraction failed at step {out.step} (k={k}, draw {s})"
-            if any(np.linalg.eigvalsh(f.mat)[0] < -1e-9 for _, x, y in out.terms for f in (x, y)):
-                return False, f"extracted factor is not PSD (k={k}, draw {s})"
-            worst = max(worst, out.reconstruction_residual)
-            extractions += 1
+            # positive definite V, W, on which the extraction's filter iterates
+            x, y = _random_local(rng, k), _random_local(rng, k)
+            v, w = x @ x.conj().T + 0.3 * np.eye(k), y @ y.conj().T + 0.3 * np.eye(k)
+            for shape, a, b in (
+                ("Haar V (x) V", u, u),
+                ("PD V (x) V", v, v),
+                ("PD V (x) conj(V)", v, v.conj()),
+                ("PD V (x) W", v, w),
+            ):
+                g = BipartiteOperator(_congruence(a, b, fixture.mat), k, k)
+                out = minimal_rank_extract(g, classify(g))
+                if not isinstance(out, SeparableDecomposition):
+                    return False, f"extraction failed at step {out.step} ({shape}, k={k}, draw {s})"
+                if any(np.linalg.eigvalsh(f.mat)[0] < -1e-9 for _, x, y in out.terms for f in (x, y)):
+                    return False, f"extracted factor is not PSD ({shape}, k={k}, draw {s})"
+                worst = max(worst, out.reconstruction_residual)
+                extractions += 1
     return worst <= 1e-7, (
         f"rank bounds on {states} states, {extractions} extractions, worst residual {worst:.2e}"
     )

@@ -149,16 +149,6 @@ class BipartiteOperator:
         mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
         return cls(mat, dim_a=int(data["dim_a"]), dim_b=int(data["dim_b"]))
 
-    @classmethod
-    def square(cls, entries) -> "BipartiteOperator":
-        """Wrap a k^2 x k^2 matrix as an operator on C^k (x) C^k."""
-        mat = np.asarray(entries)
-        side = mat.shape[0]
-        k = round(side ** 0.5)
-        if k * k != side:
-            raise ValueError(f"matrix side {side} is not a perfect square")
-        return cls(mat, dim_a=k, dim_b=k)
-
 
 Operator = Union[LocalOperator, BipartiteOperator]
 

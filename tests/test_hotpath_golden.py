@@ -7,7 +7,9 @@ every float64 round-trips) for ``sinkhorn_filter`` in every mode and for
 rotation of classical_diag, for the symmetric and conjugate modes on
 random_spc and random_invariant under a seeded positive definite filter
 (inputs on which those modes iterate), and for ``minimal_rank_extract`` on
-classical_diag under seeded Haar V (x) V, V (x) conj(V) and V (x) W.  A mode,
+classical_diag under seeded Haar V (x) V, V (x) conj(V) and V (x) W and under
+seeded positive definite filters of the same three shapes (inputs on which
+the extraction's filter iterates).  A mode,
 a decomposition or an extraction that the input does not admit records the
 name of the error raised.
 
@@ -74,9 +76,12 @@ STATES = {
 
 
 def _pd_scaled(gamma, k, seed, right):
-    """gamma under a seeded positive definite V (x) V or V (x) conj(V) (right = "V", "Vbar")."""
-    v = random_pd_local(rng_from_seed(seed), k)
-    return local_scale(gamma, v, v if right == "V" else v.conj())
+    """gamma under a seeded positive definite V (x) V, V (x) conj(V) or V (x) W
+    (right = "V", "Vbar", "W")."""
+    rng = rng_from_seed(seed)
+    v = random_pd_local(rng, k)
+    w = {"V": lambda: v, "Vbar": v.conj, "W": lambda: random_pd_local(rng, k)}[right]()
+    return local_scale(gamma, v, w)
 
 
 # inputs that are not yet normal, so the one-filter modes iterate
@@ -125,6 +130,12 @@ def _collect():
         for right in ("V", "Vbar", "W"):
             gamma = _rotated_classical_diag(k, 70 + k, right)
             yield f"classical_diag-V{right} k{k} extract", _digest(
+                lambda: minimal_rank_extract(gamma, classify(gamma))
+            )
+    for k in (4, 5, 6):
+        for right in ("V", "Vbar", "W"):
+            gamma = _pd_scaled(canonical("classical_diag", k), k, 900 + k, right)
+            yield f"classical_diag-PDV{right} k{k} extract", _digest(
                 lambda: minimal_rank_extract(gamma, classify(gamma))
             )
     for name, make in STATES.items():

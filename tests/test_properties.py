@@ -4,6 +4,8 @@ Hypothesis draws the inputs under the derandomized ``tier1`` profile that
 ``conftest.py`` loads, so every run checks the same examples.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from triadops import (
     BipartiteOperator,
+    LocalOperator,
     SeparableDecomposition,
+    canonical,
     classify,
     decompose,
     doubly_stochastic_check,
@@ -23,10 +27,11 @@ from triadops import (
     random_spc,
     sinkhorn_filter,
 )
+from triadops.cli import _format_json
 from triadops.errors import ToolkitError, WrongClassForMode
 from triadops.tolerances import DEFAULT
 
-from conftest import haar_unitary, local_scale, random_pd_local
+from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local
 
 
 @given(
@@ -71,6 +76,11 @@ GENERATORS = {
 MODES = ("general", "symmetric", "conjugate", "left")
 
 
+def _leaves(g):
+    """Side and status of each leaf of ``decompose(g)``."""
+    return [(n.state.dim_a, n.state.dim_b, n.leaf_status) for n in decompose(g).leaves()]
+
+
 def _verdicts(g):
     """Class flags, doubly-stochastic verdict, decompose leaves and filter
     convergence per mode; a refused call records its error's name."""
@@ -85,9 +95,7 @@ def _verdicts(g):
     return (
         (c.ppt, c.spc, c.invariant),
         outcome(lambda: doubly_stochastic_check(g).doubly_stochastic),
-        outcome(
-            lambda: [(n.state.dim_a, n.state.dim_b, n.leaf_status) for n in decompose(g).leaves()]
-        ),
+        outcome(lambda: _leaves(g)),
         [outcome(lambda: sinkhorn_filter(g, mode).converged) for mode in MODES],
     )
 
@@ -103,6 +111,60 @@ def test_verdicts_do_not_depend_on_scale(k, kind, seed, exponent):
     g = GENERATORS[kind](k, seed)
     scaled = BipartiteOperator(10.0**exponent * g.mat, k, k)
     assert _verdicts(scaled) == _verdicts(g)
+
+
+# the local shape that keeps each class: V (x) W for PPT, V (x) V for SPC and
+# V (x) conj(V) for invariant states, and the flags it keeps (a local
+# congruence keeps the PPT flag, set or not)
+SHAPES = {"ppt": "W", "spc": "V", "invariant": "Vbar"}
+KEPT_FLAGS = {"ppt": ("ppt",), "spc": ("ppt", "spc"), "invariant": ("ppt", "invariant")}
+
+
+@given(
+    k=st.integers(2, 5),
+    kind=st.sampled_from(list(SHAPES)),
+    split=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_flags_and_leaves_survive_class_preserving_congruences(k, kind, split, seed):
+    # a generated state of the class, or classical_diag (in all three
+    # classes), which splits into k leaves of side 1
+    g = canonical("classical_diag", k) if split else GENERATORS[kind](k, seed)
+    rng = np.random.default_rng(seed)
+    v = random_pd_local(rng, k)
+    w = {"W": lambda: random_pd_local(rng, k), "V": lambda: v, "Vbar": v.conj}[SHAPES[kind]]()
+    scaled = local_scale(g, v, w)
+
+    def flags(op):
+        c = classify(op)
+        return [getattr(c, name) for name in KEPT_FLAGS[kind]]
+
+    assert getattr(classify(g), kind)
+    assert flags(scaled) == flags(g)
+    assert _leaves(haar_congruence(g, rng, SHAPES[kind])) == _leaves(g)
+
+
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    exponent=st.floats(-300.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operators_survive_a_json_round_trip(dims, exponent, seed):
+    # the CLI's 17 significant digits carry every float64 back unchanged
+    rng = np.random.default_rng(seed)
+    ka, kb = dims
+    n = ka * kb
+    mat = 10.0**exponent * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+    def round_trip(op):
+        return type(op).from_json(json.loads(_format_json(op.to_json())))
+
+    op = BipartiteOperator(mat, ka, kb)
+    back = round_trip(op)
+    assert np.array_equal(back.mat, op.mat) and (back.dim_a, back.dim_b) == dims
+    local = LocalOperator(mat[:ka, :ka])
+    back = round_trip(local)
+    assert np.array_equal(back.mat, local.mat) and back.dim == ka
 
 
 @given(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -32,7 +33,7 @@ from triadops.errors import (
     PreconditionNotMet,
 )
 
-from triadops.cli import main
+from triadops.cli import _format_json, main
 from triadops.reducibility import _psd_boundary
 
 from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local, random_psd_local
@@ -358,9 +359,9 @@ def test_extract_rotated_classical_diag(k):
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_extract_classical_diag_under_pd_filters(k, right):
     # a positive definite, non-unitary V (x) V or V (x) conj(V) makes the
-    # symmetric or conjugate filter iterate; stopped as soon as its residual
-    # fell under tols.filter, the filter left split residuals above bound on
-    # keys 35 (k = 4, Vbar), 8 (k = 5) and 9 (k = 6)
+    # extraction's two-sided filter iterate; keys 35 (k = 4, Vbar), 8 (k = 5)
+    # and 9 (k = 6) once left split residuals above bound, when a one-filter
+    # run stopped as soon as its residual fell under tols.filter
     cd = canonical("classical_diag", k)
     for key in (*range(10), 35):
         v = random_pd_local(rng_from_seed(400 + 10 * k + key), k)
@@ -371,6 +372,28 @@ def test_extract_classical_diag_under_pd_filters(k, right):
         assert isinstance(out, SeparableDecomposition), (k, right, key, out)
         assert out.reconstruction_residual <= 1e-7
         assert len(out.terms) == k
+
+
+@pytest.mark.parametrize("right", ["V", "Vbar"])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_extract_does_not_depend_on_the_class_flag(k, right, monkeypatch):
+    # classical_diag under a PD V (x) V is SPC, under V (x) conj(V) invariant,
+    # and PPT either way; the extraction runs one filter for every class and
+    # classifies nothing, so the PPT flag alone gives the same bytes
+    v = random_pd_local(rng_from_seed(500 + k), k)
+    g = local_scale(canonical("classical_diag", k), v, v if right == "V" else v.conj())
+    cls = classify(g)
+    assert cls.ppt and (cls.spc if right == "V" else cls.invariant)
+    ppt_only = dataclasses.replace(cls, spc=False, invariant=False)
+
+    def refuse(*_):
+        raise AssertionError("extraction called classify")
+
+    for module in ("criteria", "filters", "reducibility"):
+        monkeypatch.setattr(f"triadops.{module}.classify", refuse)
+    out = minimal_rank_extract(g, cls)
+    assert isinstance(out, SeparableDecomposition), out
+    assert _format_json(out.to_json()) == _format_json(minimal_rank_extract(g, ppt_only).to_json())
 
 
 @pytest.mark.parametrize("right", ["V", "Vbar", "W"])
@@ -425,7 +448,7 @@ def test_extract_orders_unequal_weights_first():
 def test_extract_random_rank_k_mixtures(k):
     # minimal-rank states with genuinely non-orthogonal product factors;
     # ground truth is separability by construction, and the rank conditions
-    # force the extraction to succeed through the general filter mode
+    # are all the extraction needs, whichever class flag is set
     for seed in range(15):
         rng = rng_from_seed(10_000 + 7 * seed + k)
         weights = rng.dirichlet(np.ones(k)) * 0.8 + 0.2 / k
