@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .tensor_core import BipartiteOperator, _require_square
+from .tensor_core import BipartiteOperator, _cached, _require_square
 
 __all__ = [
     "partial_transpose",
@@ -54,7 +54,11 @@ _REALIGN = _AXES[1, 3, 2, 4]
 
 def partial_transpose(gamma: BipartiteOperator) -> BipartiteOperator:
     """Transpose the second factor (slot swap 3<->4); an involution."""
-    return gamma._permuted(_PARTIAL_TRANSPOSE, gamma.dim_a, gamma.dim_b)
+    return _cached(
+        gamma,
+        "partial_transpose",
+        lambda: gamma._permuted(_PARTIAL_TRANSPOSE, gamma.dim_a, gamma.dim_b),
+    )
 
 
 def left_transpose(gamma: BipartiteOperator) -> BipartiteOperator:
@@ -69,7 +73,7 @@ def realign(gamma: BipartiteOperator) -> BipartiteOperator:
     and preserves the Frobenius norm.  Requires equal factor dimensions.
     """
     k = _require_square(gamma, "realign")
-    return gamma._permuted(_REALIGN, k, k)
+    return _cached(gamma, "realign", lambda: gamma._permuted(_REALIGN, k, k))
 
 
 def maximally_entangled_vector(k: int) -> np.ndarray:

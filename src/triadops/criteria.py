@@ -22,12 +22,12 @@ from .contractions import partial_transpose, realign
 from .errors import NotAState, PreconditionNotMet
 from .tensor_core import (
     BipartiteOperator,
-    _herm_eigvalsh,
     _hermitian_ok,
     _JsonRecord,
     _psd_ok,
     _require_psd,
     _require_square,
+    _spectrum,
     norms,
     psd_check,
 )
@@ -82,33 +82,32 @@ def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClass
     tiny = np.finfo(float).tiny
     is_hermitian = _hermitian_ok(float(np.linalg.norm(mat - mat.conj().T)), scale, tols)
 
-    w = _herm_eigvalsh(mat)
+    w = _spectrum(gamma)
     op_norm = float(np.max(np.abs(w)))
     # every class flag presupposes a Hermitian PSD input
     is_psd = is_hermitian and _psd_ok(float(w[0]), op_norm, tols)
     is_state = bool(is_psd and abs(np.trace(mat).real - 1.0) <= _TRACE_TOL)
 
     pt = partial_transpose(gamma)
-    ppt_min = float(_herm_eigvalsh(pt.mat)[0])
+    ppt_min = float(_spectrum(pt)[0])
     ppt = is_psd and _psd_ok(ppt_min, op_norm, tols)
 
-    rpt = realign(pt).mat
+    rpt = realign(pt)
     # the defect is already relative to ||gamma||, so its scale is 1
-    spc_defect = float(np.linalg.norm(rpt - rpt.conj().T)) / max(scale, tiny)
-    spc_min = float(_herm_eigvalsh(rpt)[0])
+    spc_defect = float(np.linalg.norm(rpt.mat - rpt.mat.conj().T)) / max(scale, tiny)
+    spc_min = float(_spectrum(rpt)[0])
     spc = is_psd and _hermitian_ok(spc_defect, 1.0, tols) and _psd_ok(spc_min, op_norm, tols)
 
-    r = realign(gamma).mat
-    inv_dist = float(np.linalg.norm(r - mat))
+    r = realign(gamma)
+    inv_dist = float(np.linalg.norm(r.mat - mat))
     invariant = bool(is_psd and inv_dist <= tols.invariance * max(scale, tiny))
 
-    ccnr = float(np.sum(np.linalg.svd(r, compute_uv=False)))
     return TriadClassification(
         is_state=is_state,
         ppt=ppt,
         spc=spc,
         invariant=invariant,
-        ccnr_value=ccnr,
+        ccnr_value=norms(r).trace_norm,
         residuals=TriadResiduals(
             ppt_min_eigenvalue=ppt_min,
             spc_min_eigenvalue=spc_min,
@@ -128,8 +127,7 @@ def ccnr_entanglement_flag(gamma: BipartiteOperator, tols: Tolerances = DEFAULT)
     if not report.is_psd or abs(np.trace(gamma.mat).real - 1.0) > _TRACE_TOL:
         raise NotAState("CCNR flag is defined for trace-one PSD inputs")
     _require_square(gamma, "the CCNR flag")
-    ccnr = float(np.sum(np.linalg.svd(realign(gamma).mat, compute_uv=False)))
-    return bool(ccnr > 1.0 + tols.ccnr)
+    return bool(norms(realign(gamma)).trace_norm > 1.0 + tols.ccnr)
 
 
 @dataclass(frozen=True)
@@ -228,12 +226,12 @@ def ppt_pair_forces_invariance(
     _require_psd(gamma, tols)
     op_norm = norms(gamma).operator_norm
 
-    gamma_ppt = _psd_ok(_herm_eigvalsh(partial_transpose(gamma).mat)[0], op_norm, tols)
+    gamma_ppt = _psd_ok(_spectrum(partial_transpose(gamma))[0], op_norm, tols)
     r = realign(gamma)
     defect = float(np.linalg.norm(r.mat - r.mat.conj().T))
     r_herm = _hermitian_ok(defect, float(np.linalg.norm(gamma.mat)), tols)
-    r_psd = _psd_ok(_herm_eigvalsh(r.mat)[0], op_norm, tols)
-    r_ppt = _psd_ok(_herm_eigvalsh(partial_transpose(r).mat)[0], op_norm, tols)
+    r_psd = _psd_ok(_spectrum(r)[0], op_norm, tols)
+    r_ppt = _psd_ok(_spectrum(partial_transpose(r))[0], op_norm, tols)
 
     both = gamma_ppt and r_herm and r_psd and r_ppt
     dist = float(np.linalg.norm(r.mat - gamma.mat))

@@ -26,7 +26,9 @@ from .tensor_core import (
     BipartiteOperator,
     LocalOperator,
     _JsonRecord,
+    _cached,
     _kron,
+    _locked,
     _partial_trace,
     _require_hermitian,
     _require_square,
@@ -52,12 +54,16 @@ __all__ = [
 
 def reduced_a(gamma: BipartiteOperator) -> LocalOperator:
     """Partial trace over the second factor."""
-    return LocalOperator(_partial_trace(gamma.tensor4, "a"), dim=gamma.dim_a)
+    return _cached(
+        gamma, "reduced_a", lambda: LocalOperator(_partial_trace(gamma.tensor4, "a"), dim=gamma.dim_a)
+    )
 
 
 def reduced_b(gamma: BipartiteOperator) -> LocalOperator:
     """Partial trace over the first factor."""
-    return LocalOperator(_partial_trace(gamma.tensor4, "b"), dim=gamma.dim_b)
+    return _cached(
+        gamma, "reduced_b", lambda: LocalOperator(_partial_trace(gamma.tensor4, "b"), dim=gamma.dim_b)
+    )
 
 
 def _local_mat(x) -> np.ndarray:
@@ -132,10 +138,8 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
     pivots = lefts[np.arange(len(lefts)), np.argmax(np.abs(lefts), axis=1)]
     # scalar arithmetic per pivot: numpy's array abs and division round differently
     phases = np.array([[np.conj(p) / abs(p) if abs(p) > 0 else 1.0] for p in pivots])
-    coeffs = s[keep].copy()
-    coeffs.setflags(write=False)
     return SchmidtDecomposition(
-        coefficients=coeffs,
+        coefficients=_locked(s[keep]),
         left_ops=LocalOperator._stack((lefts * phases).reshape(-1, k, k)),
         right_ops=LocalOperator._stack((vh[keep] * np.conj(phases)).reshape(-1, k, k)),
     )
@@ -177,8 +181,7 @@ def hermitian_basis(k: int) -> np.ndarray:
         h[np.arange(l), np.arange(l)] = 1.0
         h[l, l] = -l
         elems.append(h / np.sqrt(l * (l + 1)))
-    basis = np.stack(elems)
-    basis.setflags(write=False)
+    basis = _locked(np.stack(elems))
     _BASIS_CACHE[k] = basis
     return basis
 
@@ -225,8 +228,7 @@ def g_matrix(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> HermitianB
     # entry [a, b] is vec(h_b^T) . realign(gamma) . vec(h_a^T), and row a of
     # ``rows`` is vec(h_a^T)
     rows = hermitian_basis(k).reshape(k * k, k * k).conj()
-    mat = np.ascontiguousarray((rows @ realign(gamma).mat.T @ rows.T).real)
-    mat.setflags(write=False)
+    mat = _locked(np.ascontiguousarray((rows @ realign(gamma).mat.T @ rows.T).real))
     return HermitianBasisMatrix(dim=k, matrix=mat)
 
 
@@ -239,6 +241,4 @@ def fg_matrix(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> Hermitian
     """
     m = g_matrix(gamma, tols).matrix
     out = m.T @ m
-    out = 0.5 * (out + out.T)
-    out.setflags(write=False)
-    return HermitianBasisMatrix(dim=gamma.dim_a, matrix=out)
+    return HermitianBasisMatrix(dim=gamma.dim_a, matrix=_locked(0.5 * (out + out.T)))

@@ -7,12 +7,29 @@ complex matrix.  The composite basis vector e_i (x) f_j maps to row
 ``i*m + j`` (row-major composite index).  Every contraction formula in the
 toolkit is written against this convention.
 
-All values are immutable after construction (the underlying arrays are
-locked), so they are safe to share between threads.
+All values are immutable after construction, so they are safe to share
+between threads.  An operator's matrix is a read-only view whose owning
+array is read-only too, so its writes cannot be turned back on.
+
+Memo
+----
+Classification, the spectral bounds and the Schmidt decomposition read the
+spectra of the same few matrices of one input: gamma, its partial transpose,
+their realignments and the two marginals.  ``_cached`` computes each of
+these once per operator: ``realign``, ``partial_transpose``, ``reduced_a``,
+``reduced_b``, the singular values behind ``norms`` and the ascending
+spectrum of the Hermitian part behind ``psd_check`` and ``classify``.  The
+memo is thread-local and bounded: it holds the last ``_MEMO_SIZE`` operators
+asked about and evicts the least recently used, so operators that the caller
+keeps alive do not keep their derived matrices alive too.  A cached value is
+the one the same routine computes on the same bytes, so every output keeps
+its bytes whether the memo is cold or warm.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Union
 
@@ -35,16 +52,30 @@ __all__ = [
 ]
 
 
+def _locked(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr`` whose owning array is read-only too.
+
+    numpy refuses to make an array writable while the array owning its data
+    is read-only, so no holder of the view can turn its writes back on.  A
+    reshape that copies returns a view of its copy, hence the walk up.
+    """
+    owner = arr
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    owner.setflags(write=False)
+    arr.setflags(write=False)
+    return arr.view()
+
+
 def _as_locked_complex(entries, stacked: bool = False) -> np.ndarray:
-    """Read-only complex C-order copy of a finite square matrix, or of a stack of them."""
+    """Locked complex C-order copy of a finite square matrix, or of a stack of them."""
     mat = np.array(entries, dtype=complex, order="C")
     if mat.ndim != 2 + stacked or mat.shape[-2] != mat.shape[-1]:
         what = "stack of square matrices" if stacked else "square matrix"
         raise ValueError(f"entries must be a {what}, got shape {mat.shape}")
     if not np.isfinite(mat.view(float)).all():
         raise ValueError("entries must be finite (no NaN/Inf)")
-    mat.setflags(write=False)
-    return mat
+    return _locked(mat)
 
 
 class LocalOperator:
@@ -128,8 +159,7 @@ class BipartiteOperator:
         The entries are this operator's, already checked finite, so the result
         is locked without ``__init__``'s copy and check.
         """
-        mat = _permute_slots(self.mat, self.dim_a, self.dim_b, axes)
-        mat.setflags(write=False)
+        mat = _locked(_permute_slots(self.mat, self.dim_a, self.dim_b, axes))
         op = object.__new__(BipartiteOperator)
         object.__setattr__(op, "dim_a", dim_a)
         object.__setattr__(op, "dim_b", dim_b)
@@ -151,6 +181,41 @@ class BipartiteOperator:
 
 
 Operator = Union[LocalOperator, BipartiteOperator]
+
+_MEMO_SIZE = 8
+
+
+class _ThreadMemo(threading.local):
+    """Each thread's ``entries``: ``id(op) -> (op, {key: value})``, least recently used first."""
+
+    def __init__(self):
+        self.entries = OrderedDict()
+
+
+_MEMO = _ThreadMemo()
+
+
+def _cached(op: Operator, key: str, compute):
+    """``compute()``, computed once per operator and key on this thread.
+
+    The entry holds ``op`` itself, so ``id(op)`` cannot be reused while the
+    entry exists.  Asking about an operator beyond the last ``_MEMO_SIZE``
+    evicts the least recently used one with all its values.  Cached arrays
+    are locked read-only.
+    """
+    memo = _MEMO.entries
+    entry = memo.get(id(op))
+    if entry is None:
+        if len(memo) >= _MEMO_SIZE:
+            memo.popitem(last=False)
+        entry = memo[id(op)] = (op, {})
+    else:
+        memo.move_to_end(id(op))
+    values = entry[1]
+    if key not in values:
+        value = compute()
+        values[key] = _locked(value) if isinstance(value, np.ndarray) else value
+    return values[key]
 
 
 def _json_value(value):
@@ -277,6 +342,11 @@ def _herm_eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
 
 
+def _spectrum(a: Operator) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``a``'s matrix, memoized."""
+    return _cached(a, "spectrum", lambda: _herm_eigvalsh(a.mat))
+
+
 def _herm_support(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenpairs (ascending) of the Hermitian part of ``mat`` and its rank cutoff.
 
@@ -336,14 +406,12 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
                 ]
                 order = sorted(range(len(cluster)), key=lambda i: keys[i])
                 v[:, cluster] = v[:, [cluster[i] for i in order]]
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return SpectralData(eigenvalues=w, eigenvectors=v)
+    return SpectralData(eigenvalues=_locked(w), eigenvectors=_locked(v))
 
 
 def norms(a: Operator) -> Norms:
-    """Trace, Frobenius, and operator norms from the singular values."""
-    s = np.linalg.svd(np.asarray(a.mat), compute_uv=False)
+    """Trace, Frobenius, and operator norms from the (memoized) singular values."""
+    s = _cached(a, "singular_values", lambda: np.linalg.svd(a.mat, compute_uv=False))
     return Norms(
         trace_norm=float(np.sum(s)),
         frobenius_norm=float(np.sqrt(np.sum(s * s))),
@@ -357,8 +425,8 @@ def psd_check(a: Operator, tols: Tolerances = DEFAULT) -> PsdReport:
     The verdict is ``min_eig >= -tols.psd * operator_norm``, so it does not
     change when the operator is scaled.
     """
-    mat = _require_hermitian(np.asarray(a.mat), tols)
-    w = np.linalg.eigvalsh(mat)
+    _require_hermitian(a.mat, tols)
+    w = _spectrum(a)
     min_eig = float(w[0])
     op_norm = float(np.max(np.abs(w))) if w.size else 0.0
     return PsdReport(is_psd=_psd_ok(min_eig, op_norm, tols), min_eigenvalue=min_eig)

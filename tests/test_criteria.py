@@ -12,7 +12,10 @@ from triadops import (
     decompose,
     kron,
     ppt_pair_forces_invariance,
+    random_invariant,
+    random_spc,
     rng_from_seed,
+    schmidt,
 )
 from triadops.criteria import _bound_report
 from triadops.errors import NotAState, NotPSD, PreconditionNotMet
@@ -143,3 +146,35 @@ def test_ppt_pair_reports(classical_diag2, identity_plus_u2, bell2):
     assert rep.both_ppt and rep.realign_distance <= 1e-12
     rep = ppt_pair_forces_invariance(bell2)
     assert not rep.both_ppt
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_spc(6, 3), lambda: random_invariant(5, 1)],
+    ids=["spc-6-3", "invariant-5-1"],
+)
+def test_survey_calls_factor_each_matrix_once(make, monkeypatch):
+    # classify, the three bounds and schmidt share the spectra of gamma, its
+    # partial transpose, their realignments and the marginals: each distinct
+    # (routine, compute_uv, matrix) is factored once
+    gamma = make()
+    seen = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            key = np.ascontiguousarray(a)
+            seen.append((name, kwargs.get("compute_uv"), key.shape, key.tobytes()))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    c = classify(gamma)
+    assert c.any_flag
+    bound_gamma_pt(gamma)
+    bound_realign_sq(gamma)
+    bound_triad(gamma, c)
+    schmidt(gamma)
+    repeats = [key[:3] for key in seen if seen.count(key) > 1]
+    assert not repeats, repeats

@@ -5,6 +5,7 @@ Hypothesis draws the inputs under the derandomized ``tier1`` profile that
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from triadops import (
     BipartiteOperator,
     LocalOperator,
     SeparableDecomposition,
+    bound_gamma_pt,
+    bound_realign_sq,
+    bound_triad,
     canonical,
     classify,
     decompose,
@@ -25,10 +29,13 @@ from triadops import (
     random_invariant,
     random_ppt,
     random_spc,
+    psd_check,
+    schmidt,
     sinkhorn_filter,
 )
 from triadops.cli import _format_json
 from triadops.errors import ToolkitError, WrongClassForMode
+from triadops.tensor_core import _MEMO, _json_value
 from triadops.tolerances import DEFAULT
 
 from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local
@@ -231,3 +238,53 @@ def test_decomposition_tree_reconstructs_its_input(k, kind, seed):
     assert len(tree.leaves()) >= 2
     residual = np.linalg.norm(tree.reconstruct() - g.mat)
     assert residual <= k * DEFAULT.split * np.linalg.norm(g.mat)
+
+
+def _memo_reports(g):
+    """The survey calls on ``g``, each giving the JSON text of its report."""
+    c = classify(g)
+    calls = {
+        "classify": lambda: classify(g),
+        "bound_gamma_pt": lambda: bound_gamma_pt(g),
+        "bound_realign_sq": lambda: bound_realign_sq(g),
+        "bound_triad": lambda: bound_triad(g, c) if c.any_flag else None,
+        "schmidt": lambda: schmidt(g),
+        "psd_check": lambda: psd_check(g),
+    }
+    return {name: (lambda call=call: _format_json(_json_value(call()))) for name, call in calls.items()}
+
+
+@given(
+    k=st.integers(2, 5),
+    kind=st.sampled_from(list(GENERATORS)),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-12.0, 6.0),
+    order=st.permutations(range(6)),
+)
+def test_memo_keeps_every_report_byte_for_byte(k, kind, seed, exponent, order):
+    # a cold memo before each call, one warm memo shared by all calls in
+    # shuffled order, and two threads with a memo each give the same bytes
+    g = BipartiteOperator(10.0**exponent * GENERATORS[kind](k, seed).mat, k, k)
+    reports = _memo_reports(g)
+    cold = {}
+    for name, report in reports.items():
+        _MEMO.entries.clear()
+        cold[name] = report()
+    _MEMO.entries.clear()
+    names = list(reports)
+    warm = {names[i]: reports[names[i]]() for i in order}
+    assert warm == cold
+
+    threaded = []
+    start = threading.Barrier(2)
+
+    def worker():
+        start.wait()
+        threaded.append({name: report() for name, report in reports.items()})
+
+    workers = [threading.Thread(target=worker) for _ in range(2)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join()
+    assert threaded == [cold, cold]

@@ -1,4 +1,7 @@
+import gc
 import json
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from triadops import (
     TriadResiduals,
     bound_gamma_pt,
     classify,
+    contraction_by_permutation,
     find_psd_eigenvector,
     flip,
     hermitian_eig,
@@ -21,13 +25,14 @@ from triadops import (
     ppt_pair_forces_invariance,
     psd_check,
     random_density,
+    realign,
     rng_from_seed,
 )
 from triadops.errors import DimensionMismatch, NotHermitian, NotPSD, ZeroMatrix
 from triadops.schmidt_maps import hermitian_basis, hermitian_from_coords
-from triadops.tensor_core import _herm_eigvalsh, _kron
+from triadops.tensor_core import _MEMO, _MEMO_SIZE, _herm_eigvalsh, _kron
 
-from conftest import random_hermitian, random_psd_local
+from conftest import random_hermitian, random_operator, random_psd_local
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -264,6 +269,60 @@ def test_operators_immutable(bell2):
         bell2.mat[0, 0] = 5.0
     with pytest.raises(AttributeError):
         bell2.dim_a = 3
+
+
+def test_operator_writes_cannot_be_turned_back_on(bell2):
+    # the memo (and hermitian_basis's cache) reuses results by identity, so
+    # no matrix may change after construction, not even by re-enabling writes
+    mats = {
+        "__init__": bell2.mat,
+        "_permuted": contraction_by_permutation((2, 1, 4, 3), bell2).mat,
+        "_stack": LocalOperator._stack(np.zeros((3, 2, 2)))[1].mat,
+        "cached realign": realign(bell2).mat,
+        "hermitian_eig": hermitian_eig(bell2).eigenvectors,
+        "hermitian_basis": hermitian_basis(2),
+    }
+    assert realign(bell2) is realign(bell2)
+    for name, mat in mats.items():
+        with pytest.raises(ValueError):
+            mat.setflags(write=True)
+        assert not mat.flags.writeable, name
+
+
+def test_memo_is_bounded_and_drops_what_it_evicts():
+    # with gc off only reference counts free objects, so an object dies
+    # exactly when nothing refers to it; an operator's ``mat`` view dies with it
+    rng = rng_from_seed(11)
+    gc.disable()
+    try:
+        _MEMO.entries.clear()
+        first = random_operator(rng, 3)
+        first_mat, realigned_mat = weakref.ref(first.mat), weakref.ref(realign(first).mat)
+        del first
+        assert first_mat() is not None and realigned_mat() is not None
+        for _ in range(_MEMO_SIZE):
+            norms(random_operator(rng, 3))
+        assert len(_MEMO.entries) == _MEMO_SIZE
+        assert first_mat() is None and realigned_mat() is None
+
+        # a derived operator holds no reference back to its source
+        source = random_operator(rng, 3)
+        source_mat, derived = weakref.ref(source.mat), realign(source)
+        _MEMO.entries.clear()
+        del source
+        assert source_mat() is None and derived.mat.shape == (9, 9)
+    finally:
+        gc.enable()
+
+
+def test_memo_is_per_thread():
+    realign(random_operator(rng_from_seed(12), 2))
+    assert len(_MEMO.entries) > 0
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(len(_MEMO.entries)))
+    worker.start()
+    worker.join()
+    assert seen == [0]
 
 
 def test_json_round_trip(bell2):
