@@ -55,11 +55,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_json(value, digits: int = 17) -> str:
-    """JSON text with every float printed to ``digits`` significant digits."""
+    """JSON text with every float printed to ``digits`` significant digits.
+
+    Negative zero prints as ``-0.0``: ``-0`` would read back as the integer 0.
+    """
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
             return "null"
-        return format(value, f".{digits}g")
+        text = format(value, f".{digits}g")
+        return "-0.0" if text == "-0" else text
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):

@@ -158,8 +158,10 @@ def _bound_report(
     The bound holds when the margin is at least ``-tols.psd`` times the
     right-hand side, a verdict that does not change when gamma is scaled.
     """
-    na = norms(reduced_a(gamma)).operator_norm
-    nb = norms(reduced_b(gamma)).operator_norm
+    ga, gb = reduced_a(gamma), reduced_b(gamma)
+    na = norms(ga).operator_norm
+    # equal marginals (as for random_spc) are factored once: the memo is per operator
+    nb = na if np.array_equal(ga.mat, gb.mat) else norms(gb).operator_norm
     nr = norms(realign(gamma)).operator_norm
     if lhs is None:
         state, rhs = nr, na * nb

@@ -12,6 +12,7 @@ import numpy as np
 
 from .contractions import _PARTIAL_TRANSPOSE, _REALIGN, flip, maximally_entangled_vector
 from .errors import BadRank, FixedPointNotReached, RejectionBudgetExhausted, UnknownName
+from .schmidt_maps import hermitian_basis
 from .tensor_core import (
     BipartiteOperator,
     LocalOperator,
@@ -54,7 +55,11 @@ def random_density(k: int, rank: int, seed: int) -> BipartiteOperator:
 def random_separable(
     k: int, terms: int, seed: int
 ) -> tuple[BipartiteOperator, list[tuple[float, LocalOperator, LocalOperator]]]:
-    """Dirichlet-weighted mixture of random pure product states, plus its recipe."""
+    """Dirichlet-weighted mixture of random pure product states, plus its recipe.
+
+    The recipe lists (w_t, P(x_t), P(y_t)) per term, and the state is
+    sum_t w_t P(x_t) (x) P(y_t), summed in one einsum over all terms.
+    """
     if terms < 1:
         raise BadRank(f"terms must be at least 1, got {terms}")
     rng = rng_from_seed(seed)
@@ -63,49 +68,44 @@ def random_separable(
     draws = rng.standard_normal((terms, 4, k))
     xs = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
     ys = (draws[:, 2] + 1j * draws[:, 3]) / np.sqrt(2.0)
-    total = np.zeros((k * k, k * k), dtype=complex)
-    pxs, pys = [], []
-    for w, x, y in zip(weights, xs, ys):
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        px, py = np.outer(x, x.conj()), np.outer(y, y.conj())
-        total += w * _kron(px, py)
-        pxs.append(px)
-        pys.append(py)
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    pxs = xs[:, :, None] * xs.conj()[:, None, :]
+    pys = ys[:, :, None] * ys.conj()[:, None, :]
+    total = np.einsum("t,tij,tpq->ipjq", weights, pxs, pys).reshape(k * k, k * k)
     ground_truth = list(zip(weights.tolist(), LocalOperator._stack(pxs), LocalOperator._stack(pys)))
     return BipartiteOperator(0.5 * (total + total.conj().T), dim_a=k, dim_b=k), ground_truth
 
 
-def _random_hermitian_orthobasis(rng: np.random.Generator, k: int) -> list[np.ndarray]:
-    """Random orthonormal Hermitian set starting with Id/sqrt(k), full size k^2."""
-    basis = [np.eye(k, dtype=complex) / np.sqrt(k)]
-    adjoints = [basis[0].conj().T]
-    while len(basis) < k * k:
-        h = _complex_normal(rng, (k, k))
-        h = 0.5 * (h + h.conj().T)
-        for b, b_adj in zip(basis, adjoints):
-            h = h - (b_adj @ h).trace() * b
-        nrm = np.linalg.norm(h)
-        if nrm > 1e-8:
-            basis.append(h / nrm)
-            adjoints.append(basis[-1].conj().T)
-    return basis
+def _random_hermitian_orthobasis(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Random orthonormal Hermitian frame, shape (k^2, k, k), led by Id/sqrt(k).
+
+    The traceless elements are Haar distributed: their coordinates in
+    ``hermitian_basis(k)[1:]`` are the columns of Q from one QR of a real
+    Gaussian (k^2-1) x (k^2-1) matrix, signs fixed by diag(R) (Mezzadri,
+    Notices AMS 54, 2007).  The elements are orthonormal under tr(X Y).
+    """
+    fixed = hermitian_basis(k)
+    q, r = np.linalg.qr(rng.standard_normal((k * k - 1, k * k - 1)))
+    q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    return np.concatenate([fixed[:1], np.einsum("ab,bij->aij", q.T, fixed[1:])])
 
 
 def random_spc(k: int, seed: int) -> BipartiteOperator:
     """Random state of the form sum_i a_i B_i (x) B_i with orthonormal Hermitian B_i.
 
-    The leading term is fixed at (1/k) Id/sqrt(k) (x) Id/sqrt(k), which pins
-    the trace at one; the remaining coefficients are resampled (with a slow
-    scale back-off, up to 1000 draws) until the total is PSD.  At k = 1 the
-    leading term is the whole state.
+    The frame {B_i} comes from ``_random_hermitian_orthobasis`` (one QR).  The
+    leading term is fixed at (1/k) Id/sqrt(k) (x) Id/sqrt(k), which pins the
+    trace at one; the remaining coefficients are resampled (with a slow scale
+    back-off, up to 1000 draws) until the total is PSD.  At k = 1 the leading
+    term is the whole state.
     """
     rng = rng_from_seed(seed)
     basis = _random_hermitian_orthobasis(rng, k)
     lead = _kron(basis[0], basis[0]) / k
     if k == 1:
         return BipartiteOperator(lead, dim_a=1, dim_b=1)
-    tail = np.stack([_kron(b, b) for b in basis[1:]])
+    tail = np.einsum("aij,apq->aipjq", basis[1:], basis[1:]).reshape(-1, k * k, k * k)
     scale = 0.5 / (k * k * np.sqrt(len(tail)))
     for attempt in range(1000):
         coeffs = rng.exponential(scale, size=len(tail))

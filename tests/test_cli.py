@@ -60,6 +60,15 @@ def test_json_prints_17_significant_digits():
     assert match and len(match.group(1)) == 17
 
 
+@pytest.mark.parametrize("value", [-0.0, 0.0, 1.0, -1.5e-300])
+def test_json_float_text_reads_back_to_the_same_text(value):
+    from triadops.cli import _format_json
+
+    text = _format_json([value])
+    assert _format_json(json.loads(text)) == text
+    assert np.array_equal(np.signbit(json.loads(text)), [np.signbit(value)])
+
+
 def test_every_subcommand_parses_generated_matrix(tmp_path):
     gen = run_cli(["generate", "--class", "spc", "--k", "2", "--seed", "3"])
     path = tmp_path / "state.json"

@@ -19,6 +19,7 @@ from triadops import (
     reduced_b,
 )
 from triadops.errors import BadRank, UnknownName
+from triadops.generators import _random_hermitian_orthobasis, rng_from_seed
 
 
 @pytest.mark.parametrize(
@@ -80,6 +81,24 @@ def test_random_separable_is_ppt_and_contractive():
     assert c.ppt and c.ccnr_value <= 1 + 1e-9
     with pytest.raises(BadRank):
         random_separable(2, 0, 7)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_hermitian_orthobasis_is_an_orthonormal_hermitian_frame(k):
+    frame = _random_hermitian_orthobasis(rng_from_seed(40 + k), k)
+    assert frame.shape == (k * k, k, k)
+    assert np.array_equal(frame, frame.conj().transpose(0, 2, 1))
+    gram = np.einsum("aij,bji->ab", frame, frame)
+    assert np.abs(gram - np.eye(k * k)).max() <= 1e-13
+    assert np.array_equal(frame[0], np.eye(k, dtype=complex) / np.sqrt(k))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_random_separable_state_is_its_recipe(k):
+    for terms in (1, 3, 2 * k * k):
+        sep, recipe = random_separable(k, terms, 500 + terms)
+        rebuilt = sum(w * np.kron(x.mat, y.mat) for w, x, y in recipe)
+        assert np.abs(sep.mat - rebuilt).max() <= 1e-15 * np.abs(rebuilt).max()
 
 
 def test_random_spc_class_and_marginals():

@@ -41,6 +41,14 @@ from triadops.tolerances import DEFAULT
 from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local
 
 
+@given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_random_spc_is_a_flagged_state(k, seed):
+    gamma = random_spc(k, seed)
+    assert abs(np.trace(gamma.mat).real - 1.0) <= 1e-13
+    c = classify(gamma)
+    assert c.spc and c.is_state
+
+
 @given(
     k=st.integers(2, 5),
     kind=st.sampled_from(["spc", "invariant", "ppt"]),
