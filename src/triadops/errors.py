@@ -60,6 +60,3 @@ class RejectionBudgetExhausted(ToolkitError):
 class UnknownName(ToolkitError):
     """Unrecognised canonical state name."""
 
-
-class FixedPointNotReached(ToolkitError):
-    """Alternating projection did not reach an invariant fixed point."""

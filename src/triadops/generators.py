@@ -11,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .contractions import _PARTIAL_TRANSPOSE, _REALIGN, flip, maximally_entangled_vector
-from .errors import BadRank, FixedPointNotReached, RejectionBudgetExhausted, UnknownName
+from .errors import BadRank, RejectionBudgetExhausted, UnknownName
 from .schmidt_maps import hermitian_basis
 from .tensor_core import (
     BipartiteOperator,
     LocalOperator,
+    _boundary_step,
     _clip_psd,
     _herm_eigvalsh,
     _kron,
@@ -118,26 +119,44 @@ def random_spc(k: int, seed: int) -> BipartiteOperator:
     raise RejectionBudgetExhausted(f"no PSD draw in 1000 attempts at k={k}")
 
 
-def random_invariant(k: int, seed: int) -> BipartiteOperator:
-    """Random realignment-invariant state via alternating projections.
+# Realignment R (axes (0, 2, 1, 3)) and the adjoint A (axes (2, 3, 0, 1),
+# then conjugation) generate a group of order 8: 1, R, ARA, RARA, each
+# alone and followed by A.
+_INVARIANT_AXES = ((0, 1, 2, 3), _REALIGN, (3, 1, 2, 0), (3, 2, 1, 0))
 
-    Starting from a full-rank random density, each sweep averages the state
-    with its realignment (the orthogonal projection onto the fixed subspace),
-    restores Hermiticity, clips negative eigenvalues, and renormalizes the
-    trace, until the realignment distance drops below 1e-10 (at most 5000
-    sweeps).
+
+def _invariant_projection(mat: np.ndarray, k: int) -> np.ndarray:
+    """The average of ``mat`` over the group of R and A above.  R and A are
+    isometries of Re tr(X^* Y), so it is the orthogonal projection onto the
+    Hermitian, realignment-fixed matrices."""
+    plain = sum(mat.reshape(k, k, k, k).transpose(axes) for axes in _INVARIANT_AXES)
+    plain = plain.reshape(k * k, k * k)
+    return (plain + plain.conj().T) / 8.0
+
+
+def random_invariant(k: int, seed: int) -> BipartiteOperator:
+    """Random realignment-invariant state of rank k^2 - 1, in one eigensolve.
+
+    The draw of ``random_density(k, k^2, seed)``, projected exactly by
+    ``_invariant_projection`` and trace-normalized, is H.  The state is where
+    the walk from c = ``canonical("identity_plus_u", k)`` through H meets the
+    PSD boundary (``_boundary_step``); c^(-1/2) is closed form, as c is 1/k
+    on u and 1/(k^2 + k) off it.  Invariance holds to roundoff, and the rank
+    is k^2 - 1 for almost every seed.  At k = 1 the unit state is the only
+    state.
     """
-    gamma = random_density(k, k * k, seed).mat.copy()
-    for _ in range(5000):
-        r = _permute_slots(gamma, k, k, _REALIGN)
-        if np.linalg.norm(r - gamma) <= 1e-10:
-            out = 0.5 * (gamma + gamma.conj().T)
-            return BipartiteOperator(out / np.trace(out).real, dim_a=k, dim_b=k)
-        gamma, _ = _clip_psd(0.5 * (gamma + r))
-        gamma /= np.trace(gamma).real
-    raise FixedPointNotReached(
-        f"alternating projection did not settle in 5000 sweeps (seed={seed})"
-    )
+    if k == 1:
+        return BipartiteOperator(np.ones((1, 1)), dim_a=1, dim_b=1)
+    h = _invariant_projection(random_density(k, k * k, seed).mat, k)
+    h /= np.trace(h).real
+    centre = canonical("identity_plus_u", k).mat
+    u = maximally_entangled_vector(k)
+    p_u = np.outer(u, u.conj()) / k
+    whiten = np.sqrt(k * k + k) * (np.eye(k * k) + (1.0 / np.sqrt(1.0 + k) - 1.0) * p_u)
+    step = h - centre
+    out = centre + _boundary_step(whiten, step) * step
+    out = 0.5 * (out + out.conj().T)
+    return BipartiteOperator(out / np.trace(out).real, dim_a=k, dim_b=k)
 
 
 def _is_ppt_strict(mat: np.ndarray, k: int) -> bool:

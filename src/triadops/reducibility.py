@@ -35,10 +35,10 @@ from .schmidt_maps import (
 from .tensor_core import (
     BipartiteOperator,
     LocalOperator,
+    _boundary_step,
     _clip_psd,
     _clusters,
     _congruence,
-    _herm_eigvalsh,
     _herm_support,
     _JsonRecord,
     _kron,
@@ -105,22 +105,11 @@ def _eigen_residual(gamma: BipartiteOperator, x: np.ndarray) -> tuple[float, flo
 
 
 def _psd_boundary(x_pd: np.ndarray, whiten: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
-    """Walk from a PD matrix along a Hermitian direction to the PSD boundary.
-
-    With x_pd = L L^* and ``whiten`` = L^-1, x_pd + t D = L (Id + t M) L^*
-    for M = L^-1 D L^-*, so the walk first turns singular at t = -1/mu, mu
-    the smallest eigenvalue of M for t > 0 (tried first) and the largest for
-    t < 0.  Returns the crossing point, PSD and singular, normalized; None
-    when neither side crosses.
-    """
-    mu = _herm_eigvalsh(whiten @ direction @ whiten.conj().T)
-    if mu[0] < 0:
-        t = -1.0 / mu[0]
-    elif mu[-1] > 0:
-        t = -1.0 / mu[-1]
-    else:
-        return None
-    return _clip_psd_unit(x_pd + t * direction)
+    """The point, normalized, where x_pd + t D meets the PSD boundary at
+    ``_boundary_step``'s t (``whiten`` = L^-1 for x_pd = L L^*); None when
+    neither side crosses."""
+    t = _boundary_step(whiten, direction)
+    return None if t is None else _clip_psd_unit(x_pd + t * direction)
 
 
 def find_psd_eigenvector(

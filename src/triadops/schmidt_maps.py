@@ -125,7 +125,8 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
     Left singular vectors reshape (row-major) to the left operators, the
     conjugated right singular vectors to the right operators.  Coefficients
     below ``rank_tol * s1`` are dropped.  Each left operator's phase is fixed
-    by making its largest-modulus entry real positive.
+    by making its first entry within a relative 1e-12 of the largest modulus
+    real positive, so a tie between mirror entries does not follow roundoff.
     """
     k = _require_square(gamma, "the Schmidt decomposition")
     u, s, vh = np.linalg.svd(realign(gamma).mat)
@@ -135,7 +136,9 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
         )
     keep = s > tols.rank * s[0]
     lefts = u[:, keep].T
-    pivots = lefts[np.arange(len(lefts)), np.argmax(np.abs(lefts), axis=1)]
+    mags = np.abs(lefts)  # a Hermitian gamma's operators have mirror entries of equal modulus
+    first_top = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=1, keepdims=True), axis=1)
+    pivots = lefts[np.arange(len(lefts)), first_top]
     # scalar arithmetic per pivot: numpy's array abs and division round differently
     phases = np.array([[np.conj(p) / abs(p) if abs(p) > 0 else 1.0] for p in pivots])
     return SchmidtDecomposition(

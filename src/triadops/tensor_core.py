@@ -337,6 +337,21 @@ def _clip_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * np.maximum(w, 0.0)) @ v.conj().T, w
 
 
+def _boundary_step(whiten: np.ndarray, direction: np.ndarray) -> float | None:
+    """The step t at which x_pd + t D, from x_pd = L L^* PD, first turns singular.
+
+    With ``whiten`` = L^-1 and M = L^-1 D L^-*, x_pd + t D = L (Id + t M) L^*,
+    so t = -1/mu for mu the smallest eigenvalue of M (t > 0, tried first) or
+    the largest (t < 0); None when neither side crosses.
+    """
+    mu = _herm_eigvalsh(whiten @ direction @ whiten.conj().T)
+    if mu[0] < 0:
+        return -1.0 / mu[0]
+    if mu[-1] > 0:
+        return -1.0 / mu[-1]
+    return None
+
+
 def _herm_eigvalsh(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``mat``, or of each matrix in a stack."""
     return np.linalg.eigvalsh(0.5 * (mat + mat.conj().swapaxes(-1, -2)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from triadops import (
+    BipartiteOperator,
     canonical,
     classify,
     contraction_by_permutation,
@@ -19,7 +20,11 @@ from triadops import (
     reduced_b,
 )
 from triadops.errors import BadRank, UnknownName
-from triadops.generators import _random_hermitian_orthobasis, rng_from_seed
+from triadops.generators import (
+    _invariant_projection,
+    _random_hermitian_orthobasis,
+    rng_from_seed,
+)
 
 
 @pytest.mark.parametrize(
@@ -120,6 +125,25 @@ def test_random_invariant_class_and_symmetry():
             assert np.linalg.norm(
                 reduced_a(g).mat - reduced_b(g).mat.conj()
             ) <= 1e-8
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_invariant_projection_is_orthogonal_onto_hermitian_fixed_points(k):
+    rng = rng_from_seed(60 + k)
+    x, y = (
+        rng.standard_normal((k * k, k * k)) + 1j * rng.standard_normal((k * k, k * k))
+        for _ in range(2)
+    )
+    px, py = _invariant_projection(x, k), _invariant_projection(y, k)
+    scale = np.linalg.norm(px)
+    assert np.array_equal(px, px.conj().T)
+    assert np.linalg.norm(realign(BipartiteOperator(px, k, k)).mat - px) <= 1e-15 * scale
+    assert np.linalg.norm(_invariant_projection(px, k) - px) <= 1e-15 * scale
+    # self-adjoint under the real inner product Re tr(X^* Y)
+    lhs, rhs = np.vdot(px, y).real, np.vdot(x, py).real
+    assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(y)
+    centre = canonical("identity_plus_u", k).mat
+    assert np.abs(_invariant_projection(centre, k) - centre).max() <= 1e-16
 
 
 def test_identity_plus_u_is_projection_fixed_point(identity_plus_u2):

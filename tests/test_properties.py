@@ -30,6 +30,7 @@ from triadops import (
     random_ppt,
     random_spc,
     psd_check,
+    realign,
     schmidt,
     sinkhorn_filter,
 )
@@ -47,6 +48,16 @@ def test_random_spc_is_a_flagged_state(k, seed):
     assert abs(np.trace(gamma.mat).real - 1.0) <= 1e-13
     c = classify(gamma)
     assert c.spc and c.is_state
+
+
+@given(k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_random_invariant_is_invariant_to_roundoff_with_rank_one_short(k, seed):
+    gamma = random_invariant(k, seed)
+    assert abs(np.trace(gamma.mat).real - 1.0) <= 1e-13
+    assert np.linalg.norm(realign(gamma).mat - gamma.mat) <= 1e-13 * np.linalg.norm(gamma.mat)
+    w = np.linalg.eigvalsh(gamma.mat)
+    assert w[0] >= -1e-13 * w[-1]
+    assert np.sum(w > DEFAULT.rank * w[-1]) == k * k - 1
 
 
 @given(

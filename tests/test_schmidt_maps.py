@@ -16,6 +16,7 @@ from triadops import (
     kron,
     maximally_entangled_vector,
     norms,
+    random_ppt,
     realign,
     reduced_a,
     reduced_b,
@@ -157,6 +158,23 @@ def test_schmidt_bell_and_classical(bell2, classical_diag2):
     assert np.allclose(sdc.coefficients, [0.5, 0.5])
     for op in sdc.left_ops:
         assert np.allclose(op.mat, np.diag(np.diag(op.mat)))
+
+
+def test_schmidt_phases_do_not_follow_roundoff_between_mirror_entries():
+    # a Hermitian state's operators have mirror entries of equal modulus, so
+    # a 1-ulp change of one mirror pair of gamma must not pick another pivot
+    g = random_ppt(3, 5)
+    base = schmidt(g)
+    n = g.mat.shape[0]
+    for p in range(n):
+        for q in range(p + 1, n):
+            mat = np.array(g.mat)
+            re = np.nextafter(mat[p, q].real, np.inf)
+            mat[p, q], mat[q, p] = re + 1j * mat[p, q].imag, re - 1j * mat[p, q].imag
+            moved = schmidt(BipartiteOperator(mat, 3, 3))
+            assert np.abs(moved.coefficients - base.coefficients).max() <= 1e-12
+            for old, new in zip(base.left_ops + base.right_ops, moved.left_ops + moved.right_ops):
+                assert np.abs(new.mat - old.mat).max() <= 1e-12, (p, q)
 
 
 def test_schmidt_invariants_sweep():
