@@ -30,6 +30,7 @@ from .tensor_core import (
     _kron,
     _locked,
     _partial_trace,
+    _pivot_phases,
     _require_hermitian,
     _require_square,
 )
@@ -125,8 +126,9 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
     Left singular vectors reshape (row-major) to the left operators, the
     conjugated right singular vectors to the right operators.  Coefficients
     below ``rank_tol * s1`` are dropped.  Each left operator's phase is fixed
-    by making its first entry within a relative 1e-12 of the largest modulus
-    real positive, so a tie between mirror entries does not follow roundoff.
+    by ``_pivot_phases``: its first entry within a relative 1e-12 of the
+    largest modulus is made real positive, so a tie between mirror entries
+    does not follow roundoff.
     """
     k = _require_square(gamma, "the Schmidt decomposition")
     u, s, vh = np.linalg.svd(realign(gamma).mat)
@@ -136,11 +138,7 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
         )
     keep = s > tols.rank * s[0]
     lefts = u[:, keep].T
-    mags = np.abs(lefts)  # a Hermitian gamma's operators have mirror entries of equal modulus
-    first_top = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=1, keepdims=True), axis=1)
-    pivots = lefts[np.arange(len(lefts)), first_top]
-    # scalar arithmetic per pivot: numpy's array abs and division round differently
-    phases = np.array([[np.conj(p) / abs(p) if abs(p) > 0 else 1.0] for p in pivots])
+    phases = _pivot_phases(lefts)[:, None]
     return SchmidtDecomposition(
         coefficients=_locked(s[keep]),
         left_ops=LocalOperator._stack((lefts * phases).reshape(-1, k, k)),

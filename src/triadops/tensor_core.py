@@ -389,11 +389,26 @@ def _clusters(w: np.ndarray, width: float) -> list[range]:
     return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def _pivot_phases(rows: np.ndarray) -> np.ndarray:
+    """The unit phase conj(p)/|p| that makes each row's pivot p real positive.
+
+    The pivot is the row's first entry within a relative 1e-12 of its largest
+    modulus: a Hermitian input's vectors have mirror entries of equal modulus,
+    and a plain argmax would pick between them by roundoff.
+    """
+    mags = np.abs(rows)
+    first_top = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=1, keepdims=True), axis=1)
+    pivots = rows[np.arange(len(rows)), first_top]
+    # scalar arithmetic per pivot: numpy's array abs and division round differently
+    return np.array([np.conj(p) / abs(p) if abs(p) > 0 else 1.0 for p in pivots])
+
+
 def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     """Eigendecomposition of a Hermitian operator, deterministic for fixed input.
 
     Eigenvalues are sorted descending.  Each eigenvector's phase is fixed by
-    making its largest-modulus coordinate real positive, and within degenerate
+    ``_pivot_phases`` (its first coordinate within a relative 1e-12 of the
+    largest modulus is made real positive), and within degenerate
     clusters the columns are ordered lexicographically by their rounded
     coordinates, so repeated runs (and golden files) agree bit for bit.  A
     cluster's width is ``1e-12 * max|eigenvalue|``, so it scales with the
@@ -407,9 +422,7 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     if w.size:
-        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(w.size)]
-        # scalar arithmetic per pivot: numpy's array abs and division round differently
-        v *= np.array([p.conjugate() / abs(p) if abs(p) > 0 else 1.0 for p in pivots])
+        v *= _pivot_phases(v.T)
 
         # Reorder inside degenerate clusters only; the eigenvalue order is kept.
         scale = max(abs(float(w[0])), abs(float(w[-1])), np.finfo(float).tiny)

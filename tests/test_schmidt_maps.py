@@ -12,11 +12,14 @@ from triadops import (
     fg_matrix,
     hermitian_basis,
     hermitian_coords,
+    hermitian_eig,
     hermitian_from_coords,
     kron,
     maximally_entangled_vector,
     norms,
+    random_invariant,
     random_ppt,
+    random_spc,
     realign,
     reduced_a,
     reduced_b,
@@ -175,6 +178,24 @@ def test_schmidt_phases_do_not_follow_roundoff_between_mirror_entries():
             assert np.abs(moved.coefficients - base.coefficients).max() <= 1e-12
             for old, new in zip(base.left_ops + base.right_ops, moved.left_ops + moved.right_ops):
                 assert np.abs(new.mat - old.mat).max() <= 1e-12, (p, q)
+
+
+@pytest.mark.parametrize("make", [random_invariant, random_spc])
+def test_eigenvector_phases_do_not_follow_roundoff_between_mirror_entries(make):
+    # an invariant or SPC state's eigenvectors have mirror coordinates of
+    # equal modulus; a 1-ulp change of one mirror pair must not pick another
+    # pivot
+    g = make(3, 5)
+    base = hermitian_eig(g)
+    n = g.mat.shape[0]
+    for p in range(n):
+        for q in range(p + 1, n):
+            mat = np.array(g.mat)
+            re = np.nextafter(mat[p, q].real, np.inf)
+            mat[p, q], mat[q, p] = re + 1j * mat[p, q].imag, re - 1j * mat[p, q].imag
+            moved = hermitian_eig(BipartiteOperator(mat, 3, 3))
+            assert np.abs(moved.eigenvalues - base.eigenvalues).max() <= 1e-12
+            assert np.abs(moved.eigenvectors - base.eigenvectors).max() <= 1e-12, (p, q)
 
 
 def test_schmidt_invariants_sweep():
