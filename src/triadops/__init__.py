@@ -10,9 +10,10 @@ The package is organized around a single matrix substrate
 - :mod:`triadops.criteria`     - PPT / SPC / invariant classification, CCNR
   value, and operator-norm bounds
 - :mod:`triadops.filters`      - filter normal forms by iterative marginal
-  scaling, doubly-stochastic and indecomposability diagnostics
-- :mod:`triadops.reducibility` - complete-reducibility splitting, rank
-  bounds, and minimal-rank separable extraction
+  scaling, and the doubly-stochastic check
+- :mod:`triadops.reducibility` - complete-reducibility splitting, the
+  full-indecomposability verdict, rank bounds, and minimal-rank separable
+  extraction
 - :mod:`triadops.generators`   - seeded random and canonical states
 
 A command-line shell (``triadops``) exposes the same operations on the JSON

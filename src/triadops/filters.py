@@ -1,4 +1,4 @@
-"""Filter normal forms via iterative marginal scaling, plus map diagnostics.
+"""Filter normal forms by iterative marginal scaling, and a stochasticity check.
 
 A filter normal form of a state is a locally transformed representative
 whose reduced states are both Id/k.  Four modes are provided:
@@ -64,11 +64,9 @@ from .schmidt_maps import (
     SchmidtDecomposition,
     _identity_split,
     f_apply,
-    fg_matrix,
     g_apply,
     g_matrix,
     hermitian_basis,
-    hermitian_from_coords,
 )
 from .tensor_core import (
     BipartiteOperator,
@@ -89,10 +87,8 @@ from .tolerances import DEFAULT, Tolerances
 __all__ = [
     "FilterResult",
     "StochasticityReport",
-    "ProbeResult",
     "sinkhorn_filter",
     "doubly_stochastic_check",
-    "fully_indecomposable_probe",
 ]
 
 MODES = ("general", "symmetric", "conjugate", "left")
@@ -440,84 +436,3 @@ def doubly_stochastic_check(
     return StochasticityReport(
         forward_residual=forward, adjoint_residual=adjoint, doubly_stochastic=ds
     )
-
-
-@dataclass(frozen=True)
-class ProbeResult(_JsonRecord):
-    verdict: str  # "indecomposable_likely" | "decomposable_witness" | "inconclusive"
-    witness: tuple[LocalOperator, LocalOperator] | None
-    probes_run: int
-
-
-def _borderline(w: np.ndarray, cut: float) -> bool:
-    """True when some eigenvalue lies within a factor 10 of the rank cutoff."""
-    return bool(np.any((np.abs(w) > 0.1 * cut) & (np.abs(w) < 10.0 * cut)))
-
-
-def fully_indecomposable_probe(
-    gamma: BipartiteOperator,
-    trials: int = 50,
-    seed: int = 0,
-    tols: Tolerances = DEFAULT,
-) -> ProbeResult:
-    """Randomized search for a decomposability witness of the contraction map.
-
-    A witness is a pair of nonzero PSD operators X, Y with
-    tr(g_apply(gamma, X) Y) = 0 and rank(X) + rank(Y) >= k; it exists exactly
-    when some singular PSD X has rank(g_apply(gamma, X)) <= rank(X), in which
-    case Y is the projector onto the image's orthogonal complement.  Probes
-    are the spectral projections of the eigenvectors of the composite map's
-    Hermitian-basis matrix plus ``trials`` random singular PSD draws.  The
-    verdict is never a proof: all probes passing the rank-increase check only
-    makes indecomposability likely, and borderline rank calls downgrade the
-    verdict to inconclusive.
-    """
-    _require_psd(gamma, tols)
-    k = _require_square(gamma, "the probe")
-
-    candidates: list[np.ndarray] = []
-    mfg = fg_matrix(gamma, tols).matrix
-    _, vecs = np.linalg.eigh(mfg)
-    for col in range(vecs.shape[1]):
-        x = hermitian_from_coords(vecs[:, col], k)
-        w, v = np.linalg.eigh(x)
-        scale = float(np.max(np.abs(w)))
-        if scale == 0.0:
-            continue
-        # projectors onto each eigenvalue cluster, plus the positive and
-        # negative parts
-        for grp in _clusters(w, 1e-8 * scale):
-            if abs(w[grp[0]]) > 1e-8 * scale:
-                candidates.append(v[:, grp] @ v[:, grp].conj().T)
-        for sign in (1.0, -1.0):
-            sel = sign * w > 1e-8 * scale
-            if 0 < np.sum(sel):
-                candidates.append(v[:, sel] @ v[:, sel].conj().T)
-
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    for _ in range(trials):
-        r = int(rng.integers(1, k)) if k > 1 else 1
-        g = (rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))) / np.sqrt(2)
-        candidates.append(g @ g.conj().T)
-
-    probes_run = 0
-    saw_borderline = False
-    for x in candidates:
-        x = 0.5 * (x + x.conj().T)
-        wx, _, cut_x = _herm_support(x, tols.rank)
-        rank_x = int(np.sum(wx > cut_x))
-        if not 0 < rank_x < k:
-            continue
-        probes_run += 1
-        wg, vg, cut_g = _herm_support(g_apply(gamma, x).mat, tols.rank)
-        saw_borderline = saw_borderline or _borderline(wx, cut_x) or _borderline(wg, cut_g)
-        if int(np.sum(wg > cut_g)) <= rank_x:
-            kernel = vg[:, wg <= cut_g]
-            y = kernel @ kernel.conj().T
-            return ProbeResult(
-                verdict="decomposable_witness",
-                witness=(LocalOperator(x), LocalOperator(y)),
-                probes_run=probes_run,
-            )
-    verdict = "inconclusive" if saw_borderline else "indecomposable_likely"
-    return ProbeResult(verdict=verdict, witness=None, probes_run=probes_run)

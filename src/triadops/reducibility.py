@@ -2,11 +2,11 @@
 
 For states in the triad classes, every PSD eigenvector of the composite
 contraction map with a nontrivial kernel splits the state into two blocks
-with orthogonal local supports.  Applying the split recursively decomposes a
-state into weakly irreducible components.  When the state additionally has
-minimal rank (equal to its full reduced ranks), it is separable, and its
-product terms are read off the top eigenspace of the composite map of its
-filter normal form.
+with orthogonal local supports; recursive splits give weakly irreducible
+components.  A minimal-rank state (rank equal to its full reduced ranks) is
+separable, with product terms read off the top eigenspace of the composite
+map of its filter normal form.  That eigenspace also decides, for any state,
+whether its contraction map is fully indecomposable.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .criteria import TriadClassification, classify
 from .errors import (
     CompleteReducibilityViolation,
     FullRankEigenvector,
+    MarginalRankDeficient,
     PreconditionNotMet,
     ZeroMatrix,
 )
@@ -50,6 +51,7 @@ from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "PsdEigenvectorResult",
+    "ProbeResult",
     "SplitCertificate",
     "DecompositionTree",
     "EqualCoefficientReport",
@@ -58,6 +60,7 @@ __all__ = [
     "SeparableDecomposition",
     "ExtractionFailure",
     "find_psd_eigenvector",
+    "fully_indecomposable_probe",
     "split",
     "decompose",
     "equal_schmidt_certificate",
@@ -73,16 +76,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PsdEigenvectorResult:
-    """Outcome of the singular-PSD eigenvector search.
-
-    ``found=False`` certifies that the top eigenvalue cluster (width
-    1e-8 * lambda_max) of the composite contraction map holds no PSD element
-    with a nontrivial kernel.  For triad-class inputs that is complete: a
-    state that splits has such an element in its top cluster.  Lower
-    clusters are not searched.  The normalized projection of the identity
-    onto the top cluster, positive definite for triad-class inputs, is
-    returned as the witness.
-    """
+    """Outcome of ``find_psd_eigenvector``: a singular PSD eigenvector ``x`` of
+    the top eigenvalue cluster, or ``found=False`` (which that function's
+    docstring qualifies) with the identity's normalized projection onto the
+    cluster as ``full_rank_witness``."""
 
     found: bool
     x: LocalOperator | None
@@ -180,6 +177,93 @@ def find_psd_eigenvector(
     return PsdEigenvectorResult(
         found=False, x=None, eigenvalue=None, full_rank_witness=LocalOperator(witness)
     )
+
+
+# ---------------------------------------------------------------------------
+# Full-indecomposability verdict
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProbeResult(_JsonRecord):
+    verdict: str  # "fully_indecomposable" | "decomposable_witness" | "inconclusive"
+    witness: tuple[LocalOperator, LocalOperator] | None
+
+
+def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> ProbeResult:
+    """Decide whether the contraction map g = g_apply(gamma, .) is fully
+    indecomposable: rank g(X) > rank X for every PSD X with 0 < rank X < k.
+
+    Otherwise a ``decomposable_witness`` (X, Y) is returned once its ranks
+    check: such an X with rank g(X) <= rank X, and Y the kernel projector of
+    g(X).  The spectral projectors (onto each eigenvalue cluster, and the
+    positive and negative parts) of the composite map's eigenvectors are
+    scanned first, which settles at once inputs the filter cannot scale,
+    such as diag(1, 1, 0, 1).  Then the general filter gives
+    delta = (Fa (x) Fb) gamma (Fa (x) Fb)^* with marginals Id/k, and
+    g_delta(X) = Fb g_gamma(Fa^* X Fa) Fb^*, so ranks carry over through
+    X -> Fa^* X Fa.  The top cluster (width 1e-8 * lambda_max) of delta's
+    composite map decides; if it is wider than one eigenvalue,
+    ``find_psd_eigenvector(delta)`` gives X.  ``inconclusive``: no normal
+    form, and no witness in the scans of gamma and of the filter's last
+    iterate; or, in floating point only, a wide top cluster whose X fails.
+
+    Why (Cariello, IEEE TIT 2016; Gurvits, JCSS 2004): T = k g_delta and T*
+    are positive, unital and trace preserving, so T(X) is majorized by X for
+    Hermitian X (Ando, 1989).  So ||T(X)||_2 <= ||X||_2, T*T has top
+    eigenvalue 1 at Id, and rank T(X) >= rank X for PSD X, with equality
+    exactly when it holds for the support projector P of X.  (=>) If
+    rank T(P) = rank P = r < k, the r nonzero eigenvalues of T(P) are at
+    most 1 and sum to r, so T(P) = Q is a projector; T*(Q) <= Id and
+    tr(T*(Q) P) = tr(Q T(P)) = r = tr T*(Q) give T*(Q) = P, and T*T fixes P
+    and Id.  (<=) The walk from Id along another Hermitian element of the
+    top eigenspace meets the PSD boundary at a singular X there, and
+    ||T(X)||_2^2 = tr(X T*T(X)) = ||X||_2^2 with T(X) majorized by X forces
+    equal spectra (the sum of squares is strictly Schur-convex).
+    """
+    _require_psd(gamma, tols)
+    k = _require_square(gamma, "the probe")
+    if k == 1:  # no X has 0 < rank X < 1
+        return ProbeResult("fully_indecomposable", None)
+
+    def witness(x: np.ndarray) -> ProbeResult | None:
+        x = 0.5 * (x + x.conj().T)
+        wx, _, cut_x = _herm_support(x, tols.rank)
+        wg, vg, cut_g = _herm_support(g_apply(gamma, x).mat, tols.rank)
+        rank_x = int(np.sum(wx > cut_x))
+        if not 0 < rank_x < k or np.sum(wg > cut_g) > rank_x:
+            return None
+        y = vg[:, wg <= cut_g] @ vg[:, wg <= cut_g].conj().T  # the kernel projector of g(X)
+        return ProbeResult("decomposable_witness", (LocalOperator(x), LocalOperator(y)))
+
+    def scan(state: BipartiteOperator, fa: np.ndarray) -> ProbeResult | None:
+        for coords in np.linalg.eigh(fg_matrix(state, tols).matrix)[1].T:
+            w, v = np.linalg.eigh(hermitian_from_coords(coords, k))
+            floor = 1e-8 * float(np.max(np.abs(w)))
+            groups = [c for c in _clusters(w, floor) if abs(w[c[0]]) > floor]
+            for c in groups + [np.flatnonzero(sign * w > floor) for sign in (1.0, -1.0)]:
+                hit = witness(fa.conj().T @ v[:, c] @ v[:, c].conj().T @ fa)
+                if hit is not None:
+                    return hit
+        return None
+
+    hit = scan(gamma, np.eye(k))
+    if hit is not None:
+        return hit
+    try:
+        run = _scaling_engine(0.5 * (gamma.mat + gamma.mat.conj().T), k, "general", MAX_ITER, tols)
+    except MarginalRankDeficient:
+        return ProbeResult("inconclusive", None)
+    delta, fa, _, _, converged, *_ = run
+    normal_form = BipartiteOperator(delta, k, k)
+    if not converged:
+        return scan(normal_form, fa) or ProbeResult("inconclusive", None)
+    w = np.linalg.eigvalsh(fg_matrix(normal_form, tols).matrix)[::-1]
+    if len(_clusters(w, 1e-8 * w[0])[0]) == 1:
+        return ProbeResult("fully_indecomposable", None)
+    found = find_psd_eigenvector(normal_form, tols)
+    hit = witness(fa.conj().T @ found.x.mat @ fa) if found.found else None
+    return hit or ProbeResult("inconclusive", None)
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +375,10 @@ class DecompositionTree(_JsonRecord):
         """Operator of this node assembled from its leaves."""
         if not self.children:
             return self.state.mat
-        total = np.zeros_like(self.state.mat)
-        for child in self.children:
-            total = total + _congruence(child.embed_a, child.embed_b, child.reconstruct())
-        return total
+        return sum(_congruence(c.embed_a, c.embed_b, c.reconstruct()) for c in self.children)
 
     def leaves(self) -> list["DecompositionTree"]:
-        if not self.children:
-            return [self]
-        out = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
+        return [leaf for child in self.children for leaf in child.leaves()] or [self]
 
 
 def _compress_block(

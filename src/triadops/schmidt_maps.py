@@ -126,9 +126,8 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
     Left singular vectors reshape (row-major) to the left operators, the
     conjugated right singular vectors to the right operators.  Coefficients
     below ``rank_tol * s1`` are dropped.  Each left operator's phase is fixed
-    by ``_pivot_phases``: its first entry within a relative 1e-12 of the
-    largest modulus is made real positive, so a tie between mirror entries
-    does not follow roundoff.
+    by ``_pivot_phases``, so a tie between mirror entries does not follow
+    roundoff.
     """
     k = _require_square(gamma, "the Schmidt decomposition")
     u, s, vh = np.linalg.svd(realign(gamma).mat)

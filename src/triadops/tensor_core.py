@@ -390,12 +390,9 @@ def _clusters(w: np.ndarray, width: float) -> list[range]:
 
 
 def _pivot_phases(rows: np.ndarray) -> np.ndarray:
-    """The unit phase conj(p)/|p| that makes each row's pivot p real positive.
-
-    The pivot is the row's first entry within a relative 1e-12 of its largest
-    modulus: a Hermitian input's vectors have mirror entries of equal modulus,
-    and a plain argmax would pick between them by roundoff.
-    """
+    """The phase conj(p)/|p| that makes each row's pivot p, its first entry
+    within a relative 1e-12 of its largest modulus, real positive.  Mirror
+    entries of equal modulus would make a plain argmax follow roundoff."""
     mags = np.abs(rows)
     first_top = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=1, keepdims=True), axis=1)
     pivots = rows[np.arange(len(rows)), first_top]
@@ -407,8 +404,7 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     """Eigendecomposition of a Hermitian operator, deterministic for fixed input.
 
     Eigenvalues are sorted descending.  Each eigenvector's phase is fixed by
-    ``_pivot_phases`` (its first coordinate within a relative 1e-12 of the
-    largest modulus is made real positive), and within degenerate
+    ``_pivot_phases`` (a tie-aware largest-modulus pivot), and within degenerate
     clusters the columns are ordered lexicographically by their rounded
     coordinates, so repeated runs (and golden files) agree bit for bit.  A
     cluster's width is ``1e-12 * max|eigenvalue|``, so it scales with the

@@ -16,8 +16,9 @@ name of the error raised.
 The remaining cases reach the records no other golden serializes:
 ``ppt_pair_forces_invariance`` and ``doubly_stochastic_check`` on each
 library-generated and rotated state at k = 4, ``fully_indecomposable_probe``
-on classical_diag (a decomposable witness pair) and on random_spc (indecomposable_likely), and a
-constructed ``ExtractionFailure``, since no generated input declines.
+on classical_diag (``decomposable_witness``, with its witness pair) and on
+random_spc (``fully_indecomposable``), and a constructed
+``ExtractionFailure``, since no generated input declines.
 
 The survey path has its own cases: each of the five generators at k = 4..6
 (seed 12), and ``hermitian_eig`` on those states and on classical_diag,

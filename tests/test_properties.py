@@ -24,6 +24,7 @@ from triadops import (
     classify,
     decompose,
     doubly_stochastic_check,
+    fully_indecomposable_probe,
     minimal_rank_extract,
     random_density,
     random_invariant,
@@ -168,6 +169,31 @@ def test_class_flags_and_leaves_survive_class_preserving_congruences(k, kind, sp
     assert getattr(classify(g), kind)
     assert flags(scaled) == flags(g)
     assert _leaves(haar_congruence(g, rng, SHAPES[kind])) == _leaves(g)
+
+
+# fully indecomposable maps (the four generated classes) and decomposable
+# ones: a rank-2 state (two Kraus operators) and classical_diag
+PROBE_INPUTS = {
+    **GENERATORS,
+    "density-rank2": lambda k, seed: random_density(k, 2, seed),
+    "classical_diag": lambda k, seed: canonical("classical_diag", k),
+}
+
+
+@given(
+    k=st.integers(2, 4),
+    kind=st.sampled_from(list(PROBE_INPUTS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_probe_verdict_survives_invertible_local_congruences(k, kind, seed):
+    # (V (x) W) gamma (V (x) W)^* with V, W positive definite changes no rank
+    # of the contraction map's images, so the verdict stays
+    g = PROBE_INPUTS[kind](k, seed)
+    rng = np.random.default_rng(seed)
+    scaled = local_scale(g, random_pd_local(rng, k), random_pd_local(rng, k))
+    verdict = fully_indecomposable_probe(g).verdict
+    assert verdict != "inconclusive"
+    assert fully_indecomposable_probe(scaled).verdict == verdict
 
 
 @given(

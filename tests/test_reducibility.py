@@ -17,13 +17,18 @@ from triadops import (
     equal_schmidt_certificate,
     fg_apply,
     find_psd_eigenvector,
+    fully_indecomposable_probe,
+    g_apply,
     kron,
     minimal_rank_extract,
     random_density,
+    random_invariant,
+    random_ppt,
     random_separable,
     random_spc,
     rank_bound_check,
     rng_from_seed,
+    sinkhorn_filter,
     split,
 )
 from triadops.errors import (
@@ -470,3 +475,66 @@ def test_extract_preconditions(bell2, identity_plus_u2):
         minimal_rank_extract(bell2, classify(bell2))
     with pytest.raises(PreconditionNotMet):
         minimal_rank_extract(identity_plus_u2, classify(identity_plus_u2))
+
+
+def _rank(m):
+    w = np.linalg.eigvalsh(m)
+    return int(np.sum(w > DEFAULT.rank * max(np.abs(w).max(), 1e-300)))
+
+
+def _assert_checked_witness(g, res):
+    assert res.verdict == "decomposable_witness"
+    x, y = res.witness
+    gx = g_apply(g, x).mat
+    assert abs(np.trace(gx @ y.mat)) <= 1e-12 * np.linalg.norm(gx) * np.linalg.norm(y.mat)
+    assert 0 < _rank(x.mat) < g.dim_a
+    assert _rank(gx) <= _rank(x.mat)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_probe_finds_the_witness_of_a_rank_two_state(k):
+    # the map of a rank-2 state has two Kraus operators A_1, A_2, so a vector
+    # v with A_1 v parallel to A_2 v gives rank g(P(v)) = 1; such witnesses
+    # lie on a measure-zero set that random rank probes never hit
+    for seed in range(8):
+        g = random_density(k, 2, seed)
+        _assert_checked_witness(g, fully_indecomposable_probe(g))
+
+
+PROBE_INPUTS = {
+    "spc": random_spc,
+    "invariant": random_invariant,
+    "ppt": random_ppt,
+    "density": lambda k, seed: random_density(k, k * k, seed),
+    "classical_diag-VV": lambda k, seed: haar_congruence(
+        canonical("classical_diag", k), rng_from_seed(seed), "V"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(PROBE_INPUTS))
+def test_probe_verdict_on_raw_states_and_their_normal_forms(kind):
+    # the four generated classes are fully indecomposable; rotated
+    # classical_diag splits, so its map is decomposable
+    for k in (2, 3, 4, 5):
+        for seed in range(8):
+            g = PROBE_INPUTS[kind](k, seed)
+            for state in (g, sinkhorn_filter(g).normal_form):
+                res = fully_indecomposable_probe(state)
+                if kind == "classical_diag-VV":
+                    _assert_checked_witness(state, res)
+                else:
+                    assert res.verdict == "fully_indecomposable", (k, seed)
+                    assert res.witness is None
+
+
+def test_probe_finds_witnesses_of_a_map_the_filter_cannot_scale():
+    # diag(1, 1, 0, 1) has full-rank marginals but no normal form, and E_11
+    # keeps its rank: the scan of the input finds it before any filter step.
+    # Under a positive definite V (x) W the scan of the input misses, and the
+    # scan of the unconverged filter's last iterate finds it.
+    g = BipartiteOperator(np.diag([1.0, 1.0, 0.0, 1.0]), 2, 2)
+    _assert_checked_witness(g, fully_indecomposable_probe(g))
+    rng = np.random.default_rng(0)
+    scaled = local_scale(g, random_pd_local(rng, 2), random_pd_local(rng, 2))
+    _assert_checked_witness(scaled, fully_indecomposable_probe(scaled))
