@@ -215,11 +215,12 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     exactly when it holds for the support projector P of X.  (=>) If
     rank T(P) = rank P = r < k, the r nonzero eigenvalues of T(P) are at
     most 1 and sum to r, so T(P) = Q is a projector; T*(Q) <= Id and
-    tr(T*(Q) P) = tr(Q T(P)) = r = tr T*(Q) give T*(Q) = P, and T*T fixes P
-    and Id.  (<=) The walk from Id along another Hermitian element of the
-    top eigenspace meets the PSD boundary at a singular X there, and
-    ||T(X)||_2^2 = tr(X T*T(X)) = ||X||_2^2 with T(X) majorized by X forces
-    equal spectra (the sum of squares is strictly Schur-convex).
+    tr(T*(Q) P) = tr(Q T(P)) = r = tr T*(Q) give T*(Q) = P: T*T fixes P and
+    Id, so its top eigenvalue is not simple.  (<=) If it is not simple, the
+    walk from Id along another Hermitian element of the eigenspace meets the
+    PSD boundary at a singular X there; ||T(X)||_2^2 = tr(X T*T(X)) =
+    ||X||_2^2 with T(X) majorized by X forces equal spectra (the sum of
+    squares is strictly Schur-convex), so rank T(X) = rank X.
     """
     _require_psd(gamma, tols)
     k = _require_square(gamma, "the probe")
