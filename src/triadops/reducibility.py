@@ -24,7 +24,7 @@ from .errors import (
     PreconditionNotMet,
     ZeroMatrix,
 )
-from .filters import MAX_ITER, _scaling_engine
+from .filters import _scaling_engine
 from .schmidt_maps import (
     _identity_split,
     fg_apply,
@@ -46,6 +46,7 @@ from .tensor_core import (
     _partial_trace,
     _require_psd,
     _require_square,
+    norms,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -195,17 +196,19 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     indecomposable: rank g(X) > rank X for every PSD X with 0 < rank X < k.
 
     Otherwise a ``decomposable_witness`` (X, Y) is returned once its ranks
-    check: such an X with rank g(X) <= rank X, and Y the kernel projector of
-    g(X).  The spectral projectors (onto each eigenvalue cluster, and the
-    positive and negative parts) of the composite map's eigenvectors are
-    scanned first, which settles at once inputs the filter cannot scale,
-    such as diag(1, 1, 0, 1).  Then the general filter gives
+    check: such an X with rank g(X) <= rank X, counting the eigenvalues of
+    g(X) above tols.rank * ||gamma|| * lambda_max(X), and Y the kernel
+    projector of g(X).  The spectral projectors (onto each eigenvalue
+    cluster, and the positive and negative parts) of the composite map's
+    eigenvectors are scanned first, which settles at once inputs the filter
+    cannot scale, such as diag(1, 1, 0, 1).  Then the general filter gives
     delta = (Fa (x) Fb) gamma (Fa (x) Fb)^* with marginals Id/k, and
     g_delta(X) = Fb g_gamma(Fa^* X Fa) Fb^*, so ranks carry over through
     X -> Fa^* X Fa.  The top cluster (width 1e-8 * lambda_max) of delta's
     composite map decides; if it is wider than one eigenvalue,
-    ``find_psd_eigenvector(delta)`` gives X.  ``inconclusive``: no normal
-    form, and no witness in the scans of gamma and of the filter's last
+    ``find_psd_eigenvector(delta)`` gives X.  If gamma_A is singular, its
+    kernel projector P has g(P) = 0.  ``inconclusive``: no normal form, and
+    no witness from P or the scans of gamma and of the filter's last
     iterate; or, in floating point only, a wide top cluster whose X fails.
 
     Why (Cariello, IEEE TIT 2016; Gurvits, JCSS 2004): T = k g_delta and T*
@@ -230,11 +233,12 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     def witness(x: np.ndarray) -> ProbeResult | None:
         x = 0.5 * (x + x.conj().T)
         wx, _, cut_x = _herm_support(x, tols.rank)
-        wg, vg, cut_g = _herm_support(g_apply(gamma, x).mat, tols.rank)
+        wg, vg, _ = _herm_support(g_apply(gamma, x).mat, tols.rank)
+        kernel = vg[:, wg <= tols.rank * norms(gamma).operator_norm * wx[-1]]  # of g(X)
         rank_x = int(np.sum(wx > cut_x))
-        if not 0 < rank_x < k or np.sum(wg > cut_g) > rank_x:
+        if not 0 < rank_x < k or k - kernel.shape[1] > rank_x:
             return None
-        y = vg[:, wg <= cut_g] @ vg[:, wg <= cut_g].conj().T  # the kernel projector of g(X)
+        y = kernel @ kernel.conj().T
         return ProbeResult("decomposable_witness", (LocalOperator(x), LocalOperator(y)))
 
     def scan(state: BipartiteOperator, fa: np.ndarray) -> ProbeResult | None:
@@ -252,9 +256,11 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     if hit is not None:
         return hit
     try:
-        run = _scaling_engine(0.5 * (gamma.mat + gamma.mat.conj().T), k, "general", MAX_ITER, tols)
-    except MarginalRankDeficient:
-        return ProbeResult("inconclusive", None)
+        run = _scaling_engine(0.5 * (gamma.mat + gamma.mat.conj().T), k, "general", tols)
+    except MarginalRankDeficient:  # the kernel projector P of gamma_A has g(P) = 0
+        w, v, cut = _herm_support(_partial_trace(gamma.tensor4, "a"), tols.rank)
+        kernel = v[:, w <= cut]
+        return witness(kernel @ kernel.conj().T) or ProbeResult("inconclusive", None)
     delta, fa, _, _, converged, *_ = run
     normal_form = BipartiteOperator(delta, k, k)
     if not converged:
@@ -654,9 +660,7 @@ def minimal_rank_extract(
 
     # no marginal guard: the rank check capped both marginals' condition
     # numbers at 1 / tols.rank, below the filter's limit
-    delta, fa, fb, iterations, converged, _, res_a, res_b = _scaling_engine(
-        gn, k, "general", MAX_ITER, tols
-    )
+    delta, fa, fb, iterations, converged, _, res_a, res_b = _scaling_engine(gn, k, "general", tols)
     if not converged:
         return ExtractionFailure(
             step="filter",

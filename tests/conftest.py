@@ -61,9 +61,10 @@ def local_scale(op: BipartiteOperator, s: np.ndarray, t: np.ndarray) -> Bipartit
     return BipartiteOperator(out / np.trace(out).real, op.dim_a, op.dim_b)
 
 
-def rewrite_goldens(path, cases):
+def rewrite_goldens(path, cases, describe=None):
     """Write ``cases`` to the golden file ``path`` and print the names of the
-    cases whose golden changed, was added or was removed.
+    cases whose golden changed, was added or was removed.  ``describe(old,
+    new)``, if given, returns a line printed under each changed case.
     """
     old = json.loads(path.read_text()) if path.exists() else {}
     path.parent.mkdir(exist_ok=True)
@@ -73,6 +74,8 @@ def rewrite_goldens(path, cases):
             print(f"added: {name}")
         elif old[name] != cases[name]:
             print(f"changed: {name}")
+            if describe is not None:
+                print(f"  {describe(old[name], cases[name])}")
     for name in old:
         if name not in cases:
             print(f"removed: {name}")

@@ -9,7 +9,9 @@ max(1, |golden value|).
 
 To rewrite the goldens after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py``; it prints the names of
-the cases whose stored output changed.
+the cases whose stored output changed, each with the largest entry-wise
+change of its numbers, the integer counts that changed and the keys whose
+shape changed (such as a shorter ``iteration_log``).
 """
 
 import contextlib
@@ -101,6 +103,48 @@ def _assert_matches(name, got, want):
     _assert_close(got_block, json.loads(want["stdout"])["extraction"], f"{name} extraction")
 
 
+def _differing_leaves(old, new, key=""):
+    """Yields (key, old, new) wherever two JSON values differ.  Dicts with the
+    same keys and lists of the same length are compared entry by entry, under
+    their dotted key; any other difference is one leaf."""
+    if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
+        for name in old:
+            yield from _differing_leaves(old[name], new[name], f"{key}.{name}".lstrip("."))
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for old_item, new_item in zip(old, new):
+            yield from _differing_leaves(old_item, new_item, key)
+    elif old != new:
+        yield key, old, new
+
+
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def change_summary(old, new):
+    """How a changed case moved: the largest entry-wise change of its numbers
+    (with its key), the integers that changed (such as ``iterations``), and
+    the keys whose shape or non-numeric value changed."""
+    parts = [] if old["exit"] == new["exit"] else [f"exit {old['exit']} -> {new['exit']}"]
+    try:
+        leaves = list(_differing_leaves(json.loads(old["stdout"]), json.loads(new["stdout"])))
+    except json.JSONDecodeError:
+        return "; ".join(parts + ["stdout is not JSON on both sides"])
+    counts = [(key, o, n) for key, o, n in leaves if type(o) is int and type(n) is int]
+    numbers = [
+        (abs(n - o), key)
+        for key, o, n in leaves
+        if _number(o) and _number(n) and (key, o, n) not in counts
+    ]
+    reshaped = sorted({key for key, o, n in leaves if not (_number(o) and _number(n))})
+    if numbers:
+        parts.append("largest entry-wise change {:.2g} at {}".format(*max(numbers)))
+    parts += [f"{key} {o} -> {n}" for key, o, n in counts]
+    if reshaped:
+        parts.append("shape changed: " + ", ".join(reshaped))
+    return "; ".join(parts) or "text changed, values equal"
+
+
 @pytest.fixture(scope="module")
 def goldens():
     return json.loads(GOLDEN.read_text())
@@ -117,4 +161,4 @@ def test_cli_json_matches_goldens(tmp_path, goldens):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        rewrite_goldens(GOLDEN, dict(_collect(pathlib.Path(tmp))))
+        rewrite_goldens(GOLDEN, dict(_collect(pathlib.Path(tmp))), change_summary)

@@ -121,6 +121,26 @@ def test_one_filter_modes_converge_in_few_steps(mode, k):
         assert monitors[-1] < 0.0
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_converged_runs_take_no_step_from_a_converged_iterate(k):
+    # one stopping rule in every mode: the first iterate within tols.filter
+    # ends the run, so every logged step starts from a residual above it
+    runs = [
+        (_scaled_spc, "symmetric"),
+        (_scaled_invariant, "conjugate"),
+        (lambda k, seed: random_density(k, k * k, seed), "general"),
+        (lambda k, seed: random_density(k, k * k, seed), "left"),
+    ]
+    for make, mode in runs:
+        for seed in range(4):
+            fr = sinkhorn_filter(make(k, seed), mode)
+            assert fr.converged, (mode, seed)
+            assert max(fr.marginal_residual_a, fr.marginal_residual_b) <= DEFAULT.filter
+            assert len(fr.iteration_log) == fr.iterations
+            for entry in fr.iteration_log:
+                assert max(entry["residual_a"], entry["residual_b"]) > DEFAULT.filter, (mode, seed)
+
+
 def test_general_mode_random_density():
     for seed in range(10):
         g = random_density(3, 9, seed)

@@ -538,3 +538,29 @@ def test_probe_finds_witnesses_of_a_map_the_filter_cannot_scale():
     rng = np.random.default_rng(0)
     scaled = local_scale(g, random_pd_local(rng, 2), random_pd_local(rng, 2))
     _assert_checked_witness(scaled, fully_indecomposable_probe(scaled))
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_probe_finds_the_kernel_witness_of_a_rank_deficient_marginal(side):
+    # (P (x) I) rho (P (x) I) with P = diag(1, .., 1, 0) under a positive
+    # definite V (x) W: the filter cannot scale gamma_A, and the kernel
+    # projector X of gamma_A has g(X) = 0, whose eigenvalues are roundoff
+    # signs, so rank g(X) is judged on the scale of ||gamma|| ||X||.  The
+    # mirror copy (I (x) P) is found by the scan of the input.
+    for k in (2, 3, 4):
+        p = np.diag([1.0] * (k - 1) + [0.0])
+        for seed in range(6):
+            rho = random_density(k, k * k, seed)
+            rng = rng_from_seed(500 + 10 * k + seed)
+            v, w = random_pd_local(rng, k), random_pd_local(rng, k)
+            cut = local_scale(rho, p, np.eye(k)) if side == "A" else local_scale(rho, np.eye(k), p)
+            g = local_scale(cut, v, w)
+            res = fully_indecomposable_probe(g)
+            assert res.verdict == "decomposable_witness", (k, seed)
+            x, y = res.witness
+            gx = g_apply(g, x).mat
+            scale = np.linalg.norm(g.mat, 2) * np.linalg.norm(x.mat, 2)
+            assert abs(np.trace(gx @ y.mat)) <= 1e-12 * scale
+            assert 0 < _rank(x.mat) < k
+            rank_gx = int(np.sum(np.linalg.eigvalsh(gx) > DEFAULT.rank * scale))
+            assert rank_gx <= _rank(x.mat)
