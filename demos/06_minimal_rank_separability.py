@@ -1,10 +1,11 @@
 """Minimal rank forces separability, and the decomposition is constructive.
 
-A triad-class state whose rank equals both reduced ranks (= k) is
-separable; the extraction below filters the state to identity marginals
-and reads the product terms off one eigensolve: the top eigenspace of the
-filtered state's composite contraction map is spanned by the projectors
-P(a_i) of its terms, and their common eigenbasis gives the a_i.
+A triad-class state whose rank equals its larger reduced rank (here both
+reduced ranks and the rank are k) is separable.  The extraction below
+whitens one marginal to the identity, in closed form; the images of the
+other factor's Hermitian basis then share one eigenbasis, which gives the
+product vectors on the whitened side, and each group of them gives one
+product term.
 
 Run:  python demos/06_minimal_rank_separability.py
 """

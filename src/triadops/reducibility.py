@@ -3,10 +3,12 @@
 For states in the triad classes, every PSD eigenvector of the composite
 contraction map with a nontrivial kernel splits the state into two blocks
 with orthogonal local supports; recursive splits give weakly irreducible
-components.  A minimal-rank state (rank equal to its full reduced ranks) is
-separable, with product terms read off the top eigenspace of the composite
-map of its filter normal form.  That eigenspace also decides, for any state,
-whether its contraction map is fully indecomposable.
+components.  A minimal-rank state (rank equal to its larger reduced rank) is
+separable, with product terms read off in one closed-form step: whiten the
+marginal of larger rank, and the images of the other factor's Hermitian
+basis share one eigenbasis, the product vectors of that side.  The top
+eigenspace of the composite map of the filter normal form decides, for any
+state, whether its contraction map is fully indecomposable.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .schmidt_maps import (
     fg_apply,
     fg_matrix,
     g_apply,
+    hermitian_basis,
     hermitian_from_coords,
     schmidt,
 )
@@ -44,6 +47,7 @@ from .tensor_core import (
     _JsonRecord,
     _kron,
     _partial_trace,
+    _permute_slots,
     _require_psd,
     _require_square,
     norms,
@@ -511,14 +515,21 @@ def rank_bound_check(
     rank; the report's claim is only meaningful when a flag is set.
     """
     del classification  # recorded by the caller; the comparison is unconditional
-    marginals = (_partial_trace(gamma.tensor4, "a"), _partial_trace(gamma.tensor4, "b"))
-    rank, ra, rb = (
-        int(np.sum(w > cut))
-        for w, _, cut in (_herm_support(m, tols.rank) for m in (gamma.mat, *marginals))
-    )
+    rank, supports = _reduced_supports(gamma, tols)
+    ra, rb = (len(w) for w, _ in supports)
     return RankBoundReport(
         rank=rank, reduced_ranks=(ra, rb), bound_holds=bool(rank >= max(ra, rb))
     )
+
+
+def _reduced_supports(
+    gamma: BipartiteOperator, tols: Tolerances
+) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """The state's rank, and the eigenvalues and eigenvectors of each
+    marginal's numerical support, first factor first."""
+    marginals = (_partial_trace(gamma.tensor4, keep) for keep in "ab")
+    (w, _, cut), *spectra = (_herm_support(m, tols.rank) for m in (gamma.mat, *marginals))
+    return int(np.sum(w > cut)), [(w[w > c], v[:, w > c]) for w, v, c in spectra]
 
 
 # ---------------------------------------------------------------------------
@@ -559,64 +570,6 @@ class ExtractionFailure(_JsonRecord):
     residuals: dict
 
 
-def _extract_normal_form(
-    mat: np.ndarray, k: int, tols: Tolerances
-) -> list[tuple[float, np.ndarray, np.ndarray]] | ExtractionFailure:
-    """Product terms of a trace-1 state with marginals Id/k, read off one
-    eigensolve of its composite contraction map.
-
-    A separable such state of rank k is (1/k) sum_i P(a_i) (x) P(b_i) with
-    orthonormal {a_i} and {b_i}.  The composite map then has the k-fold top
-    eigenvalue 1/k^2, its top eigenspace is spanned by the P(a_i), and the
-    eigenspace's directions orthogonal to the identity commute, with common
-    eigenbasis {a_i}.  Returns [(weight, x, y)] with trace-1 PSD local
-    factors, or the ExtractionFailure of the step that failed.
-    """
-    w, v = np.linalg.eigh(fg_matrix(BipartiteOperator(mat, k, k), tols).matrix)
-    spread = float(np.max(np.abs(w[::-1][:k] - 1.0 / k**2)) * k**2)
-    if spread > tols.equal_coeff:
-        return ExtractionFailure(
-            step="equal-eigenvalues",
-            detail=f"top-{k} eigenvalues of the composite map deviate from 1/k^2 by relative {spread:.3e}",
-            residuals={"spread": spread},
-        )
-    _, others = _identity_split(v[:, ::-1][:, :k])
-    directions = [hermitian_from_coords(d, k) for d in others.T]
-
-    # The directions form a Parseval frame of the eigenspace's traceless
-    # part, which holds every P(a_i) - P(a_j) (norm sqrt 2).  So for any two
-    # a_i in a group some direction's eigenvalues on the group differ by at
-    # least sqrt(2/k), and its widest gap is at least sqrt(2/k)/(k-1).  Each
-    # group is split at the gaps of at least half that in the first direction
-    # that has one, never at a near-tie that roundoff still mixes.
-    min_gap = 0.5 * np.sqrt(2.0 / k) / max(k - 1, 1)
-    pending, groups = [np.eye(k, dtype=complex)], []
-    while pending:
-        q = pending.pop()
-        if q.shape[1] == 1:
-            groups.append(q)
-            continue
-        for dm in directions:
-            wd, vd = np.linalg.eigh(q.conj().T @ dm @ q)
-            parts = _clusters(wd, min_gap)
-            if len(parts) > 1:
-                pending += [q @ vd[:, c] for c in parts]
-                break
-        else:
-            return ExtractionFailure(
-                step="common-eigenbasis",
-                detail=f"no direction splits {q.shape[1]} of the {k} product directions",
-                residuals={},
-            )
-
-    terms = []
-    for a in groups:
-        block = _compress_block(mat, a, np.eye(k))
-        weight = float(np.trace(block).real)
-        terms.append((weight, a @ a.conj().T, block / weight))
-    return terms
-
-
 def minimal_rank_extract(
     gamma: BipartiteOperator,
     classification: TriadClassification,
@@ -624,22 +577,34 @@ def minimal_rank_extract(
 ) -> SeparableDecomposition | ExtractionFailure:
     """Constructive separable decomposition of a minimal-rank triad state.
 
-    Preconditions: at least one triad flag, and the state's rank equals both
-    reduced ranks equals the local dimension k.  A tolerance failure comes
-    back as an ExtractionFailure naming its step:
+    Preconditions: at least one triad flag, and rank = max(r_A, r_B) for the
+    reduced ranks r_A, r_B (a lower rank contradicts the rank bound of triad
+    states; a higher one is not minimal rank).  Such a state is separable,
+    and one closed-form step reads its terms off.  Compress the
+    trace-normalized state to supp gamma_A (x) supp gamma_B, swap the factors
+    if r_A > r_B, so that m = r_A <= n = r_B, and whiten the second factor:
+    delta = (Id (x) S^-1) c (Id (x) S^-1), S = (n c_B)^1/2.  As c is a sum of
+    n product terms and delta_B = Id/n, delta = (1/n) sum_i P(e_i) (x) P(f_i)
+    with orthonormal f_i, so each h(X) = tr_A[delta (X (x) Id)] is diagonal
+    in {f_i}, with eigenvalue <e_i|X|e_i>/n at f_i.
 
-    ``filter``             the state is filtered to identity marginals by the
-                           two-sided (general) filter, whatever its class:
-                           a rank-k normal form with both marginals Id/k
-                           has orthonormal product factors on both sides;
-    ``equal-eigenvalues``  the top k eigenvalues of the filtered state's
-                           composite map must equal 1/k^2;
-    ``common-eigenbasis``  their eigenspace, spanned by the P(a_i) of the
-                           product terms, must resolve k directions a_i;
-                           each gives the term P(a_i) (x) B_i, B_i the
-                           state compressed to a_i on the first factor;
-    ``reconstruction``     with the filters undone, the terms must sum to
-                           the trace-normalized input.
+    The images h(B_a) of the orthonormal Hermitian basis of C^m split the
+    f_i into groups.  As sum_a (<e_i|B_a|e_i> - <e_j|B_a|e_j>)^2 =
+    ||P(e_i) - P(e_j)||^2 and B_0 = Id/sqrt(m) adds nothing (at m = 1 it is
+    the only direction, and splits nothing), some direction separates f_i
+    from f_j by at least ||P(e_i) - P(e_j)|| / (n sqrt(m^2 - 1)).
+    Each group is split at the widest gap of the direction whose widest gap
+    is largest, since roundoff mixes eigenvectors across a gap less the wider
+    it is: a near-tie in one direction never decides a split that another
+    makes cleanly.  A group whose gaps are all at most tols.equal_coeff / n
+    shares one e: it is the term P(e) (x) S P S/tr(S P S), P its projector,
+    with weight tr(S P S)/n and P(e) read off tr_B[delta (Id (x) P)].
+
+    The one failure step, returned as an ExtractionFailure:
+
+    ``reconstruction``  with the whitening and the supports undone, the
+                        terms must sum to the trace-normalized input within
+                        ``tols.separable``.
 
     Terms come by descending weight, equal weights by ascending
     tr(x diag(1..k)) (see ``_stable_order``).
@@ -647,50 +612,59 @@ def minimal_rank_extract(
     if not classification.any_flag:
         raise PreconditionNotMet("extraction needs at least one triad flag")
     k = _require_square(gamma, "extraction")
-    rb_report = rank_bound_check(gamma, classification, tols)
-    if rb_report.rank != k or rb_report.reduced_ranks != (k, k):
+    rank, ((wa, va), (wb, vb)) = _reduced_supports(gamma, tols)
+    bound = max(len(wa), len(wb))
+    if rank != bound or rank == 0:
+        why = "contradicts the rank lower bound of triad states" if rank < bound else "is not minimal rank"
         raise PreconditionNotMet(
-            f"extraction needs rank = reduced ranks = k = {k}, got rank "
-            f"{rb_report.rank} and reduced ranks {rb_report.reduced_ranks}"
+            f"extraction needs rank = max(r_A, r_B) > 0; rank {rank} with reduced ranks "
+            f"({len(wa)}, {len(wb)}) {why}"
         )
 
     _require_psd(gamma, tols)
     gn = 0.5 * (gamma.mat + gamma.mat.conj().T)
-    gn = gn / np.trace(gn).real
+    trace = np.trace(gn).real
+    gn = gn / trace
+    swap = len(wa) > len(wb)
+    if swap:
+        (wa, va), (wb, vb) = (wb, vb), (wa, va)
+    m, n = len(wa), len(wb)
+    half = vb * np.sqrt(n * wb / trace)  # S, lifted to C^k
+    lift = _kron(va, vb / np.sqrt(n * wb / trace))
+    flipped = _permute_slots(gn, k, k, (1, 0, 3, 2)) if swap else gn
+    delta = (lift.conj().T @ flipped @ lift).reshape(m, n, m, n)
 
-    # no marginal guard: the rank check capped both marginals' condition
-    # numbers at 1 / tols.rank, below the filter's limit
-    delta, fa, fb, iterations, converged, _, res_a, res_b = _scaling_engine(gn, k, "general", tols)
-    if not converged:
-        return ExtractionFailure(
-            step="filter",
-            detail=f"general filter did not converge in {iterations} iterations",
-            residuals={"marginal_residual_a": res_a, "marginal_residual_b": res_b},
-        )
+    # all h(B_a) in one product: h(X)[b, b'] = sum delta[a, b, a', b'] X[a', a]
+    basis = hermitian_basis(m).reshape(m * m, m * m)
+    images = (basis @ delta.transpose(1, 3, 2, 0).reshape(n * n, m * m).T).reshape(-1, n, n)
+    pending, groups = [np.eye(n, dtype=complex)], []
+    while pending:
+        q = pending.pop()
+        blocks = q.conj().T @ images @ q
+        widest = np.diff(np.linalg.eigvalsh(blocks), axis=1).max(axis=1, initial=0.0)
+        if widest.max() <= tols.equal_coeff / n:
+            groups.append(q)
+            continue
+        wd, vd = np.linalg.eigh(blocks[np.argmax(widest)])
+        cut = int(np.argmax(np.diff(wd))) + 1
+        for part in (vd[:, :cut], vd[:, cut:]):
+            (pending if part.shape[1] > 1 else groups).append(q @ part)
 
-    raw_terms = _extract_normal_form(delta, k, tols)
-    if isinstance(raw_terms, ExtractionFailure):
-        return raw_terms
-
-    fa_inv = np.linalg.inv(fa)
-    fb_inv = np.linalg.inv(fb)
-
-    terms: list[ProductTerm] = []
-    total = np.zeros_like(gn)
-    for wt, x, y in raw_terms:
-        xp = fa_inv @ x @ fa_inv.conj().T
-        yp = fb_inv @ y @ fb_inv.conj().T
-        tx, ty = np.trace(xp).real, np.trace(yp).real
-        weight = float(wt * tx * ty)
-        xp = 0.5 * (xp + xp.conj().T) / tx
-        yp = 0.5 * (yp + yp.conj().T) / ty
-        total += weight * _kron(xp, yp)
-        terms.append(ProductTerm(weight, LocalOperator(xp), LocalOperator(yp)))
-    residual = float(np.linalg.norm(total - gn))
+    projs = np.stack([q @ q.conj().T for q in groups])
+    # tr_B[delta (Id (x) P)][a, a'] = sum delta[a, b, a', b'] P[b', b]
+    contracted = projs.reshape(-1, n * n) @ delta.transpose(0, 2, 3, 1).reshape(m * m, n * n).T
+    factors = [s @ f @ s.conj().T for s, f in ((va, contracted.reshape(-1, m, m)), (half, projs))]
+    weights = np.trace(factors[1], axis1=1, axis2=2).real / n
+    lefts, rights = factors[::-1] if swap else factors
+    terms = [
+        ProductTerm(float(w), *(LocalOperator(0.5 * (f + f.conj().T) / np.trace(f).real) for f in (x, y)))
+        for w, x, y in zip(weights, lefts, rights)
+    ]
+    residual = float(np.linalg.norm(SeparableDecomposition(terms, 0.0).reconstruct() - gn))
     if residual > tols.separable * max(1.0, float(np.linalg.norm(gn))):
         return ExtractionFailure(
             step="reconstruction",
-            detail=f"undoing the filters left residual {residual:.3e}",
+            detail=f"the product terms reconstruct the state to residual {residual:.3e}",
             residuals={"residual": residual},
         )
     return SeparableDecomposition(terms=_stable_order(terms, tols), reconstruction_residual=residual)

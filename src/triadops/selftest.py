@@ -202,13 +202,33 @@ def _suite_reducibility(div: int, seed: int) -> tuple[bool, str]:
                 states += 1
     worst = 0.0
     extractions = 0
+    for shape, k, g, count in _extraction_inputs(div, seed):
+        out = minimal_rank_extract(g, classify(g))
+        if not isinstance(out, SeparableDecomposition):
+            return False, f"extraction failed at step {out.step} ({shape}, k={k})"
+        if len(out.terms) != count:
+            return False, f"{len(out.terms)} product terms, expected {count} ({shape}, k={k})"
+        if any(np.linalg.eigvalsh(f.mat)[0] < -1e-9 for _, x, y in out.terms for f in (x, y)):
+            return False, f"extracted factor is not PSD ({shape}, k={k})"
+        worst = max(worst, out.reconstruction_residual)
+        extractions += 1
+    return worst <= 1e-7, (
+        f"rank bounds on {states} states, {extractions} extractions, worst residual {worst:.2e}"
+    )
+
+
+def _extraction_inputs(div: int, seed: int):
+    """Minimal-rank separable states as (shape, k, state, number of terms):
+    classical_diag under Haar and positive definite local congruences, and
+    n generic product vectors x_i (x) y_i on C^m (x) C^n, m <= n <= k,
+    embedded in C^k (x) C^k by random isometries, with y_i = x_i or conj(x_i)
+    when m = n, and in either order when m < n (one term when m = 1)."""
     for k, n in ((2, 34), (3, 33), (4, 33)):
         fixture = canonical("classical_diag", k)
         for s in range(n // div):
             rng = rng_from_seed(seed + 7500 + 13 * s + k)
             q, r = np.linalg.qr(_random_local(rng, k))
             u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar unitary
-            # positive definite V, W, on which the extraction's filter iterates
             x, y = _random_local(rng, k), _random_local(rng, k)
             v, w = x @ x.conj().T + 0.3 * np.eye(k), y @ y.conj().T + 0.3 * np.eye(k)
             for shape, a, b in (
@@ -217,17 +237,22 @@ def _suite_reducibility(div: int, seed: int) -> tuple[bool, str]:
                 ("PD V (x) conj(V)", v, v.conj()),
                 ("PD V (x) W", v, w),
             ):
-                g = BipartiteOperator(_congruence(a, b, fixture.mat), k, k)
-                out = minimal_rank_extract(g, classify(g))
-                if not isinstance(out, SeparableDecomposition):
-                    return False, f"extraction failed at step {out.step} ({shape}, k={k}, draw {s})"
-                if any(np.linalg.eigvalsh(f.mat)[0] < -1e-9 for _, x, y in out.terms for f in (x, y)):
-                    return False, f"extracted factor is not PSD ({shape}, k={k}, draw {s})"
-                worst = max(worst, out.reconstruction_residual)
-                extractions += 1
-    return worst <= 1e-7, (
-        f"rank bounds on {states} states, {extractions} extractions, worst residual {worst:.2e}"
-    )
+                yield f"{shape}, draw {s}", k, BipartiteOperator(_congruence(a, b, fixture.mat), k, k), k
+    for k in range(2, 7):
+        for n in range(1, k + 1):
+            for m in range(1 if k > 2 else n, n + 1):
+                for s in range(-(-(5 if m == n else 3) // div)):  # a fifth when quick, rounded up
+                    rng = rng_from_seed(seed + 7700 + 100 * k + 10 * n + m + 1000 * s)
+                    x = np.linalg.qr(_random_local(rng, k))[0][:, :m] @ _random_local(rng, n)[:m]
+                    y = np.linalg.qr(_random_local(rng, k))[0][:, :n] @ _random_local(rng, n)
+                    if m == n:
+                        pairs = {"x (x) x": (x, x), "x (x) conj(x)": (x, x.conj()), "x (x) y": (x, y)}
+                    else:
+                        pairs = {"r_A < r_B": (x, y), "r_A > r_B": (y, x)}
+                    for shape, (a, b) in pairs.items():
+                        vecs = (a[:, None, :] * b[None, :, :]).reshape(k * k, n)
+                        g = BipartiteOperator(vecs @ vecs.conj().T, k, k)
+                        yield f"{n} terms, {shape}, C^{m} (x) C^{n}, draw {s}", k, g, n if m > 1 else 1
 
 
 SUITES = {

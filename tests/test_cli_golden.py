@@ -3,9 +3,9 @@
 Every case runs ``triadops.cli.main`` in-process on a generated input and
 compares stdout and the exit code with ``goldens/cli.json``.  The text must
 match byte for byte, except inside ``certify``'s ``extraction`` block.  Its
-numbers come from eigenvectors of a degenerate eigenspace, whose basis
-roundoff picks, so they are compared to 1e-12 relative to
-max(1, |golden value|).
+numbers come out of a chain of eigensolves (the marginals' supports, then
+one per split), whose last bits depend on the LAPACK build, so they are
+compared to 1e-12 relative to max(1, |golden value|).
 
 To rewrite the goldens after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py``; it prints the names of

@@ -8,8 +8,8 @@ rotation of classical_diag, for the symmetric and conjugate modes on
 random_spc and random_invariant under a seeded positive definite filter
 (inputs on which those modes iterate), and for ``minimal_rank_extract`` on
 classical_diag under seeded Haar V (x) V, V (x) conj(V) and V (x) W and under
-seeded positive definite filters of the same three shapes (inputs on which
-the extraction's filter iterates).  A mode,
+seeded positive definite filters of the same three shapes (inputs whose
+marginals the extraction must whiten).  A mode,
 a decomposition or an extraction that the input does not admit records the
 name of the error raised.
 

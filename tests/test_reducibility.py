@@ -304,8 +304,8 @@ def test_rank_bound_generator_sweep_up_to_k4():
     ids=lambda w: "-".join(f"{x:.3g}" for x in w),
 )
 def test_extract_classical_diag(weights):
-    # unrotated, the top eigenspace is exactly degenerate, and eigh's basis
-    # of it ties coefficients that only later directions separate
+    # unrotated, most images of the Hermitian basis vanish on every product
+    # direction and the rest tie some of them; only the widest gaps split
     k = len(weights)
     diag = np.zeros(k * k)
     diag[np.arange(k) * (k + 1)] = weights
@@ -317,20 +317,22 @@ def test_extract_classical_diag(weights):
     assert np.linalg.norm(out.reconstruct() - g.mat) <= 1e-12
 
 
-def test_extract_reports_the_failing_step(tmp_path, capsys):
-    # no roundoff meets a spread tolerance of 1e-30, so the returned failure
-    # names the equal-eigenvalues step, and certify exits 2 with its report
+def test_extract_reports_the_failing_step(tmp_path, capsys, monkeypatch):
+    # no roundoff meets a reconstruction tolerance of 1e-30, so the returned
+    # failure names the reconstruction step, and certify exits 2 with its report
     g = haar_congruence(canonical("classical_diag", 3), rng_from_seed(60), "V")
-    out = minimal_rank_extract(g, classify(g), DEFAULT.but(equal_coeff=1e-30))
+    tight = DEFAULT.but(separable=1e-30)
+    out = minimal_rank_extract(g, classify(g), tight)
     assert isinstance(out, ExtractionFailure)
-    assert out.step == "equal-eigenvalues"
-    assert out.residuals["spread"] > 1e-30
+    assert out.step == "reconstruction"
+    assert out.residuals["residual"] > 1e-30
     path = tmp_path / "state.json"
     path.write_text(json.dumps(g.to_json()))
-    assert main(["certify", str(path), "--json", "--tol-eq", "1e-30"]) == 2
+    monkeypatch.setattr("triadops.cli.DEFAULT", tight)
+    assert main(["certify", str(path), "--json"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert list(report) == ["classification", "equal_schmidt", "rank_bound", "extraction"]
-    assert report["extraction"]["step"] == "equal-eigenvalues"
+    assert report["extraction"]["step"] == "reconstruction"
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -363,10 +365,11 @@ def test_extract_rotated_classical_diag(k):
 @pytest.mark.parametrize("right", ["V", "Vbar"])
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_extract_classical_diag_under_pd_filters(k, right):
-    # a positive definite, non-unitary V (x) V or V (x) conj(V) makes the
-    # extraction's two-sided filter iterate; keys 35 (k = 4, Vbar), 8 (k = 5)
-    # and 9 (k = 6) once left split residuals above bound, when a one-filter
-    # run stopped as soon as its residual fell under tols.filter
+    # a positive definite, non-unitary V (x) V or V (x) conj(V) leaves
+    # marginals far from Id/k for the extraction to whiten; keys 35 (k = 4,
+    # Vbar), 8 (k = 5) and 9 (k = 6) once left split residuals above bound,
+    # when extraction filtered the state first and a one-filter run stopped
+    # as soon as its residual fell under tols.filter
     cd = canonical("classical_diag", k)
     for key in (*range(10), 35):
         v = random_pd_local(rng_from_seed(400 + 10 * k + key), k)
@@ -383,7 +386,7 @@ def test_extract_classical_diag_under_pd_filters(k, right):
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_extract_does_not_depend_on_the_class_flag(k, right, monkeypatch):
     # classical_diag under a PD V (x) V is SPC, under V (x) conj(V) invariant,
-    # and PPT either way; the extraction runs one filter for every class and
+    # and PPT either way; the extraction takes one route for every class and
     # classifies nothing, so the PPT flag alone gives the same bytes
     v = random_pd_local(rng_from_seed(500 + k), k)
     g = local_scale(canonical("classical_diag", k), v, v if right == "V" else v.conj())
@@ -468,6 +471,108 @@ def test_extract_random_rank_k_mixtures(k):
         out = minimal_rank_extract(g, classify(g))
         assert isinstance(out, SeparableDecomposition), (k, seed, out)
         assert out.reconstruction_residual <= 1e-7
+
+
+def _unit_columns(rng, rows, cols):
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return z / np.linalg.norm(z, axis=0)
+
+
+def _product_mixture(xs, ys, a, b):
+    """sum_i (i + 1) P(x_i) (x) P(y_i) over the columns of xs and ys, under
+    the local congruence a (x) b and trace-normalized."""
+    mat = sum(
+        (i + 1) * np.kron(np.outer(x, x.conj()), np.outer(y, y.conj()))
+        for i, (x, y) in enumerate(zip(xs.T, ys.T))
+    )
+    big = np.kron(a, b)
+    out = big @ mat @ big.conj().T
+    return BipartiteOperator(out / np.trace(out).real, a.shape[0], b.shape[0])
+
+
+def _assert_recovers(g, weights):
+    out = minimal_rank_extract(g, classify(g))
+    assert isinstance(out, SeparableDecomposition), out
+    assert out.reconstruction_residual <= 1e-10
+    assert sorted(t.weight for t in out.terms) == pytest.approx(sorted(weights), abs=1e-9)
+    return out
+
+
+@pytest.mark.parametrize(
+    "seed, k",
+    [(758, 5), (825, 6), (1803, 6), (2156, 6), (2489, 6), (2589, 5), (3077, 5), (4275, 6), (5598, 5)],
+)
+def test_extract_ill_conditioned_rank_k_states(seed, k):
+    # gamma_A has condition number 1e5 to 7e5 here; the two-sided filter an
+    # earlier extraction ran first spent 1.8 to 3.9 s and did not converge
+    rng = np.random.default_rng(seed)
+    xs = _unit_columns(rng, k, k)
+    g = _product_mixture(xs, xs, np.eye(k), np.eye(k))
+    _assert_recovers(g, np.arange(1, k + 1) / (k * (k + 1) / 2))
+
+
+@pytest.mark.parametrize("right", ["V", "Vbar", "W"])
+def test_extract_terms_embedded_below_full_rank(right):
+    # three terms x (x) x, x (x) conj(x) or x (x) y of C^3 (x) C^3, embedded
+    # in C^5 (x) C^5 by the matching isometries V (x) V, V (x) conj(V), V (x) W
+    k, r = 5, 3
+    rng = rng_from_seed(8100 + len(right))
+    xs = _unit_columns(rng, r, r)
+    v = haar_unitary(rng, k)[:, :r]
+    ys, w = {
+        "V": (xs, v),
+        "Vbar": (xs.conj(), v.conj()),
+        "W": (_unit_columns(rng, r, r), haar_unitary(rng, k)[:, :r]),
+    }[right]
+    g = _product_mixture(xs, ys, v, w)
+    rb = rank_bound_check(g, classify(g))
+    assert (rb.rank, rb.reduced_ranks) == (r, (r, r))
+    _assert_recovers(g, [1 / 6, 2 / 6, 3 / 6])
+
+
+@pytest.mark.parametrize("order", ["AB", "BA"])
+def test_extract_unequal_reduced_ranks(order):
+    # three terms on C^2 (x) C^3 embedded in C^4 (x) C^4, in either order:
+    # rank 3 = max(r_A, r_B) with r_A != r_B
+    k = 4
+    rng = rng_from_seed(8200)
+    xs, ys = _unit_columns(rng, 2, 3), _unit_columns(rng, 3, 3)
+    v, w = haar_unitary(rng, k)[:, :2], haar_unitary(rng, k)[:, :3]
+    g = _product_mixture(xs, ys, v, w) if order == "AB" else _product_mixture(ys, xs, w, v)
+    rb = rank_bound_check(g, classify(g))
+    assert (rb.rank, rb.reduced_ranks) == (3, (2, 3) if order == "AB" else (3, 2))
+    _assert_recovers(g, [1 / 6, 2 / 6, 3 / 6])
+
+
+@pytest.mark.parametrize("order", ["AB", "BA"])
+def test_extract_pure_factor_gives_one_term(order):
+    # P(x) (x) rho with rank rho = 2: the side of reduced rank 1 has no
+    # traceless direction, and the state is a single product term
+    k = 3
+    rng = rng_from_seed(8300)
+    x = _unit_columns(rng, k, 1)[:, 0]
+    rho = random_psd_local(rng, k, rank=2)
+    rho /= np.trace(rho).real
+    pure = np.outer(x, x.conj())
+    pair = (pure, rho) if order == "AB" else (rho, pure)
+    g = BipartiteOperator(np.kron(*pair), k, k)
+    out = _assert_recovers(g, [1.0])
+    (_, left, right), = out.terms
+    assert np.linalg.norm(left.mat - pair[0]) <= 1e-10
+    assert np.linalg.norm(right.mat - pair[1]) <= 1e-10
+
+
+def test_extract_precondition_messages(bell2):
+    # a flagged state below the rank bound contradicts it; one above is not
+    # minimal rank; an unflagged state is turned away before either check
+    flagged = dataclasses.replace(classify(bell2), ppt=True)
+    with pytest.raises(PreconditionNotMet, match="contradicts the rank lower bound"):
+        minimal_rank_extract(bell2, flagged)
+    g = random_spc(3, 0)
+    with pytest.raises(PreconditionNotMet, match="not minimal rank"):
+        minimal_rank_extract(g, classify(g))
+    with pytest.raises(PreconditionNotMet, match="needs at least one triad flag"):
+        minimal_rank_extract(bell2, classify(bell2))
 
 
 def test_extract_preconditions(bell2, identity_plus_u2):
