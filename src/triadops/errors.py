@@ -53,10 +53,6 @@ class BadRank(ToolkitError):
     """Requested rank is outside the admissible range."""
 
 
-class RejectionBudgetExhausted(ToolkitError):
-    """Accept-reject sampling failed to produce a valid state within budget."""
-
-
 class UnknownName(ToolkitError):
     """Unrecognised canonical state name."""
 

@@ -4,6 +4,13 @@ Randomness comes from numpy's Philox generator (a documented 64-bit
 counter-based RNG), so identical (parameters, seed) pairs reproduce bitwise
 identical matrices on every platform.  The distributions are chosen for test
 coverage, not for any physical sampling measure.
+
+No generator loops.  The three triad classes each take one draw and one
+closed-form walk toward the PSD boundary (``tensor_core._boundary_step``):
+``random_spc`` and ``random_ppt`` walk from Id/k^2 and stop ``_STEP_BACK``
+of the way, so the state, and for PPT its partial transpose, keeps
+lambda_min >= (1 - _STEP_BACK)/k^2; ``random_invariant`` walks from
+identity_plus_u onto the boundary itself, at rank k^2 - 1.
 """
 
 from __future__ import annotations
@@ -11,14 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .contractions import _PARTIAL_TRANSPOSE, _REALIGN, flip, maximally_entangled_vector
-from .errors import BadRank, RejectionBudgetExhausted, UnknownName
+from .errors import BadRank, UnknownName
 from .schmidt_maps import hermitian_basis
 from .tensor_core import (
     BipartiteOperator,
     LocalOperator,
     _boundary_step,
-    _clip_psd,
-    _herm_eigvalsh,
     _kron,
     _permute_slots,
 )
@@ -92,31 +97,41 @@ def _random_hermitian_orthobasis(rng: np.random.Generator, k: int) -> np.ndarray
     return np.concatenate([fixed[:1], np.einsum("ab,bij->aij", q.T, fixed[1:])])
 
 
-def random_spc(k: int, seed: int) -> BipartiteOperator:
-    """Random state of the form sum_i a_i B_i (x) B_i with orthonormal Hermitian B_i.
+# Fraction of the way to the class boundary at which the SPC and PPT walks
+# stop.  Along Id/k^2 + s D every eigenvalue is affine in s, so stopping there
+# leaves lambda_min of the state (and, for PPT, of its partial transpose) at
+# least (1 - _STEP_BACK)/k^2: no class flag rests on the sign of an eigenvalue
+# of roundoff size.
+_STEP_BACK = 0.9
 
-    The frame {B_i} comes from ``_random_hermitian_orthobasis`` (one QR).  The
-    leading term is fixed at (1/k) Id/sqrt(k) (x) Id/sqrt(k), which pins the
-    trace at one; the remaining coefficients are resampled (with a slow scale
-    back-off, up to 1000 draws) until the total is PSD.  At k = 1 the leading
-    term is the whole state.
+
+def _walk_from_centre(step: np.ndarray, t: float, k: int) -> BipartiteOperator:
+    """Id/k^2 + _STEP_BACK t D for the traceless Hermitian direction D = ``step``,
+    hermitized and trace-normalized."""
+    out = np.eye(k * k) / (k * k) + (_STEP_BACK * t) * step
+    out = 0.5 * (out + out.conj().T)
+    return BipartiteOperator(out / np.trace(out).real, dim_a=k, dim_b=k)
+
+
+def random_spc(k: int, seed: int) -> BipartiteOperator:
+    """Random state Id/k^2 + sum_i a_i B_i (x) B_i, a_i > 0, {B_i} a traceless Hermitian frame.
+
+    The frame is ``_random_hermitian_orthobasis`` without its lead Id/sqrt(k)
+    (one QR), and the direction D = sum_i a_i B_i (x) B_i takes one draw of
+    exponential coefficients.  D is the realignment of sum_i a_i vec(B_i)
+    vec(B_i)^T, so it costs one product.  The state is the walk from Id/k^2
+    toward D, stopped ``_STEP_BACK`` of the way to the PSD boundary; each
+    coefficient stays positive, and lambda_min >= (1 - _STEP_BACK)/k^2 keeps
+    the ``spc`` flag off roundoff.  At k = 1 the unit state is the only state.
     """
+    if k == 1:
+        return BipartiteOperator(np.ones((1, 1)), dim_a=1, dim_b=1)
     rng = rng_from_seed(seed)
     basis = _random_hermitian_orthobasis(rng, k)
-    lead = _kron(basis[0], basis[0]) / k
-    if k == 1:
-        return BipartiteOperator(lead, dim_a=1, dim_b=1)
-    tail = np.einsum("aij,apq->aipjq", basis[1:], basis[1:]).reshape(-1, k * k, k * k)
-    scale = 0.5 / (k * k * np.sqrt(len(tail)))
-    for attempt in range(1000):
-        coeffs = rng.exponential(scale, size=len(tail))
-        cand = lead + np.einsum("i,ijk->jk", coeffs, tail)
-        cand = 0.5 * (cand + cand.conj().T)
-        if np.linalg.eigvalsh(cand)[0] >= 0.0:
-            return BipartiteOperator(cand, dim_a=k, dim_b=k)
-        if (attempt + 1) % 25 == 0:
-            scale *= 0.75
-    raise RejectionBudgetExhausted(f"no PSD draw in 1000 attempts at k={k}")
+    vecs = basis[1:].reshape(k * k - 1, k * k)
+    coeffs = rng.exponential(1.0, k * k - 1)
+    step = _permute_slots((vecs.T * coeffs) @ vecs, k, k, _REALIGN)
+    return _walk_from_centre(step, _boundary_step(k * np.eye(k * k), step), k)
 
 
 # Realignment R (axes (0, 2, 1, 3)) and the adjoint A (axes (2, 3, 0, 1),
@@ -159,45 +174,22 @@ def random_invariant(k: int, seed: int) -> BipartiteOperator:
     return BipartiteOperator(out / np.trace(out).real, dim_a=k, dim_b=k)
 
 
-def _is_ppt_strict(mat: np.ndarray, k: int) -> bool:
-    return bool(_herm_eigvalsh(_permute_slots(mat, k, k, _PARTIAL_TRANSPOSE))[0] >= 0.0)
-
-
 def random_ppt(k: int, seed: int) -> BipartiteOperator:
-    """Random PPT state.
+    """Random PPT state: the walk from Id/k^2 toward ``random_density(k, k^2, seed)``.
 
-    For k = 2 this is plain accept-reject over full-rank random densities
-    (about one in four draws is PPT; at most 200000 draws).  From k = 3 on
-    the acceptance rate collapses below 1e-3, so the draw instead mixes a
-    random separable state with a little Gaussian PSD noise and alternately
-    clips the negative eigenvalues of the state and of its partial
-    transpose; the resulting distribution is ad hoc but the output is
-    genuinely PPT.
+    With D the draw minus Id/k^2, Id/k^2 + t D is PSD up to t = 1, and as
+    partial transposition is linear and fixes Id, its partial transpose
+    meets the PSD boundary at the t from one ``_boundary_step`` on D^Gamma.
+    The state takes ``_STEP_BACK`` of the smaller step, so lambda_min of the
+    state and of its partial transpose is at least (1 - _STEP_BACK)/k^2 and
+    the ``ppt`` flag does not rest on roundoff.  At k = 1 the unit state is
+    the only state.
     """
-    rng = rng_from_seed(seed)
-    if k <= 2:
-        for _ in range(200_000):
-            g = _complex_normal(rng, (k * k, k * k))
-            rho = g @ g.conj().T
-            rho = 0.5 * (rho + rho.conj().T)
-            rho /= np.trace(rho).real
-            if _is_ppt_strict(rho, k):
-                return BipartiteOperator(rho, dim_a=k, dim_b=k)
-        raise RejectionBudgetExhausted(f"no PPT draw in 200000 attempts at k={k}")
-
-    sep, _ = random_separable(k, 2 * k * k, seed)
-    noise = _complex_normal(rng, (k * k, k * k))
-    noise = noise @ noise.conj().T
-    noise /= np.trace(noise).real
-    rho = 0.9 * sep.mat + 0.1 * noise
-    for _ in range(500):
-        clipped, w = _clip_psd(_permute_slots(rho, k, k, _PARTIAL_TRANSPOSE))
-        if w[0] >= 0.0 and _herm_eigvalsh(rho)[0] >= 0.0:
-            rho = 0.5 * (rho + rho.conj().T)
-            return BipartiteOperator(rho / np.trace(rho).real, dim_a=k, dim_b=k)
-        rho, _ = _clip_psd(_permute_slots(clipped, k, k, _PARTIAL_TRANSPOSE))
-        rho /= np.trace(rho).real
-    raise RejectionBudgetExhausted(f"PPT re-projection did not settle at k={k}")
+    if k == 1:
+        return BipartiteOperator(np.ones((1, 1)), dim_a=1, dim_b=1)
+    step = random_density(k, k * k, seed).mat - np.eye(k * k) / (k * k)
+    t_pt = _boundary_step(k * np.eye(k * k), _permute_slots(step, k, k, _PARTIAL_TRANSPOSE))
+    return _walk_from_centre(step, min(1.0, t_pt), k)
 
 
 def canonical(name: str, k: int, alpha: float | None = None) -> BipartiteOperator:

@@ -40,12 +40,14 @@ from .tensor_core import (
     BipartiteOperator,
     LocalOperator,
     _boundary_step,
+    _cached,
     _clip_psd,
     _clusters,
     _congruence,
     _herm_support,
     _JsonRecord,
     _kron,
+    _locked,
     _partial_trace,
     _permute_slots,
     _require_psd,
@@ -524,12 +526,18 @@ def rank_bound_check(
 
 def _reduced_supports(
     gamma: BipartiteOperator, tols: Tolerances
-) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[int, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """The state's rank, and the eigenvalues and eigenvectors of each
-    marginal's numerical support, first factor first."""
-    marginals = (_partial_trace(gamma.tensor4, keep) for keep in "ab")
-    (w, _, cut), *spectra = (_herm_support(m, tols.rank) for m in (gamma.mat, *marginals))
-    return int(np.sum(w > cut)), [(w[w > c], v[:, w > c]) for w, v, c in spectra]
+    marginal's numerical support, first factor first.  Memoized per operator
+    and ``tols.rank``, with the arrays locked read-only."""
+
+    def factor():
+        marginals = (_partial_trace(gamma.tensor4, keep) for keep in "ab")
+        (w, _, cut), *spectra = (_herm_support(m, tols.rank) for m in (gamma.mat, *marginals))
+        supports = tuple((_locked(w[w > c]), _locked(v[:, w > c])) for w, v, c in spectra)
+        return int(np.sum(w > cut)), supports
+
+    return _cached(gamma, f"reduced_supports:{tols.rank!r}", factor)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,10 @@ from triadops import (
     sinkhorn_filter,
 )
 from triadops.cli import _format_json
+from triadops.contractions import _PARTIAL_TRANSPOSE
 from triadops.errors import ToolkitError, WrongClassForMode
-from triadops.tensor_core import _MEMO, _json_value
+from triadops.generators import _STEP_BACK
+from triadops.tensor_core import _MEMO, _json_value, _permute_slots
 from triadops.tolerances import DEFAULT
 
 from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local
@@ -49,6 +51,17 @@ def test_random_spc_is_a_flagged_state(k, seed):
     assert abs(np.trace(gamma.mat).real - 1.0) <= 1e-13
     c = classify(gamma)
     assert c.spc and c.is_state
+    assert np.linalg.eigvalsh(gamma.mat)[0] >= (1.0 - _STEP_BACK) / k**2 - 1e-14
+
+
+@given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_random_ppt_is_a_flagged_state_clear_of_both_boundaries(k, seed):
+    gamma = random_ppt(k, seed)
+    assert abs(np.trace(gamma.mat).real - 1.0) <= 1e-13
+    c = classify(gamma)
+    assert c.ppt and c.is_state
+    for mat in (gamma.mat, _permute_slots(gamma.mat, k, k, _PARTIAL_TRANSPOSE)):
+        assert np.linalg.eigvalsh(mat)[0] >= (1.0 - _STEP_BACK) / k**2 - 1e-14
 
 
 @given(k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))

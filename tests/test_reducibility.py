@@ -38,6 +38,7 @@ from triadops.errors import (
     PreconditionNotMet,
 )
 
+from triadops import reducibility
 from triadops.cli import _format_json, main
 from triadops.reducibility import _psd_boundary
 
@@ -296,6 +297,27 @@ def test_rank_bound_generator_sweep_up_to_k4():
             for gen in (random_ppt, random_spc, random_invariant):
                 g = gen(k, seed)
                 assert rank_bound_check(g, classify(g)).bound_holds, (k, seed, gen)
+
+
+def test_rank_bound_and_extraction_factor_the_marginals_once(monkeypatch):
+    # certify and the split-extract workload ask both in turn: the three
+    # eigensolves behind them run once per operator and rank tolerance
+    calls, herm_support = [], reducibility._herm_support
+
+    def counted(mat, rank_tol):
+        calls.append(rank_tol)
+        return herm_support(mat, rank_tol)
+
+    monkeypatch.setattr("triadops.reducibility._herm_support", counted)
+    g = haar_congruence(canonical("classical_diag", 4), rng_from_seed(71), "W")
+    c = classify(g)
+    assert rank_bound_check(g, c).reduced_ranks == (4, 4)
+    assert isinstance(minimal_rank_extract(g, c), SeparableDecomposition)
+    assert calls == [DEFAULT.rank] * 3
+    _, supports = reducibility._reduced_supports(g, DEFAULT)
+    assert not any(arr.flags.writeable for pair in supports for arr in pair)
+    reducibility._reduced_supports(g, dataclasses.replace(DEFAULT, rank=1e-6))
+    assert calls == [DEFAULT.rank] * 3 + [1e-6] * 3
 
 
 @pytest.mark.parametrize(
