@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import selftest as selftest_mod
 from .criteria import (
     bound_gamma_pt,
     bound_realign_sq,
@@ -121,8 +120,11 @@ def _load_operator(path: str) -> BipartiteOperator:
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    data = json.loads(text)
-    return BipartiteOperator.from_json(data)
+    try:
+        return BipartiteOperator.from_json(json.loads(text))
+    except (KeyError, TypeError) as exc:
+        # JSON that parses but is no {"re", "im", "dim_a", "dim_b"} record
+        raise ValueError(f"not a matrix record: {type(exc).__name__}: {exc}") from None
 
 
 # each tolerance flag and the Tolerances field it overrides
@@ -271,7 +273,9 @@ def _generate(args) -> BipartiteOperator | None:
 
 
 def _cmd_selftest(args) -> int:
-    results = selftest_mod.run_selftest(quick=args.quick, seed=_default_seed())
+    from . import selftest  # only this subcommand needs the suites
+
+    results = selftest.run_selftest(quick=args.quick, seed=_default_seed())
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

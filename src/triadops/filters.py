@@ -22,8 +22,7 @@ front of its coefficient cluster.
 The general mode alternates exact one-sided normalizations; its monitor is
 the larger trace defect |1 - t| of the two half-steps, 0 up to roundoff.
 
-The symmetric and conjugate modes (and left mode, which runs the conjugate
-engine on an auxiliary state) minimize the potential
+The symmetric and conjugate modes minimize the potential
 
     f(H) = log tr[delta (E (x) E~)],   E = exp(H), E~ = E or conj(E),
 
@@ -38,6 +37,12 @@ direction does not descend), and applies it as the congruence
 exp(alpha H / 2) (x) (the same, or its conjugate).  Steps converge
 quadratically near the fixed point, in about 8 iterations at k <= 6.
 
+Left mode scales delta by p (x) Id and runs the conjugate mode's test and
+step on omega(delta) = R(R(delta) R(delta)^*), trace-normalized, with R the
+realignment: the composite contraction map's Choi matrix, the star product
+of delta with F conj(delta) F (so gb = ga^T), rebuilt from each iterate.
+p (x) Id on delta acts on it as p (x) conj(p).
+
 One stopping rule serves every mode: each iterate's marginal residual
 max(||ga - Id/k||, ||gb - Id/k||) is measured once, and the run ends at the
 first iterate within ``tols.filter`` (converged), after ``max_iter`` steps,
@@ -47,9 +52,10 @@ one-filter runs stall, as when their marginals drift apart (gb != ga, or
 != ga^T) by more than ``tols.filter``, leaving no fixed point.
 
 Convergence monitor of these modes: the cumulative sum of log t, with t the
-trace of each scaled iterate before renormalization.  The line search makes
-every log t negative (or below roundoff when the predicted decrease is), so
-the monitor is non-increasing along the run.
+trace of each scaled iterate before renormalization (in left mode, the line
+search's checked t of omega, 1 for an unchecked step).  The line search
+makes every log t negative (or below roundoff when the predicted decrease
+is), so the monitor is non-increasing along the run.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contractions import flip, partial_transpose, realign, star_product
+from .contractions import _REALIGN, partial_transpose, realign
 from .criteria import classify
 from .errors import MarginalRankDeficient, PreconditionNotMet, WrongClassForMode
 from .schmidt_maps import (
@@ -80,6 +86,8 @@ from .tensor_core import (
     _JsonRecord,
     _kron,
     _partial_trace,
+    _permute_slots,
+    _pivot_phases,
     _require_hermitian,
     _require_psd,
     _require_square,
@@ -114,9 +122,9 @@ class FilterResult(_JsonRecord):
     class shape: the SPC defect in symmetric mode, the realignment distance
     in conjugate mode, the identity-eigenvector defect of the composite
     contraction map in left mode, and None in general mode.  In left mode
-    the marginal residuals refer to the internally scaled star-product
-    object whose convergence defines the mode, not to ``normal_form`` itself
-    (a one-sided filter does not make both marginals Id/k).
+    the marginal residuals are those of omega(normal_form) (module
+    docstring), not of ``normal_form`` itself (a one-sided filter does not
+    make both marginals Id/k).
     """
 
     mode: str
@@ -154,9 +162,9 @@ def _inv_sqrt(marginal: np.ndarray, k: int, side: str, rank_tol: float) -> np.nd
 
 def _newton_step(
     delta: np.ndarray, ga: np.ndarray, gb: np.ndarray, k: int, conjugate: bool
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, float]:
     """exp(alpha H / 2) for one safeguarded Newton step on the one-filter
-    potential, and the step's predicted decrease |alpha * slope|.
+    potential, the step's predicted decrease |alpha * slope|, and its trace t.
 
     The potential is f(H) = log tr[delta (E (x) E~)] over traceless Hermitian
     H, with E = exp(H) and E~ = E (symmetric) or conj(E) (conjugate); f(0) = 0
@@ -166,7 +174,8 @@ def _newton_step(
     Q_ab = tr[delta (B_a (x) B~_b)].  A failed or non-descending Newton solve
     falls back to the gradient.  The step length alpha starts at 1, capped so
     that ||alpha H|| <= 2, and halves until Armijo's condition holds on
-    log t(alpha) = f(alpha H) or the predicted decrease is below roundoff.
+    log t(alpha) = f(alpha H) (returned t = t(alpha)) or the predicted
+    decrease is below roundoff (returned t = 1).  Left mode passes omega.
     """
     basis = hermitian_basis(k)[1:]
     flat = basis.reshape(k * k - 1, k * k)  # row a is the row-major vec(B_a)
@@ -201,17 +210,20 @@ def _newton_step(
         if t > 0 and math.log(t) <= _ARMIJO * alpha * slope:
             break
         alpha *= 0.5
-    return (u * np.exp(0.5 * alpha * lam)) @ u.conj().T, abs(alpha * slope)
+    else:
+        t = 1.0  # a step below roundoff is taken unchecked and claims no decrease
+    return (u * np.exp(0.5 * alpha * lam)) @ u.conj().T, abs(alpha * slope), t
 
 
 def _scaling_engine(mat: np.ndarray, k: int, mode: str, tols: Tolerances, max_iter=MAX_ITER):
-    """Scale the marginals until both reduced states are Id/k.
+    """Scale the marginals of delta (of omega(delta) in left mode) to Id/k.
 
     Returns (delta, fa, fb, iterations, converged, log, res_a, res_b) with
-    delta = (fa (x) fb) mat_normalized (fa (x) fb)^* exactly, ``iterations``
-    the steps taken (one log entry each) and res_a, res_b the marginal
-    residuals of the returned delta.  Each iterate's marginals are measured
-    once, and one test ends the run (module docstring).
+    delta = (fa (x) fb) mat_normalized (fa (x) fb)^* exactly (fb = None for
+    Id in left mode), ``iterations`` the steps taken (one log entry each) and
+    res_a, res_b the marginal residuals of the returned iterate.  Each
+    iterate's marginals are measured once, and one test ends the run (module
+    docstring).
     """
     delta = mat / np.trace(mat).real
     fa = np.eye(k, dtype=complex)
@@ -222,8 +234,13 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, tols: Tolerances, max_it
     predicted = previous = math.inf  # of the last step, and the residual before it
 
     while True:
-        ga = _partial_trace(delta.reshape(k, k, k, k), "a")
-        gb = _partial_trace(delta.reshape(k, k, k, k), "b")
+        scaled = delta
+        if mode == "left":  # omega(delta), trace-normalized (module docstring)
+            r = _permute_slots(delta, k, k, _REALIGN)
+            scaled = _permute_slots(r @ r.conj().T, k, k, _REALIGN)
+            scaled = (scaled + scaled.conj().T) / (2 * np.trace(scaled).real)
+        ga = _partial_trace(scaled.reshape(k, k, k, k), "a")
+        gb = _partial_trace(scaled.reshape(k, k, k, k), "b")
         res_a = float(np.linalg.norm(ga - eye_k))
         res_b = float(np.linalg.norm(gb - eye_k))
         residual = max(res_a, res_b)
@@ -248,20 +265,21 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, tols: Tolerances, max_it
             monitor = max(abs(1.0 - t1), abs(1.0 - t2))
         else:
             _guarded_eigh(ga, "A", tols.rank)
-            p, predicted = _newton_step(delta, ga, gb, k, mode == "conjugate")
-            delta = _congruence(p, p.conj() if mode == "conjugate" else p, delta)
+            p, predicted, t_step = _newton_step(scaled, ga, gb, k, mode != "symmetric")
+            pb = {"symmetric": p, "conjugate": p.conj(), "left": np.eye(k)}[mode]
+            delta = _congruence(p, pb, delta)
             t = np.trace(delta).real
             delta /= t
-            fa = p @ fa / t ** 0.25
-            monitor += math.log(t)
+            left = mode == "left"
+            fa = p @ fa / t ** (0.5 if left else 0.25)
+            monitor += math.log(t_step if left else t)
 
         delta = 0.5 * (delta + delta.conj().T)
         log.append(
             {"iteration": len(log) + 1, "residual_a": res_a, "residual_b": res_b, "monitor": monitor}
         )
 
-    if mode != "general":
-        fb = fa.conj() if mode == "conjugate" else fa
+    fb = {"general": fb, "symmetric": fa, "conjugate": fa.conj(), "left": None}[mode]
     return delta, fa, fb, len(log), converged, log, res_a, res_b
 
 
@@ -292,8 +310,8 @@ def _identity_aligned_expansion(
 
     keep = int(np.sum(s > tols.rank * s[0]))
     lefts = v[:, :keep]
-    # sign fix: each kept left operator's largest-modulus coordinate is positive
-    lefts = lefts * np.sign(lefts[np.argmax(np.abs(lefts), axis=0), np.arange(keep)])
+    # sign fix: each kept left operator's pivot coordinate is positive
+    lefts = lefts * _pivot_phases(lefts.T)
     rights = (m @ lefts) / s[:keep]
     ops = (np.hstack([lefts, rights]).T @ hermitian_basis(k).reshape(n, n)).reshape(2 * keep, k, k)
     ops = 0.5 * (ops + ops.conj().swapaxes(1, 2))
@@ -329,10 +347,7 @@ def sinkhorn_filter(
     stops by one rule (module docstring) and counts the steps it took.  Runs
     that stall or exhaust ``max_iter`` return their partial result with
     ``converged=False`` instead of raising, since decomposable inputs may
-    cycle and the iteration log is useful evidence.  Left mode scales the
-    star product of the state with its flip-conjugate, which squares the
-    conditioning of a local scaling: under V (x) W of condition number 1e3
-    it can stall at residuals of 1e-9 to 1e-7 where general mode converges.
+    cycle and the iteration log is useful evidence.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -349,10 +364,7 @@ def sinkhorn_filter(
     if mode == "conjugate" and not classify(gamma, tols).invariant:
         raise WrongClassForMode("conjugate mode needs a realignment-invariant input")
 
-    if mode == "left":
-        run = _left_engine(mat, k, max_iter, tols)
-    else:
-        run = _scaling_engine(mat, k, mode, tols, max_iter)
+    run = _scaling_engine(mat, k, mode, tols, max_iter)
     delta, fa, fb, iterations, converged, log, res_a, res_b = run
     normal_form = BipartiteOperator(delta, k, k)
     expansion, id_defect = _identity_aligned_expansion(normal_form, tols)
@@ -377,28 +389,6 @@ def sinkhorn_filter(
         class_residual=class_residual,
         iteration_log=log,
     )
-
-
-def _left_engine(mat: np.ndarray, k: int, max_iter: int, tols: Tolerances):
-    """One-sided filter for the bi-orthogonal Hermitian expansion of left mode.
-
-    The conjugate-mode engine is run on the star product of the state with
-    its flip-conjugated complex conjugate (whose realignment is PSD by
-    construction), and the resulting filter is applied to the first factor
-    only.  The identity is then a right singular vector of the normal
-    form's contraction map, and leads its expansion.
-    """
-    f = flip(k).mat
-    state = BipartiteOperator(mat, k, k)
-    conj_flipped = BipartiteOperator(f @ mat.conj() @ f, k, k)
-    omega = star_product(state, conj_flipped).mat
-    omega = 0.5 * (omega + omega.conj().T)
-
-    _, qa, _, *run = _scaling_engine(omega, k, "conjugate", tols, max_iter)
-    raw = _congruence(qa, np.eye(k), mat)
-    t = np.trace(raw).real
-    delta = 0.5 * (raw + raw.conj().T) / t
-    return delta, qa / np.sqrt(t), None, *run
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,27 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_cli(["classify", str(bad)]).returncode == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        '{"re": [[1.0]], "dim_a": 1, "dim_b": 1}',
+        '{"re": [[1.0]], "im": [[0.0]], "dim_a": 1}',
+        '{"re": [[1.0]], "im": [[0.0]], "dim_a": null, "dim_b": 1}',
+        "[1, 2]",
+        '"state"',
+        "5",
+    ],
+    ids=["empty", "no-im", "no-dim_b", "null-dim", "list", "string", "number"],
+)
+def test_json_that_is_no_matrix_record_exits_1(text, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: not a matrix record:")
+
+
 @pytest.mark.parametrize("cls", ["density", "separable", "spc", "invariant", "ppt", "canonical:bell"])
 def test_generate_rejects_k_below_one(cls):
     proc = run_cli(["generate", "--class", cls, "--k", "0"])
@@ -226,6 +247,14 @@ def test_import_does_not_load_scipy():
         "import triadops, triadops.cli, sys; "
         "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_selftest_unloaded():
+    # only the selftest subcommand imports the suites; the subprocess
+    # inherits the caller's environment, as run_cli does
+    code = "import triadops.cli, sys; assert 'triadops.selftest' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

@@ -7,6 +7,7 @@ from triadops import (
     canonical,
     classify,
     doubly_stochastic_check,
+    flip,
     fully_indecomposable_probe,
     g_apply,
     kron,
@@ -14,8 +15,11 @@ from triadops import (
     random_invariant,
     random_spc,
     realign,
+    reduced_a,
+    reduced_b,
     rng_from_seed,
     sinkhorn_filter,
+    star_product,
 )
 from triadops.errors import MarginalRankDeficient, NotHermitian, NotPSD, WrongClassForMode
 from triadops.generators import _complex_normal
@@ -251,6 +255,52 @@ def test_left_mode_structure():
             assert np.linalg.norm(big @ gn @ big.conj().T - fr.normal_form.mat) <= 1e-9
             s1 = np.linalg.svd(realign(fr.normal_form).mat, compute_uv=False)[0]
             assert sd.coefficients[0] == pytest.approx(s1, abs=1e-8)
+
+
+def _ill_conditioned_local(rng, k, cond):
+    """Q diag(logspace(0, log10 cond, k)) Q^*, Q from the QR of a complex Gaussian."""
+    q, _ = np.linalg.qr(_complex_normal(rng, (k, k)))
+    return (q * np.logspace(0, np.log10(cond), k)) @ q.conj().T
+
+
+@pytest.mark.parametrize("cond", [300, 1e3, 3e3])
+def test_left_mode_converges_under_ill_conditioned_local_scaling(cond):
+    # Scaling the accumulated star product once stalled here at residuals of
+    # 1e-9 to 3e-6; rebuilding it from each iterate does not pile up roundoff.
+    k = 3
+    for seed in range(6):
+        rng = rng_from_seed(77 + seed)
+        v, w = (_ill_conditioned_local(rng, k, cond) for _ in range(2))
+        fr = sinkhorn_filter(local_scale(random_density(k, k * k, seed), v, w), "left")
+        assert fr.converged, (cond, seed)
+        assert fr.class_residual <= DEFAULT.invariance, (cond, seed)
+        # the residuals describe the star product of the returned normal form
+        # with its flip-conjugate, trace-normalized
+        f = flip(k).mat
+        nf = fr.normal_form.mat
+        omega = star_product(fr.normal_form, BipartiteOperator(f @ nf.conj() @ f, k, k)).mat
+        omega = BipartiteOperator(omega / np.trace(omega).real, k, k)
+        res_a = np.linalg.norm(reduced_a(omega).mat - np.eye(k) / k)
+        res_b = np.linalg.norm(reduced_b(omega).mat - np.eye(k) / k)
+        assert abs(res_a - fr.marginal_residual_a) <= 1e-14, (cond, seed)
+        assert abs(res_b - fr.marginal_residual_b) <= 1e-14, (cond, seed)
+        monitors = [entry["monitor"] for entry in fr.iteration_log]
+        assert all(b <= a for a, b in zip(monitors, monitors[1:])), (cond, seed)
+
+
+@pytest.mark.parametrize("mode", ["general", "symmetric", "left"])
+def test_expansion_signs_do_not_follow_roundoff(mode):
+    # The second left operator is proportional to X, whose two Hermitian-basis
+    # coordinates have equal modulus at eps = 0; a plain argmax pivot picked
+    # the one that roundoff made larger and flipped the operator's sign.
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    ops = []
+    for eps in (0.0, -1e-15):
+        x = (sx - (1 + eps) * sz) / 2
+        g = BipartiteOperator(np.eye(4) / 4 + 0.1 * np.kron(x, x), 2, 2)
+        ops.append(sinkhorn_filter(g, mode).schmidt_of_normal_form.left_ops[1].mat)
+    assert np.max(np.abs(ops[0] - ops[1])) <= 1e-14
 
 
 def test_doubly_stochastic_check_examples(classical_diag2):
