@@ -67,7 +67,7 @@ import numpy as np
 
 from .contractions import _REALIGN, partial_transpose, realign
 from .criteria import classify
-from .errors import MarginalRankDeficient, PreconditionNotMet, WrongClassForMode
+from .errors import MarginalRankDeficient, PreconditionNotMet, WrongClassForMode, ZeroMatrix
 from .schmidt_maps import (
     SchmidtDecomposition,
     _identity_split,
@@ -340,8 +340,9 @@ def sinkhorn_filter(
 ) -> FilterResult:
     """Bring a full-marginal-rank state to its filter normal form.
 
-    The input is trace-normalized first.  Symmetric mode requires an SPC
-    input and conjugate mode a realignment-invariant one (WrongClassForMode
+    The input is trace-normalized first; the zero matrix, the one PSD input
+    of trace 0, raises ZeroMatrix.  Symmetric mode requires an SPC input and
+    conjugate mode a realignment-invariant one (WrongClassForMode
     otherwise); every mode requires both reduced states to have full rank,
     and ``max_iter`` must be at least 1 (ValueError otherwise).  Every mode
     stops by one rule (module docstring) and counts the steps it took.  Runs
@@ -356,7 +357,10 @@ def sinkhorn_filter(
     k = _require_square(gamma, "filtering")
     _require_psd(gamma, tols)
     mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
-    mat = mat / np.trace(mat).real
+    trace = np.trace(mat).real
+    if trace <= 0:  # a PSD input of trace 0 is the zero matrix
+        raise ZeroMatrix("the filter needs a nonzero input")
+    mat = mat / trace
     _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "a"), "A", tols.rank)
     _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "b"), "B", tols.rank)
     if mode == "symmetric" and not classify(gamma, tols).spc:

@@ -41,7 +41,6 @@ from .tensor_core import (
     LocalOperator,
     _boundary_step,
     _cached,
-    _clip_psd,
     _clusters,
     _congruence,
     _herm_support,
@@ -94,11 +93,16 @@ class PsdEigenvectorResult:
     full_rank_witness: LocalOperator | None = None
 
 
-def _clip_psd_unit(mat: np.ndarray) -> np.ndarray:
-    """Nearest-PSD projection followed by Frobenius normalization."""
-    out, _ = _clip_psd(mat)
-    nrm = np.linalg.norm(out)
-    return out / nrm if nrm > 0 else out
+def _unit_psd(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Nearest PSD matrix to the Hermitian part of ``mat``, Frobenius-normalized,
+    from one eigensolve: that matrix, its rank (eigenvalues above ``rank_tol``
+    times the largest), and its ascending spectrum and eigenvectors."""
+    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    w = np.maximum(w, 0.0)
+    out = (v * w) @ v.conj().T
+    nrm = np.linalg.norm(out) or 1.0
+    rank = int(np.sum(w > rank_tol * max(float(w[-1]), np.finfo(float).tiny)))
+    return out / nrm, rank, w / nrm, v
 
 
 def _eigen_residual(gamma: BipartiteOperator, x: np.ndarray) -> tuple[float, float]:
@@ -108,12 +112,11 @@ def _eigen_residual(gamma: BipartiteOperator, x: np.ndarray) -> tuple[float, flo
     return lam, float(np.linalg.norm(y - lam * x))
 
 
-def _psd_boundary(x_pd: np.ndarray, whiten: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
-    """The point, normalized, where x_pd + t D meets the PSD boundary at
-    ``_boundary_step``'s t (``whiten`` = L^-1 for x_pd = L L^*); None when
-    neither side crosses."""
-    t = _boundary_step(whiten, direction)
-    return None if t is None else _clip_psd_unit(x_pd + t * direction)
+def _trace_normalized(gamma: BipartiteOperator) -> tuple[BipartiteOperator, float]:
+    """gamma / tr gamma, and tr gamma (1 for the zero matrix).  The composite
+    map is quadratic in gamma; on the result it neither overflows nor underflows."""
+    trace = float(np.trace(gamma.mat).real) or 1.0
+    return BipartiteOperator(gamma.mat / trace, gamma.dim_a, gamma.dim_b), trace
 
 
 def find_psd_eigenvector(
@@ -122,18 +125,23 @@ def find_psd_eigenvector(
     """Search the top eigenvalue cluster of the composite contraction map for
     a PSD eigenvector with a kernel.
 
-    One dense eigensolve of the Hermitian-basis matrix gives the clusters.
-    The candidate is the identity's projection onto the top cluster, the
-    limit of power iteration from the identity, which is PSD (Evans and
-    Hoegh-Krohn).  When it is positive definite and the cluster has
-    dimension at least 2, the search walks from it along each of the
-    cluster's other directions to the PSD boundary; every crossing point is
-    a singular PSD element of the cluster.  ``found=False`` certifies that
-    the top cluster (width 1e-8 * lambda_max) holds no singular PSD element.
-    For triad-class inputs that is complete, since a state that splits has
-    one there (complete reducibility, Cariello); other inputs are not
-    searched below the top cluster.  A 1 x 1 input has no candidate with a
-    nontrivial kernel and returns not-found at once.
+    The search runs on gamma / tr gamma, so that it does not depend on the
+    input's scale; ``eigenvalue`` is reported in the input's scale, (tr
+    gamma)^2 times that of the normalized map.  One dense eigensolve of the
+    Hermitian-basis matrix gives the clusters.  The candidate is the
+    identity's projection onto the top cluster, the limit of power iteration
+    from the identity, which is PSD (Evans and Hoegh-Krohn).  When it is
+    positive definite and the cluster has dimension at least 2, the search
+    walks from it along each of the cluster's other directions to the PSD
+    boundary; every crossing point is a singular PSD element of the cluster.
+    Each candidate is clipped to PSD, normalized and rank-counted from one
+    eigensolve, whose eigenpairs also whiten the walks' starting point.
+    ``found=False`` certifies that the top cluster (width 1e-8 *
+    lambda_max) holds no singular PSD element.  For triad-class inputs that
+    is complete, since a state that splits has one there (complete
+    reducibility, Cariello); other inputs are not searched below the top
+    cluster.  A 1 x 1 input has no candidate with a nontrivial kernel and
+    returns not-found at once.
     """
     k = _require_square(gamma, "the eigenvector search")
     _require_psd(gamma, tols)
@@ -142,42 +150,40 @@ def find_psd_eigenvector(
             found=False, x=None, eigenvalue=None, full_rank_witness=LocalOperator(np.ones((1, 1)))
         )
 
+    gamma, trace = _trace_normalized(gamma)
     w, v = np.linalg.eigh(fg_matrix(gamma, tols).matrix)
     w = w[::-1]
     v = v[:, ::-1]
     lam_scale = max(float(w[0]), np.finfo(float).tiny)
     accept_res = 1e-8 * max(lam_scale, 1e-30)
 
-    def _accept(cand: np.ndarray) -> PsdEigenvectorResult | None:
-        cand = _clip_psd_unit(cand)
-        w, _, cut = _herm_support(cand, tols.rank)
-        if not 0 < np.sum(w > cut) < k:
+    def _accept(cand: np.ndarray, rank: int) -> PsdEigenvectorResult | None:
+        if not 0 < rank < k:
             return None
         lam, res = _eigen_residual(gamma, cand)
         if res > accept_res:
             return None
-        return PsdEigenvectorResult(found=True, x=LocalOperator(cand), eigenvalue=lam)
+        return PsdEigenvectorResult(found=True, x=LocalOperator(cand), eigenvalue=lam * trace * trace)
 
     # the identity's projection is nonzero: the top eigenspace holds a PSD
     # element of positive trace
     top = v[:, _clusters(w, 1e-8 * lam_scale)[0]]
     coords, others = _identity_split(top)
-    raw = hermitian_from_coords(coords, k)
-    hit = _accept(raw)
+    witness, rank, wx, vx = _unit_psd(hermitian_from_coords(coords, k), tols.rank)
+    hit = _accept(witness, rank)
     if hit is not None:
         return hit
-    witness = _clip_psd_unit(raw)
 
-    wx, vx, cut = _herm_support(witness, tols.rank)
-    if top.shape[1] >= 2 and wx[0] > cut:
+    if top.shape[1] >= 2 and rank == k:
         whiten = vx.conj().T / np.sqrt(wx)[:, None]
         # the cluster's directions orthogonal to the witness each have
         # eigenvalues of both signs, so each walk crosses the boundary
         for d in others.T:
             if np.linalg.norm(d) < 1e-8:
                 continue
-            boundary = _psd_boundary(witness, whiten, hermitian_from_coords(d, k))
-            hit = None if boundary is None else _accept(boundary)
+            direction = hermitian_from_coords(d, k)
+            t = _boundary_step(whiten, direction)
+            hit = None if t is None else _accept(*_unit_psd(witness + t * direction, tols.rank)[:2])
             if hit is not None:
                 return hit
 
@@ -204,10 +210,11 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     Otherwise a ``decomposable_witness`` (X, Y) is returned once its ranks
     check: such an X with rank g(X) <= rank X, counting the eigenvalues of
     g(X) above tols.rank * ||gamma|| * lambda_max(X), and Y the kernel
-    projector of g(X).  The spectral projectors (onto each eigenvalue
-    cluster, and the positive and negative parts) of the composite map's
-    eigenvectors are scanned first, which settles at once inputs the filter
-    cannot scale, such as diag(1, 1, 0, 1).  Then the general filter gives
+    projector of g(X).  The probe runs on gamma / tr gamma, so its verdict
+    does not depend on the input's scale.  The spectral projectors (onto
+    each eigenvalue cluster, and the positive and negative parts) of the
+    composite map's eigenvectors are scanned first, which settles at once
+    inputs the filter cannot scale, such as diag(1, 1, 0, 1).  Then the general filter gives
     delta = (Fa (x) Fb) gamma (Fa (x) Fb)^* with marginals Id/k, and
     g_delta(X) = Fb g_gamma(Fa^* X Fa) Fb^*, so ranks carry over through
     X -> Fa^* X Fa.  The top cluster (width 1e-8 * lambda_max) of delta's
@@ -235,6 +242,7 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     k = _require_square(gamma, "the probe")
     if k == 1:  # no X has 0 < rank X < 1
         return ProbeResult("fully_indecomposable", None)
+    gamma, _ = _trace_normalized(gamma)  # ranks, and so witnesses, do not depend on scale
 
     def witness(x: np.ndarray) -> ProbeResult | None:
         x = 0.5 * (x + x.conj().T)
@@ -309,36 +317,40 @@ def split(
     """Split a triad-class state along the supports of x and of its image.
 
     ``x`` must be a PSD eigenvector of the composite contraction map with
-    rank strictly between 0 and k.  A residual above tolerance signals that
-    gamma was not actually in a triad class (or x not an eigenvector) and
-    raises CompleteReducibilityViolation.
+    rank strictly between 0 and k.  The projections come from one
+    eigensolve of x and one of g(x); an image below roundoff of gamma and x
+    has no support.  A residual above tolerance signals that gamma was not
+    actually in a triad class (or x not an eigenvector) and raises
+    CompleteReducibilityViolation.
     """
     return _split(gamma, x, tols)[0]
 
 
 def _split(
     gamma: BipartiteOperator, x: LocalOperator, tols: Tolerances
-) -> tuple[SplitCertificate, np.ndarray, np.ndarray]:
-    """``split``, also returning the two blocks its residual was measured on."""
+) -> tuple[SplitCertificate, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+    """``split``, also returning its two blocks, each with the orthonormal
+    eigenvectors of x and of g(x) that span its local supports: the support
+    eigenvectors for the first block, the kernel eigenvectors for the second."""
     k = _require_square(gamma, "split")
     xm = 0.5 * (x.mat + x.mat.conj().T)
     w, v, cut = _herm_support(xm, tols.rank)
-    basis_v = v[:, w > cut]
-    if basis_v.shape[1] == 0:
+    support_v, kernel_v = v[:, w > cut], v[:, w <= cut]
+    if support_v.shape[1] == 0:
         raise ZeroMatrix("split eigenvector is numerically zero")
-    if basis_v.shape[1] == k:
+    if support_v.shape[1] == k:
         raise FullRankEigenvector("split needs an eigenvector with a nontrivial kernel")
 
-    proj_v = basis_v @ basis_v.conj().T
     gx = g_apply(gamma, xm).mat
     # an eigenvalue-zero eigenvector has a genuinely vanishing image; do not
     # let roundoff noise masquerade as a support
     if np.linalg.norm(gx) <= 1e-13 * np.linalg.norm(gamma.mat) * np.linalg.norm(xm):
-        proj_w = np.zeros((k, k))
+        w, v, cut = np.zeros(k), np.eye(k), 0.0
     else:
         w, v, cut = _herm_support(gx, tols.rank)
-        basis_w = v[:, w > cut]
-        proj_w = basis_w @ basis_w.conj().T
+    support_w, kernel_w = v[:, w > cut], v[:, w <= cut]
+    proj_v = support_v @ support_v.conj().T
+    proj_w = support_w @ support_w.conj().T
     block_1 = _congruence(proj_v, proj_w, gamma.mat)
     block_2 = _congruence(np.eye(k) - proj_v, np.eye(k) - proj_w, gamma.mat)
     residual = float(np.linalg.norm(gamma.mat - block_1 - block_2))
@@ -358,7 +370,7 @@ def _split(
         proj_w_perp=LocalOperator(np.eye(k) - proj_w),
         residual=residual,
     )
-    return cert, block_1, block_2
+    return cert, ((block_1, support_v, support_w), (block_2, kernel_v, kernel_w))
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +406,6 @@ class DecompositionTree(_JsonRecord):
         return [leaf for child in self.children for leaf in child.leaves()] or [self]
 
 
-def _compress_block(
-    block: np.ndarray, basis_a: np.ndarray, basis_b: np.ndarray
-) -> np.ndarray:
-    lift = _kron(basis_a, basis_b)
-    out = lift.conj().T @ block @ lift
-    return 0.5 * (out + out.conj().T)
-
-
 def decompose(
     gamma: BipartiteOperator,
     max_depth: int | None = None,
@@ -410,8 +414,10 @@ def decompose(
     """Recursively split a triad-class state into weakly irreducible leaves.
 
     Each internal node carries the split certificate that produced its
-    children; children are compressed to the supports of their local blocks
-    before recursing.  Leaves are marked ``weakly_irreducible`` when
+    children.  A child is its block compressed, by one local congruence, to
+    the eigenvectors of x and of g(x) that span the block's local supports
+    (``_split``); those eigenvectors are its embeddings into the parent's
+    factors.  Leaves are marked ``weakly_irreducible`` when
     ``find_psd_eigenvector`` certifies that the top eigenvalue cluster holds
     no singular PSD element (complete for triad-class blocks), and
     ``not_split_found`` when the depth cap is hit or a compressed block ends
@@ -425,7 +431,7 @@ def decompose(
         max_depth = gamma.dim_a
 
     def _node(mat: np.ndarray, ka: int, kb: int, depth: int) -> DecompositionTree:
-        state = BipartiteOperator(mat, ka, kb)
+        state = BipartiteOperator(0.5 * (mat + mat.conj().T), ka, kb)
         if ka != kb:
             return DecompositionTree(state=state, leaf_status="not_split_found")
         found = find_psd_eigenvector(state, tols)
@@ -433,28 +439,21 @@ def decompose(
             return DecompositionTree(state=state, leaf_status="weakly_irreducible")
         if depth <= 0:
             return DecompositionTree(state=state, leaf_status="not_split_found")
-        cert, block_1, block_2 = _split(state, found.x, tols)
+        cert, blocks = _split(state, found.x, tols)
         node = DecompositionTree(state=state, certificate=cert)
-        pairs = (
-            (block_1, cert.proj_v.mat, cert.proj_w.mat),
-            (block_2, cert.proj_v_perp.mat, cert.proj_w_perp.mat),
-        )
-        for block, pv, pw in pairs:
+        for block, basis_a, basis_b in blocks:
             if np.trace(block).real <= 1e-12 * max(np.trace(mat).real, 1e-300):
                 continue
-            wa, va, cut_a = _herm_support(pv, 0.5)
-            wb, vb, cut_b = _herm_support(pw, 0.5)
-            ba, bb = va[:, wa > cut_a], vb[:, wb > cut_b]
-            child = _node(_compress_block(block, ba, bb), ba.shape[1], bb.shape[1], depth - 1)
-            child.embed_a = ba
-            child.embed_b = bb
+            compressed = _congruence(basis_a.conj().T, basis_b.conj().T, block)
+            child = _node(compressed, basis_a.shape[1], basis_b.shape[1], depth - 1)
+            child.embed_a = basis_a
+            child.embed_b = basis_b
             node.children.append(child)
         if not node.children:
             node.leaf_status = "not_split_found"
         return node
 
-    mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
-    return _node(mat, gamma.dim_a, gamma.dim_b, max_depth)
+    return _node(gamma.mat, gamma.dim_a, gamma.dim_b, max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -331,12 +331,6 @@ def _require_psd(a: Operator, tols: Tolerances) -> None:
         raise NotPSD(f"input has min eigenvalue {report.min_eigenvalue:.3e}")
 
 
-def _clip_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest PSD matrix to the Hermitian part of ``mat``, and that part's spectrum."""
-    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    return (v * np.maximum(w, 0.0)) @ v.conj().T, w
-
-
 def _boundary_step(whiten: np.ndarray, direction: np.ndarray) -> float | None:
     """The step t at which x_pd + t D, from x_pd = L L^* PD, first turns singular.
 

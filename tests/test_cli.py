@@ -131,6 +131,14 @@ def _exit_code(argv):
         return exc.code
 
 
+@pytest.mark.parametrize("mode", ["general", "symmetric", "conjugate", "left"])
+def test_filter_on_the_zero_matrix_exits_2(mode, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(run_cli_format(BipartiteOperator(np.zeros((4, 4)), 2, 2)))
+    assert _exit_code(["filter", str(path), "--mode", mode]) == 2
+    assert "ZeroMatrix" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, cls", [("--terms", "separable"), ("--rank", "density")])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_generate_rejects_nonpositive_counts(flag, cls, value, capsys):

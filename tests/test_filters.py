@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from triadops import (
     sinkhorn_filter,
     star_product,
 )
-from triadops.errors import MarginalRankDeficient, NotHermitian, NotPSD, WrongClassForMode
+from triadops.errors import MarginalRankDeficient, NotHermitian, NotPSD, WrongClassForMode, ZeroMatrix
 from triadops.generators import _complex_normal
 from triadops.tolerances import DEFAULT
 
@@ -217,6 +219,14 @@ def test_mode_gates(bell2, classical_diag2, identity_plus_u2):
         sinkhorn_filter(canonical("werner", 2, alpha=0.5), "conjugate")
     with pytest.raises(NotPSD):
         sinkhorn_filter(BipartiteOperator(np.diag([1.0, -0.5, 1, 1]), 2, 2), "general")
+
+
+@pytest.mark.parametrize("mode", ["general", "symmetric", "conjugate", "left"])
+def test_zero_input_is_refused_before_the_trace_division(mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ZeroMatrix):
+            sinkhorn_filter(BipartiteOperator(np.zeros((4, 4)), 2, 2), mode)
 
 
 def test_marginal_rank_gate():

@@ -40,7 +40,8 @@ from triadops.errors import (
 
 from triadops import reducibility
 from triadops.cli import _format_json, main
-from triadops.reducibility import _psd_boundary
+from triadops.reducibility import _unit_psd
+from triadops.tensor_core import _boundary_step
 
 from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local, random_psd_local
 
@@ -141,7 +142,7 @@ def test_closed_form_boundary_matches_bisection(k):
         # a Hermitian direction crosses on the positive side; a PSD one
         # only on the negative side
         for direction, sign in ((h + h.conj().T, 1.0), (h @ h.conj().T, -1.0)):
-            got = _psd_boundary(x, whiten, direction)
+            got = _unit_psd(x + _boundary_step(whiten, direction) * direction, DEFAULT.rank)[0]
             low = np.linalg.eigvalsh(got)
             assert abs(low[0]) <= 1e-12 * low[-1]  # singular and PSD up to roundoff
             assert np.linalg.norm(got - _bisected_boundary(x, direction, sign)) <= 1e-12
@@ -260,6 +261,65 @@ def test_decompose_mixed_block_sizes():
 def test_decompose_requires_triad_flag(bell2):
     with pytest.raises(PreconditionNotMet):
         decompose(bell2)
+
+
+def _tree_nodes(tree):
+    yield tree
+    for child in tree.children:
+        yield from _tree_nodes(child)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_decompose_children_do_not_follow_roundoff_between_mirror_entries(k):
+    # each child is compressed to eigenvectors of x and g(x), which 1-ulp
+    # nudges move by roundoff only; a basis of a projector's eigenvalue-1
+    # eigenspace from an eigensolve is arbitrary and could rotate by O(1)
+    g = haar_congruence(canonical("classical_diag", k), rng_from_seed(60 + k), "V")
+    base = list(_tree_nodes(decompose(g)))
+    rng = np.random.default_rng(k)
+    for _ in range(40):
+        p, q = sorted(rng.choice(k * k, 2, replace=False))
+        mat = np.array(g.mat)
+        re = np.nextafter(mat[p, q].real, np.inf)
+        mat[p, q], mat[q, p] = re + 1j * mat[p, q].imag, re - 1j * mat[p, q].imag
+        moved = list(_tree_nodes(decompose(BipartiteOperator(mat, k, k))))
+        assert len(moved) == len(base)
+        for old, new in zip(base, moved):
+            assert old.state.mat.shape == new.state.mat.shape
+            assert np.abs(new.state.mat - old.state.mat).max() <= 1e-10, (p, q)
+
+
+def test_decompose_factors_each_matrix_once(monkeypatch):
+    # per split node: the composite map, the identity's projection, one
+    # boundary point, x and g(x); a leaf needs only the first two, and a
+    # 1 x 1 leaf none
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
+
+    def counted(g):
+        classify(g)  # warm its memo, so that only the search and the splits count
+        calls.clear()
+        return decompose(g), len(calls)
+
+    tree, n = counted(random_spc(4, 11))
+    assert tree.leaf_status == "weakly_irreducible" and n == 2
+    tree, n = counted(haar_congruence(canonical("classical_diag", 4), rng_from_seed(64), "V"))
+    assert len(tree.leaves()) == 4 and n <= 15
+
+
+@pytest.mark.parametrize("make", [random_spc, random_invariant, random_ppt])
+def test_decompose_and_probe_do_not_depend_on_scale(make):
+    # both searches run on gamma / tr gamma: the composite map is quadratic
+    # in gamma, and at these scales its entries overflow or underflow
+    for k in (2, 3, 4):
+        for seed in range(4):
+            g = make(k, seed)
+            want = [leaf.leaf_status for leaf in decompose(g).leaves()]
+            verdict = fully_indecomposable_probe(g).verdict
+            for e in (-300, -200, -160, 160, 200, 300):
+                scaled = BipartiteOperator(g.mat * 10.0**e, k, k)
+                assert [leaf.leaf_status for leaf in decompose(scaled).leaves()] == want, (k, seed, e)
+                assert fully_indecomposable_probe(scaled).verdict == verdict, (k, seed, e)
 
 
 def test_equal_schmidt_reports(classical_diag2, identity_plus_u2):
