@@ -14,6 +14,7 @@ of the realignment; exceeding 1 on a state certifies entanglement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .contractions import partial_transpose, realign
 from .errors import NotAState, PreconditionNotMet
 from .tensor_core import (
     BipartiteOperator,
+    _frobenius,
     _hermitian_ok,
     _JsonRecord,
     _psd_ok,
@@ -29,7 +31,6 @@ from .tensor_core import (
     _require_square,
     _spectrum,
     norms,
-    psd_check,
 )
 from .schmidt_maps import reduced_a, reduced_b
 from .tolerances import DEFAULT, Tolerances
@@ -78,9 +79,9 @@ def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClass
     """Evaluate all three class flags and the CCNR value in one pass."""
     _require_square(gamma, "classification")
     mat = gamma.mat
-    scale = float(np.linalg.norm(mat))
+    scale = _frobenius(mat)
     tiny = np.finfo(float).tiny
-    is_hermitian = _hermitian_ok(float(np.linalg.norm(mat - mat.conj().T)), scale, tols)
+    is_hermitian = _hermitian_ok(_frobenius(mat - mat.conj().T), scale, tols)
 
     w = _spectrum(gamma)
     op_norm = float(np.max(np.abs(w)))
@@ -94,12 +95,12 @@ def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClass
 
     rpt = realign(pt)
     # the defect is already relative to ||gamma||, so its scale is 1
-    spc_defect = float(np.linalg.norm(rpt.mat - rpt.mat.conj().T)) / max(scale, tiny)
+    spc_defect = _frobenius(rpt.mat - rpt.mat.conj().T) / max(scale, tiny)
     spc_min = float(_spectrum(rpt)[0])
     spc = is_psd and _hermitian_ok(spc_defect, 1.0, tols) and _psd_ok(spc_min, op_norm, tols)
 
     r = realign(gamma)
-    inv_dist = float(np.linalg.norm(r.mat - mat))
+    inv_dist = _frobenius(r.mat - mat)
     invariant = bool(is_psd and inv_dist <= tols.invariance * max(scale, tiny))
 
     return TriadClassification(
@@ -121,13 +122,13 @@ def ccnr_entanglement_flag(gamma: BipartiteOperator, tols: Tolerances = DEFAULT)
     """True when the realignment's trace norm strictly exceeds 1.
 
     Sound but not complete: True certifies entanglement of the state, False
-    decides nothing.  Raises NotAState unless gamma is PSD with unit trace.
+    decides nothing.  Raises NotAState unless ``classify`` finds a state, so
+    also for a non-Hermitian input.
     """
-    report = psd_check(gamma, tols)
-    if not report.is_psd or abs(np.trace(gamma.mat).real - 1.0) > _TRACE_TOL:
+    c = classify(gamma, tols)
+    if not c.is_state:
         raise NotAState("CCNR flag is defined for trace-one PSD inputs")
-    _require_square(gamma, "the CCNR flag")
-    return bool(norms(realign(gamma)).trace_norm > 1.0 + tols.ccnr)
+    return bool(c.ccnr_value > 1.0 + tols.ccnr)
 
 
 @dataclass(frozen=True)
@@ -164,10 +165,13 @@ def _bound_report(
     nb = na if np.array_equal(ga.mat, gb.mat) else norms(gb).operator_norm
     nr = norms(realign(gamma)).operator_norm
     if lhs is None:
-        state, rhs = nr, na * nb
-        margin = rhs - nr * nr
+        # both sides over p^2, p the power of two above the three norms: an
+        # exact scaling under which neither overflows nor underflows
+        p = 2.0 ** min(math.frexp(max(na, nb, nr))[1], 1023)
+        state, rhs = nr, (na / p) * (nb / p)
+        margin = rhs - (nr / p) * (nr / p)
     else:
-        state, rhs = norms(lhs).operator_norm, min(na, nb, nr)
+        p, state, rhs = 1.0, norms(lhs).operator_norm, min(na, nb, nr)
         margin = rhs - state
     return BoundReport(
         op_norm_state=state,
@@ -175,7 +179,7 @@ def _bound_report(
         op_norm_b=nb,
         op_norm_realign=nr,
         bound_holds=bool(margin >= -tols.psd * rhs),
-        margin=float(margin),
+        margin=float(margin * p * p),
     )
 
 
@@ -221,20 +225,12 @@ def ppt_pair_forces_invariance(
     """Report whether gamma and realign(gamma) are both PPT, and their distance.
 
     When both are PPT the distance must vanish up to numerical noise, i.e. the
-    state is invariant under realignment.  The function only reports; asserting
-    the implication is the caller's (or the test suite's) job.
+    state is invariant under realignment.  Both are ``classify``'s PPT flags,
+    so the PSD floor of R(gamma) is relative to ||R(gamma)||.  The function
+    only reports; asserting the implication is the caller's (or the test
+    suite's) job.
     """
-    _require_square(gamma, "the PPT-pair test")
+    c = classify(gamma, tols)
     _require_psd(gamma, tols)
-    op_norm = norms(gamma).operator_norm
-
-    gamma_ppt = _psd_ok(_spectrum(partial_transpose(gamma))[0], op_norm, tols)
-    r = realign(gamma)
-    defect = float(np.linalg.norm(r.mat - r.mat.conj().T))
-    r_herm = _hermitian_ok(defect, float(np.linalg.norm(gamma.mat)), tols)
-    r_psd = _psd_ok(_spectrum(r)[0], op_norm, tols)
-    r_ppt = _psd_ok(_spectrum(partial_transpose(r))[0], op_norm, tols)
-
-    both = gamma_ppt and r_herm and r_psd and r_ppt
-    dist = float(np.linalg.norm(r.mat - gamma.mat))
-    return PptPairReport(both_ppt=both, realign_distance=dist)
+    both = c.ppt and classify(realign(gamma), tols).ppt
+    return PptPairReport(both_ppt=both, realign_distance=c.residuals.invariance_distance)

@@ -81,6 +81,7 @@ from .tensor_core import (
     LocalOperator,
     _clusters,
     _congruence,
+    _frobenius,
     _herm_eigvalsh,
     _herm_support,
     _JsonRecord,
@@ -89,8 +90,8 @@ from .tensor_core import (
     _permute_slots,
     _pivot_phases,
     _require_hermitian,
-    _require_psd,
     _require_square,
+    _unit,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -340,11 +341,12 @@ def sinkhorn_filter(
 ) -> FilterResult:
     """Bring a full-marginal-rank state to its filter normal form.
 
-    The input is trace-normalized first; the zero matrix, the one PSD input
-    of trace 0, raises ZeroMatrix.  Symmetric mode requires an SPC input and
-    conjugate mode a realignment-invariant one (WrongClassForMode
-    otherwise); every mode requires both reduced states to have full rank,
-    and ``max_iter`` must be at least 1 (ValueError otherwise).  Every mode
+    The input is admitted and trace-normalized by ``tensor_core._unit``;
+    the zero matrix, its one input of trace 0, raises ZeroMatrix.  Symmetric
+    mode requires an SPC input and conjugate mode a realignment-invariant
+    one (WrongClassForMode otherwise); every mode requires both reduced
+    states to have full rank, and ``max_iter`` must be at least 1
+    (ValueError otherwise).  Every mode
     stops by one rule (module docstring) and counts the steps it took.  Runs
     that stall or exhaust ``max_iter`` return their partial result with
     ``converged=False`` instead of raising, since decomposable inputs may
@@ -354,13 +356,10 @@ def sinkhorn_filter(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    k = _require_square(gamma, "filtering")
-    _require_psd(gamma, tols)
-    mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
-    trace = np.trace(mat).real
+    unit, trace = _unit(gamma, tols, "filtering")
     if trace <= 0:  # a PSD input of trace 0 is the zero matrix
         raise ZeroMatrix("the filter needs a nonzero input")
-    mat = mat / trace
+    k, mat = gamma.dim_a, unit.mat
     _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "a"), "A", tols.rank)
     _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "b"), "B", tols.rank)
     if mode == "symmetric" and not classify(gamma, tols).spc:
@@ -412,9 +411,10 @@ def doubly_stochastic_check(
     Id/sqrt(k) normalization on both the forward map and its adjoint.
     """
     k = _require_square(gamma, "the doubly stochastic check")
-    mat = _require_hermitian(gamma.mat, tols)
+    _require_hermitian(gamma.mat, tols)
+    mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
     trace = np.trace(mat).real
-    if abs(trace) <= 1e-14 * np.linalg.norm(mat):
+    if abs(trace) <= 1e-14 * _frobenius(mat):
         raise PreconditionNotMet("trace too small to normalize")
     gn = BipartiteOperator(mat / trace, k, k)
     v = np.eye(k) / np.sqrt(k)

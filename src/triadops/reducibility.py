@@ -43,14 +43,14 @@ from .tensor_core import (
     _cached,
     _clusters,
     _congruence,
+    _frobenius,
     _herm_support,
     _JsonRecord,
     _kron,
     _locked,
     _partial_trace,
     _permute_slots,
-    _require_psd,
-    _require_square,
+    _unit,
     norms,
 )
 from .tolerances import DEFAULT, Tolerances
@@ -112,25 +112,19 @@ def _eigen_residual(gamma: BipartiteOperator, x: np.ndarray) -> tuple[float, flo
     return lam, float(np.linalg.norm(y - lam * x))
 
 
-def _trace_normalized(gamma: BipartiteOperator) -> tuple[BipartiteOperator, float]:
-    """gamma / tr gamma, and tr gamma (1 for the zero matrix).  The composite
-    map is quadratic in gamma; on the result it neither overflows nor underflows."""
-    trace = float(np.trace(gamma.mat).real) or 1.0
-    return BipartiteOperator(gamma.mat / trace, gamma.dim_a, gamma.dim_b), trace
-
-
 def find_psd_eigenvector(
     gamma: BipartiteOperator, tols: Tolerances = DEFAULT
 ) -> PsdEigenvectorResult:
     """Search the top eigenvalue cluster of the composite contraction map for
     a PSD eigenvector with a kernel.
 
-    The search runs on gamma / tr gamma, so that it does not depend on the
-    input's scale; ``eigenvalue`` is reported in the input's scale, (tr
-    gamma)^2 times that of the normalized map.  One dense eigensolve of the
-    Hermitian-basis matrix gives the clusters.  The candidate is the
-    identity's projection onto the top cluster, the limit of power iteration
-    from the identity, which is PSD (Evans and Hoegh-Krohn).  When it is
+    The search runs on gamma / tr gamma (``tensor_core._unit``), so that it
+    does not depend on the input's scale; ``eigenvalue`` is reported in the
+    input's scale, (tr gamma)^2 times that of the normalized map.  One dense
+    eigensolve of the Hermitian-basis matrix gives the clusters.  The
+    candidate is the identity's projection onto the top cluster, the limit
+    of power iteration from the identity, which is PSD (Evans and
+    Hoegh-Krohn).  When it is
     positive definite and the cluster has dimension at least 2, the search
     walks from it along each of the cluster's other directions to the PSD
     boundary; every crossing point is a singular PSD element of the cluster.
@@ -143,14 +137,13 @@ def find_psd_eigenvector(
     cluster.  A 1 x 1 input has no candidate with a nontrivial kernel and
     returns not-found at once.
     """
-    k = _require_square(gamma, "the eigenvector search")
-    _require_psd(gamma, tols)
+    gamma, trace = _unit(gamma, tols, "the eigenvector search")
+    k = gamma.dim_a
     if k == 1:
         return PsdEigenvectorResult(
             found=False, x=None, eigenvalue=None, full_rank_witness=LocalOperator(np.ones((1, 1)))
         )
 
-    gamma, trace = _trace_normalized(gamma)
     w, v = np.linalg.eigh(fg_matrix(gamma, tols).matrix)
     w = w[::-1]
     v = v[:, ::-1]
@@ -210,8 +203,9 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     Otherwise a ``decomposable_witness`` (X, Y) is returned once its ranks
     check: such an X with rank g(X) <= rank X, counting the eigenvalues of
     g(X) above tols.rank * ||gamma|| * lambda_max(X), and Y the kernel
-    projector of g(X).  The probe runs on gamma / tr gamma, so its verdict
-    does not depend on the input's scale.  The spectral projectors (onto
+    projector of g(X).  The probe runs on gamma / tr gamma
+    (``tensor_core._unit``), so its verdict does not depend on the input's
+    scale.  The spectral projectors (onto
     each eigenvalue cluster, and the positive and negative parts) of the
     composite map's eigenvectors are scanned first, which settles at once
     inputs the filter cannot scale, such as diag(1, 1, 0, 1).  Then the general filter gives
@@ -238,11 +232,10 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     ||X||_2^2 with T(X) majorized by X forces equal spectra (the sum of
     squares is strictly Schur-convex), so rank T(X) = rank X.
     """
-    _require_psd(gamma, tols)
-    k = _require_square(gamma, "the probe")
+    gamma, _ = _unit(gamma, tols, "the probe")  # ranks, and so witnesses, do not depend on scale
+    k = gamma.dim_a
     if k == 1:  # no X has 0 < rank X < 1
         return ProbeResult("fully_indecomposable", None)
-    gamma, _ = _trace_normalized(gamma)  # ranks, and so witnesses, do not depend on scale
 
     def witness(x: np.ndarray) -> ProbeResult | None:
         x = 0.5 * (x + x.conj().T)
@@ -270,7 +263,7 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     if hit is not None:
         return hit
     try:
-        run = _scaling_engine(0.5 * (gamma.mat + gamma.mat.conj().T), k, "general", tols)
+        run = _scaling_engine(gamma.mat, k, "general", tols)
     except MarginalRankDeficient:  # the kernel projector P of gamma_A has g(P) = 0
         w, v, cut = _herm_support(_partial_trace(gamma.tensor4, "a"), tols.rank)
         kernel = v[:, w <= cut]
@@ -316,12 +309,14 @@ def split(
 ) -> SplitCertificate:
     """Split a triad-class state along the supports of x and of its image.
 
-    ``x`` must be a PSD eigenvector of the composite contraction map with
-    rank strictly between 0 and k.  The projections come from one
-    eigensolve of x and one of g(x); an image below roundoff of gamma and x
-    has no support.  A residual above tolerance signals that gamma was not
-    actually in a triad class (or x not an eigenvector) and raises
-    CompleteReducibilityViolation.
+    gamma must pass ``tensor_core._unit``'s gate, and ``x`` must be a PSD
+    eigenvector of the composite contraction map with rank strictly between
+    0 and k.  The projections come from one eigensolve of x and one of g(x);
+    an image below roundoff of gamma and x has no support.  The certificate
+    eigenvalue is (tr gamma)^2 times that on gamma / tr gamma, as in the
+    search, so no step depends on the input's scale.  A residual above
+    tolerance signals that gamma was not actually in a triad class (or x not
+    an eigenvector) and raises CompleteReducibilityViolation.
     """
     return _split(gamma, x, tols)[0]
 
@@ -332,7 +327,8 @@ def _split(
     """``split``, also returning its two blocks, each with the orthonormal
     eigenvectors of x and of g(x) that span its local supports: the support
     eigenvectors for the first block, the kernel eigenvectors for the second."""
-    k = _require_square(gamma, "split")
+    unit, trace = _unit(gamma, tols, "split")
+    k = gamma.dim_a
     xm = 0.5 * (x.mat + x.mat.conj().T)
     w, v, cut = _herm_support(xm, tols.rank)
     support_v, kernel_v = v[:, w > cut], v[:, w <= cut]
@@ -342,9 +338,10 @@ def _split(
         raise FullRankEigenvector("split needs an eigenvector with a nontrivial kernel")
 
     gx = g_apply(gamma, xm).mat
+    scale, x_norm = max(_frobenius(gamma.mat), np.finfo(float).tiny), _frobenius(xm)
     # an eigenvalue-zero eigenvector has a genuinely vanishing image; do not
     # let roundoff noise masquerade as a support
-    if np.linalg.norm(gx) <= 1e-13 * np.linalg.norm(gamma.mat) * np.linalg.norm(xm):
+    if _frobenius(gx) <= 1e-13 * scale * x_norm:
         w, v, cut = np.zeros(k), np.eye(k), 0.0
     else:
         w, v, cut = _herm_support(gx, tols.rank)
@@ -353,17 +350,16 @@ def _split(
     proj_w = support_w @ support_w.conj().T
     block_1 = _congruence(proj_v, proj_w, gamma.mat)
     block_2 = _congruence(np.eye(k) - proj_v, np.eye(k) - proj_w, gamma.mat)
-    residual = float(np.linalg.norm(gamma.mat - block_1 - block_2))
-    scale = max(float(np.linalg.norm(gamma.mat)), np.finfo(float).tiny)
+    residual = _frobenius(gamma.mat - block_1 - block_2)
     if residual > tols.split * scale:
         raise CompleteReducibilityViolation(
             f"split residual {residual:.3e} exceeds {tols.split:.1e} * ||gamma||; "
             "the input is not a triad-class state within tolerance"
         )
-    lam, _ = _eigen_residual(gamma, xm / np.linalg.norm(xm))
+    lam, _ = _eigen_residual(unit, xm / x_norm)
     cert = SplitCertificate(
         x=LocalOperator(xm),
-        eigenvalue=lam,
+        eigenvalue=lam * trace * trace,
         proj_v=LocalOperator(proj_v),
         proj_w=LocalOperator(proj_w),
         proj_v_perp=LocalOperator(np.eye(k) - proj_v),
@@ -618,7 +614,8 @@ def minimal_rank_extract(
     """
     if not classification.any_flag:
         raise PreconditionNotMet("extraction needs at least one triad flag")
-    k = _require_square(gamma, "extraction")
+    unit, trace = _unit(gamma, tols, "extraction")
+    k = gamma.dim_a
     rank, ((wa, va), (wb, vb)) = _reduced_supports(gamma, tols)
     bound = max(len(wa), len(wb))
     if rank != bound or rank == 0:
@@ -628,10 +625,7 @@ def minimal_rank_extract(
             f"({len(wa)}, {len(wb)}) {why}"
         )
 
-    _require_psd(gamma, tols)
-    gn = 0.5 * (gamma.mat + gamma.mat.conj().T)
-    trace = np.trace(gn).real
-    gn = gn / trace
+    gn = unit.mat
     swap = len(wa) > len(wb)
     if swap:
         (wa, va), (wb, vb) = (wb, vb), (wa, va)

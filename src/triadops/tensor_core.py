@@ -17,17 +17,19 @@ Classification, the spectral bounds and the Schmidt decomposition read the
 spectra of the same few matrices of one input: gamma, its partial transpose,
 their realignments and the two marginals.  ``_cached`` computes each of
 these once per operator: ``realign``, ``partial_transpose``, ``reduced_a``,
-``reduced_b``, the singular values behind ``norms`` and the ascending
-spectrum of the Hermitian part behind ``psd_check`` and ``classify``.  The
-memo is thread-local and bounded: it holds the last ``_MEMO_SIZE`` operators
-asked about and evicts the least recently used, so operators that the caller
-keeps alive do not keep their derived matrices alive too.  A cached value is
-the one the same routine computes on the same bytes, so every output keeps
-its bytes whether the memo is cold or warm.
+``reduced_b``, the singular values behind ``norms``, the ascending
+spectrum of the Hermitian part behind ``psd_check`` and ``classify``, and
+the trace-normalized form behind ``_unit``.  The memo is thread-local and
+bounded: it holds the last ``_MEMO_SIZE`` operators asked about and evicts
+the least recently used, so operators that the caller keeps alive do not
+keep their derived matrices alive too.  A cached value is the one the same
+routine computes on the same bytes, so every output keeps its bytes whether
+the memo is cold or warm.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
@@ -313,15 +315,32 @@ def _psd_ok(min_eig: float, op_norm: float, tols: Tolerances) -> bool:
     return bool(min_eig >= -tols.psd * op_norm)
 
 
-def _require_hermitian(mat: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """Check the relative Hermiticity defect and return the Hermitian part."""
-    defect = np.linalg.norm(mat - mat.conj().T)
-    scale = np.linalg.norm(mat)
+@np.errstate(over="ignore")
+def _frobenius(mat: np.ndarray) -> float:
+    """The Frobenius norm of ``mat``: numpy's where that lies in (1e-140, inf).
+
+    Elsewhere numpy's sum of squares may underflow or overflow, so it is the
+    norm of ``mat`` / 2^e, 2^e the power of two above its largest entry (an
+    exact scaling), times 2^e; inf only if the norm overflows, with no warning.
+    """
+    nrm = float(np.linalg.norm(mat))
+    # a zero matrix, such as the Hermiticity defect of a Hermitian input, is common
+    if 1e-140 < nrm < math.inf or not mat.any():
+        return nrm
+    parts = (mat.real, mat.imag)
+    e = math.frexp(max(float(np.max(np.abs(p), initial=0.0)) for p in parts))[1]
+    small = math.hypot(*(float(np.linalg.norm(np.ldexp(p, -e))) for p in parts))
+    return small * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # 2^e in halves: 2^1024 is no float
+
+
+def _require_hermitian(mat: np.ndarray, tols: Tolerances) -> None:
+    """Raise NotHermitian unless the relative Hermiticity defect is within tolerance."""
+    defect = _frobenius(mat - mat.conj().T)
+    scale = _frobenius(mat) if defect else 0.0  # a zero defect passes at any scale
     if not _hermitian_ok(defect, scale, tols):
         raise NotHermitian(
             f"Hermiticity defect {defect:.3e} exceeds {tols.herm:.1e} * ||a|| = {tols.herm * scale:.3e}"
         )
-    return 0.5 * (mat + mat.conj().T)
 
 
 def _require_psd(a: Operator, tols: Tolerances) -> None:
@@ -329,6 +348,23 @@ def _require_psd(a: Operator, tols: Tolerances) -> None:
     report = psd_check(a, tols)
     if not report.is_psd:
         raise NotPSD(f"input has min eigenvalue {report.min_eigenvalue:.3e}")
+
+
+def _unit(gamma: BipartiteOperator, tols: Tolerances, what: str) -> tuple[BipartiteOperator, float]:
+    """The admitted state's Hermitian part over its trace, and the trace.
+
+    Every call checks ``_require_square`` and ``psd_check``; the form is
+    computed once per operator, and the zero matrix is divided by 1.
+    """
+    _require_square(gamma, what)
+    _require_psd(gamma, tols)
+
+    def form():
+        mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
+        trace = float(np.trace(mat).real)
+        return BipartiteOperator(mat / (trace or 1.0), gamma.dim_a, gamma.dim_b), trace
+
+    return _cached(gamma, "unit", form)
 
 
 def _boundary_step(whiten: np.ndarray, direction: np.ndarray) -> float | None:
@@ -404,9 +440,9 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     cluster's width is ``1e-12 * max|eigenvalue|``, so it scales with the
     input.
     """
-    mat = _require_hermitian(np.asarray(a.mat), tols)
+    _require_hermitian(a.mat, tols)
     try:
-        w, v = np.linalg.eigh(mat)
+        w, v = np.linalg.eigh(0.5 * (a.mat + a.mat.conj().T))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     w = w[::-1].copy()
@@ -432,7 +468,7 @@ def norms(a: Operator) -> Norms:
     s = _cached(a, "singular_values", lambda: np.linalg.svd(a.mat, compute_uv=False))
     return Norms(
         trace_norm=float(np.sum(s)),
-        frobenius_norm=float(np.sqrt(np.sum(s * s))),
+        frobenius_norm=_frobenius(s),
         operator_norm=float(s[0]),
     )
 

@@ -122,8 +122,9 @@ def _leaves(g):
 
 
 def _verdicts(g):
-    """Class flags, doubly-stochastic verdict, decompose leaves and filter
-    convergence per mode; a refused call records its error's name."""
+    """Class flags, the three bound verdicts, doubly-stochastic verdict,
+    decompose leaves and filter convergence per mode; a refused call records
+    its error's name."""
 
     def outcome(call):
         try:
@@ -134,20 +135,24 @@ def _verdicts(g):
     c = classify(g)
     return (
         (c.ppt, c.spc, c.invariant),
+        [outcome(lambda: bound(g).bound_holds) for bound in (bound_gamma_pt, bound_realign_sq)],
+        outcome(lambda: bound_triad(g, c).bound_holds),
         outcome(lambda: doubly_stochastic_check(g).doubly_stochastic),
         outcome(lambda: _leaves(g)),
         [outcome(lambda: sinkhorn_filter(g, mode).converged) for mode in MODES],
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(
     k=st.integers(2, 4),
     kind=st.sampled_from(["spc", "invariant", "ppt"]),
     seed=st.integers(0, 2**32 - 1),
-    exponent=st.floats(-15.0, 6.0),
+    exponent=st.floats(-300.0, 300.0),
 )
 def test_verdicts_do_not_depend_on_scale(k, kind, seed, exponent):
-    # gamma -> c gamma with c log-uniform in [1e-15, 1e6]
+    # gamma -> c gamma with c log-uniform in [1e-300, 1e300]: every norm a
+    # verdict reads neither overflows nor underflows there
     g = GENERATORS[kind](k, seed)
     scaled = BipartiteOperator(10.0**exponent * g.mat, k, k)
     assert _verdicts(scaled) == _verdicts(g)

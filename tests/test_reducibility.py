@@ -14,6 +14,7 @@ from triadops import (
     canonical,
     classify,
     decompose,
+    doubly_stochastic_check,
     equal_schmidt_certificate,
     fg_apply,
     find_psd_eigenvector,
@@ -36,6 +37,7 @@ from triadops.errors import (
     FullRankEigenvector,
     NotPSD,
     PreconditionNotMet,
+    ZeroMatrix,
 )
 
 from triadops import reducibility
@@ -307,10 +309,18 @@ def test_decompose_factors_each_matrix_once(monkeypatch):
     assert len(tree.leaves()) == 4 and n <= 15
 
 
-@pytest.mark.parametrize("make", [random_spc, random_invariant, random_ppt])
+def rotated_classical_diag(k, seed):
+    """classical_diag under a seeded Haar V (x) V: a state that splits k - 1 times."""
+    return haar_congruence(canonical("classical_diag", k), rng_from_seed(seed), "V")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [random_spc, random_invariant, random_ppt, rotated_classical_diag])
 def test_decompose_and_probe_do_not_depend_on_scale(make):
-    # both searches run on gamma / tr gamma: the composite map is quadratic
-    # in gamma, and at these scales its entries overflow or underflow
+    # the searches run on gamma / tr gamma, since the composite map is
+    # quadratic in gamma and at these scales its entries overflow or
+    # underflow; split takes its certificate eigenvalue there too, and its
+    # zero-image and residual tests read norms valid over the float range
     for k in (2, 3, 4):
         for seed in range(4):
             g = make(k, seed)
@@ -320,6 +330,22 @@ def test_decompose_and_probe_do_not_depend_on_scale(make):
                 scaled = BipartiteOperator(g.mat * 10.0**e, k, k)
                 assert [leaf.leaf_status for leaf in decompose(scaled).leaves()] == want, (k, seed, e)
                 assert fully_indecomposable_probe(scaled).verdict == verdict, (k, seed, e)
+
+
+def test_the_zero_matrix_keeps_its_answers():
+    # the one PSD input of trace 0: its admitted form is divided by 1, so
+    # only the filter refuses it outright (``triadops filter`` exits 2)
+    zero = BipartiteOperator(np.zeros((4, 4)), 2, 2)
+    assert find_psd_eigenvector(zero).found
+    assert fully_indecomposable_probe(zero).verdict == "decomposable_witness"
+    assert [leaf.leaf_status for leaf in decompose(zero).leaves()] == ["not_split_found"]
+    for mode in ("general", "symmetric", "conjugate", "left"):
+        with pytest.raises(ZeroMatrix):
+            sinkhorn_filter(zero, mode)
+    with pytest.raises(PreconditionNotMet, match="rank 0"):
+        minimal_rank_extract(zero, classify(zero))
+    with pytest.raises(PreconditionNotMet, match="trace too small"):
+        doubly_stochastic_check(zero)
 
 
 def test_equal_schmidt_reports(classical_diag2, identity_plus_u2):
