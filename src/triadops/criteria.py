@@ -75,25 +75,30 @@ class TriadClassification(_JsonRecord):
         return self.ppt or self.spc or self.invariant
 
 
-def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClassification:
-    """Evaluate all three class flags and the CCNR value in one pass."""
-    _require_square(gamma, "classification")
+def _psd_and_ppt(gamma: BipartiteOperator, tols: Tolerances) -> tuple[float, float, bool, float, bool]:
+    """``classify``'s PSD and PPT verdicts: ||gamma||_F, the operator norm,
+    whether gamma is Hermitian PSD, the partial transpose's smallest
+    eigenvalue, and the PPT flag."""
     mat = gamma.mat
     scale = _frobenius(mat)
-    tiny = np.finfo(float).tiny
     is_hermitian = _hermitian_ok(_frobenius(mat - mat.conj().T), scale, tols)
-
     w = _spectrum(gamma)
     op_norm = float(np.max(np.abs(w)))
     # every class flag presupposes a Hermitian PSD input
     is_psd = is_hermitian and _psd_ok(float(w[0]), op_norm, tols)
+    ppt_min = float(_spectrum(partial_transpose(gamma))[0])
+    return scale, op_norm, is_psd, ppt_min, is_psd and _psd_ok(ppt_min, op_norm, tols)
+
+
+def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClassification:
+    """Evaluate all three class flags and the CCNR value in one pass."""
+    _require_square(gamma, "classification")
+    mat = gamma.mat
+    tiny = np.finfo(float).tiny
+    scale, op_norm, is_psd, ppt_min, ppt = _psd_and_ppt(gamma, tols)
     is_state = bool(is_psd and abs(np.trace(mat).real - 1.0) <= _TRACE_TOL)
 
-    pt = partial_transpose(gamma)
-    ppt_min = float(_spectrum(pt)[0])
-    ppt = is_psd and _psd_ok(ppt_min, op_norm, tols)
-
-    rpt = realign(pt)
+    rpt = realign(partial_transpose(gamma))
     # the defect is already relative to ||gamma||, so its scale is 1
     spc_defect = _frobenius(rpt.mat - rpt.mat.conj().T) / max(scale, tiny)
     spc_min = float(_spectrum(rpt)[0])
@@ -226,11 +231,12 @@ def ppt_pair_forces_invariance(
 
     When both are PPT the distance must vanish up to numerical noise, i.e. the
     state is invariant under realignment.  Both are ``classify``'s PPT flags,
-    so the PSD floor of R(gamma) is relative to ||R(gamma)||.  The function
-    only reports; asserting the implication is the caller's (or the test
-    suite's) job.
+    read from its PSD and PPT step alone, so the PSD floor of R(gamma) is
+    relative to ||R(gamma)||.  The function only reports; asserting the
+    implication is the caller's (or the test suite's) job.
     """
-    c = classify(gamma, tols)
+    _require_square(gamma, "the PPT pair test")
     _require_psd(gamma, tols)
-    both = c.ppt and classify(realign(gamma), tols).ppt
-    return PptPairReport(both_ppt=both, realign_distance=c.residuals.invariance_distance)
+    r = realign(gamma)
+    both = _psd_and_ppt(gamma, tols)[-1] and _psd_and_ppt(r, tols)[-1]
+    return PptPairReport(both_ppt=both, realign_distance=_frobenius(r.mat - gamma.mat))

@@ -86,6 +86,7 @@ from .tensor_core import (
     _herm_support,
     _JsonRecord,
     _kron,
+    _over_trace,
     _partial_trace,
     _permute_slots,
     _pivot_phases,
@@ -416,7 +417,7 @@ def doubly_stochastic_check(
     trace = np.trace(mat).real
     if abs(trace) <= 1e-14 * _frobenius(mat):
         raise PreconditionNotMet("trace too small to normalize")
-    gn = BipartiteOperator(mat / trace, k, k)
+    gn = BipartiteOperator(_over_trace(mat, trace), k, k)
     v = np.eye(k) / np.sqrt(k)
     forward = float(np.linalg.norm(k * g_apply(gn, v).mat - v))
     adjoint = float(np.linalg.norm(k * f_apply(gn, v).mat - v))

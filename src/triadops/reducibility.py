@@ -205,18 +205,20 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     g(X) above tols.rank * ||gamma|| * lambda_max(X), and Y the kernel
     projector of g(X).  The probe runs on gamma / tr gamma
     (``tensor_core._unit``), so its verdict does not depend on the input's
-    scale.  The spectral projectors (onto
-    each eigenvalue cluster, and the positive and negative parts) of the
-    composite map's eigenvectors are scanned first, which settles at once
-    inputs the filter cannot scale, such as diag(1, 1, 0, 1).  Then the general filter gives
-    delta = (Fa (x) Fb) gamma (Fa (x) Fb)^* with marginals Id/k, and
+    scale.  The general filter runs first: its normal form
+    delta = (Fa (x) Fb) gamma (Fa (x) Fb)^* has marginals Id/k, and
     g_delta(X) = Fb g_gamma(Fa^* X Fa) Fb^*, so ranks carry over through
     X -> Fa^* X Fa.  The top cluster (width 1e-8 * lambda_max) of delta's
-    composite map decides; if it is wider than one eigenvalue,
-    ``find_psd_eigenvector(delta)`` gives X.  If gamma_A is singular, its
-    kernel projector P has g(P) = 0.  ``inconclusive``: no normal form, and
-    no witness from P or the scans of gamma and of the filter's last
-    iterate; or, in floating point only, a wide top cluster whose X fails.
+    composite map decides: if it is wider than one eigenvalue, X is a
+    spectral projector (onto an eigenvalue cluster, or the positive or
+    negative part) of one generic element E of it, with coordinates
+    top @ (sqrt(2..n+1) mod 1).  With no normal form (an unconverged run, a
+    singular marginal, or the zero matrix, on which no filter runs) the same
+    projectors of the composite map's eigenvectors are scanned, of gamma and
+    then of the last iterate, after a singular gamma_A has offered its
+    kernel projector P, since g(P) = 0.  ``inconclusive``: no normal form
+    and no witness from P or the scans; or, in floating point only, no X
+    from E.
 
     Why (Cariello, IEEE TIT 2016; Gurvits, JCSS 2004): T = k g_delta and T*
     are positive, unital and trace preserving, so T(X) is majorized by X for
@@ -230,12 +232,19 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     walk from Id along another Hermitian element of the eigenspace meets the
     PSD boundary at a singular X there; ||T(X)||_2^2 = tr(X T*T(X)) =
     ||X||_2^2 with T(X) majorized by X forces equal spectra (the sum of
-    squares is strictly Schur-convex), so rank T(X) = rank X.
+    squares is strictly Schur-convex), so rank T(X) = rank X.  The generic
+    E is no multiple of Id, so the walk from Id along -E meets the boundary
+    at X = lambda_max(E) Id - E, a witness.  So its support projector P, the
+    complement of E's top cluster, is one too, and its image Q is a
+    projector (=>); T is unital, so T(Id - P) = Id - Q, and the top
+    cluster's projector is a witness as well.  The scan of E tries it, or P
+    as E's negative part when that cluster's eigenvalue is 0.
     """
-    gamma, _ = _unit(gamma, tols, "the probe")  # ranks, and so witnesses, do not depend on scale
+    gamma, trace = _unit(gamma, tols, "the probe")  # ranks, and so witnesses, do not depend on scale
     k = gamma.dim_a
     if k == 1:  # no X has 0 < rank X < 1
         return ProbeResult("fully_indecomposable", None)
+    inconclusive = ProbeResult("inconclusive", None)
 
     def witness(x: np.ndarray) -> ProbeResult | None:
         x = 0.5 * (x + x.conj().T)
@@ -248,8 +257,8 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
         y = kernel @ kernel.conj().T
         return ProbeResult("decomposable_witness", (LocalOperator(x), LocalOperator(y)))
 
-    def scan(state: BipartiteOperator, fa: np.ndarray) -> ProbeResult | None:
-        for coords in np.linalg.eigh(fg_matrix(state, tols).matrix)[1].T:
+    def scan(stack, fa: np.ndarray) -> ProbeResult | None:  # X pulled back through fa
+        for coords in stack:
             w, v = np.linalg.eigh(hermitian_from_coords(coords, k))
             floor = 1e-8 * float(np.max(np.abs(w)))
             groups = [c for c in _clusters(w, floor) if abs(w[c[0]]) > floor]
@@ -259,25 +268,25 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
                     return hit
         return None
 
-    hit = scan(gamma, np.eye(k))
-    if hit is not None:
-        return hit
+    def eigenvectors(state: BipartiteOperator) -> np.ndarray:
+        return np.linalg.eigh(fg_matrix(state, tols).matrix)[1].T
+
+    if trace <= 0:  # the zero matrix, whose trace the filter would divide by
+        return scan(eigenvectors(gamma), np.eye(k)) or inconclusive
     try:
-        run = _scaling_engine(gamma.mat, k, "general", tols)
+        delta, fa, _, _, converged, *_ = _scaling_engine(gamma.mat, k, "general", tols)
     except MarginalRankDeficient:  # the kernel projector P of gamma_A has g(P) = 0
         w, v, cut = _herm_support(_partial_trace(gamma.tensor4, "a"), tols.rank)
         kernel = v[:, w <= cut]
-        return witness(kernel @ kernel.conj().T) or ProbeResult("inconclusive", None)
-    delta, fa, _, _, converged, *_ = run
+        return witness(kernel @ kernel.conj().T) or scan(eigenvectors(gamma), np.eye(k)) or inconclusive
     normal_form = BipartiteOperator(delta, k, k)
     if not converged:
-        return scan(normal_form, fa) or ProbeResult("inconclusive", None)
-    w = np.linalg.eigvalsh(fg_matrix(normal_form, tols).matrix)[::-1]
-    if len(_clusters(w, 1e-8 * w[0])[0]) == 1:
+        return scan(eigenvectors(gamma), np.eye(k)) or scan(eigenvectors(normal_form), fa) or inconclusive
+    w, v = np.linalg.eigh(fg_matrix(normal_form, tols).matrix)
+    top = v[:, _clusters(w, 1e-8 * w[-1])[-1]]
+    if top.shape[1] == 1:
         return ProbeResult("fully_indecomposable", None)
-    found = find_psd_eigenvector(normal_form, tols)
-    hit = witness(fa.conj().T @ found.x.mat @ fa) if found.found else None
-    return hit or ProbeResult("inconclusive", None)
+    return scan([top @ (np.sqrt(np.arange(2, top.shape[1] + 2)) % 1)], fa) or inconclusive
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +422,10 @@ def decompose(
     children.  A child is its block compressed, by one local congruence, to
     the eigenvectors of x and of g(x) that span the block's local supports
     (``_split``); those eigenvectors are its embeddings into the parent's
-    factors.  Leaves are marked ``weakly_irreducible`` when
-    ``find_psd_eigenvector`` certifies that the top eigenvalue cluster holds
-    no singular PSD element (complete for triad-class blocks), and
+    factors.  Leaves are marked ``weakly_irreducible`` when they have side
+    1, with no search, or when ``find_psd_eigenvector`` certifies that the
+    top eigenvalue cluster holds no singular PSD element (complete for
+    triad-class blocks), and
     ``not_split_found`` when the depth cap is hit or a compressed block ends
     up with unequal local dimensions (where the square-only search does not
     apply).
@@ -430,6 +440,8 @@ def decompose(
         state = BipartiteOperator(0.5 * (mat + mat.conj().T), ka, kb)
         if ka != kb:
             return DecompositionTree(state=state, leaf_status="not_split_found")
+        if ka == 1:  # no X has 0 < rank X < 1
+            return DecompositionTree(state=state, leaf_status="weakly_irreducible")
         found = find_psd_eigenvector(state, tols)
         if not found.found:
             return DecompositionTree(state=state, leaf_status="weakly_irreducible")
@@ -438,7 +450,7 @@ def decompose(
         cert, blocks = _split(state, found.x, tols)
         node = DecompositionTree(state=state, certificate=cert)
         for block, basis_a, basis_b in blocks:
-            if np.trace(block).real <= 1e-12 * max(np.trace(mat).real, 1e-300):
+            if np.trace(block).real <= 1e-12 * np.trace(mat).real:
                 continue
             compressed = _congruence(basis_a.conj().T, basis_b.conj().T, block)
             child = _node(compressed, basis_a.shape[1], basis_b.shape[1], depth - 1)

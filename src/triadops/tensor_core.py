@@ -333,6 +333,19 @@ def _frobenius(mat: np.ndarray) -> float:
     return small * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # 2^e in halves: 2^1024 is no float
 
 
+def _over_trace(mat: np.ndarray, trace: float) -> np.ndarray:
+    """``mat / trace`` for a nonzero trace, at any scale.  numpy divides a
+    complex matrix by a real number through its reciprocal, which overflows
+    for a subnormal trace; both are then first scaled by an exact power of
+    two, in two halves (2^1075 is no float)."""
+    if abs(trace) >= np.finfo(float).tiny:
+        return mat / trace
+    e = 1 - math.frexp(trace)[1]  # 2^e brings |trace| to [1, 2)
+    for half in (e // 2, e - e // 2):
+        mat, trace = mat * 2.0**half, trace * 2.0**half
+    return mat / trace
+
+
 def _require_hermitian(mat: np.ndarray, tols: Tolerances) -> None:
     """Raise NotHermitian unless the relative Hermiticity defect is within tolerance."""
     defect = _frobenius(mat - mat.conj().T)
@@ -362,7 +375,7 @@ def _unit(gamma: BipartiteOperator, tols: Tolerances, what: str) -> tuple[Bipart
     def form():
         mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
         trace = float(np.trace(mat).real)
-        return BipartiteOperator(mat / (trace or 1.0), gamma.dim_a, gamma.dim_b), trace
+        return BipartiteOperator(_over_trace(mat, trace or 1.0), gamma.dim_a, gamma.dim_b), trace
 
     return _cached(gamma, "unit", form)
 

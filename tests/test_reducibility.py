@@ -332,6 +332,36 @@ def test_decompose_and_probe_do_not_depend_on_scale(make):
                 assert fully_indecomposable_probe(scaled).verdict == verdict, (k, seed, e)
 
 
+def _verdicts_at_any_scale(g):
+    """Class flags, search and probe outcomes, decompose leaves, the doubly
+    stochastic verdict and general-filter convergence."""
+    c = classify(g)
+    return (
+        (c.ppt, c.spc, c.invariant),
+        find_psd_eigenvector(g).found,
+        fully_indecomposable_probe(g).verdict,
+        [leaf.leaf_status for leaf in decompose(g).leaves()],
+        doubly_stochastic_check(g).doubly_stochastic,
+        sinkhorn_filter(g).converged,
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [random_spc, random_invariant, random_ppt, rotated_classical_diag])
+def test_verdicts_hold_at_subnormal_traces(make):
+    # below about 1e-308 the trace is subnormal, and numpy divides a complex
+    # matrix by it through a reciprocal that overflows; the unit form and the
+    # doubly stochastic check divide over an exact power-of-two scaling, and
+    # decompose drops a child by its trace relative to the parent's alone
+    for k in (2, 3, 4):
+        for seed in range(3):
+            g = make(k, seed)
+            want = _verdicts_at_any_scale(g)
+            for scale in (1e-305, 1e-308, 1e-310, 1e-312):
+                scaled = BipartiteOperator(g.mat * scale, k, k)
+                assert _verdicts_at_any_scale(scaled) == want, (k, seed, scale)
+
+
 def test_the_zero_matrix_keeps_its_answers():
     # the one PSD input of trace 0: its admitted form is divided by 1, so
     # only the filter refuses it outright (``triadops filter`` exits 2)
@@ -743,14 +773,40 @@ def test_probe_verdict_on_raw_states_and_their_normal_forms(kind):
 
 def test_probe_finds_witnesses_of_a_map_the_filter_cannot_scale():
     # diag(1, 1, 0, 1) has full-rank marginals but no normal form, and E_11
-    # keeps its rank: the scan of the input finds it before any filter step.
-    # Under a positive definite V (x) W the scan of the input misses, and the
-    # scan of the unconverged filter's last iterate finds it.
+    # keeps its rank: the general filter runs out of steps, and then the scan
+    # of the input finds it.  Under a positive definite V (x) W the scan of
+    # the input misses, and the scan of the filter's last iterate finds it.
     g = BipartiteOperator(np.diag([1.0, 1.0, 0.0, 1.0]), 2, 2)
     _assert_checked_witness(g, fully_indecomposable_probe(g))
     rng = np.random.default_rng(0)
     scaled = local_scale(g, random_pd_local(rng, 2), random_pd_local(rng, 2))
     _assert_checked_witness(scaled, fully_indecomposable_probe(scaled))
+
+
+def _direct_sum(blocks):
+    """The square states ``blocks`` on orthogonal local supports, with equal weights."""
+    k = sum(b.dim_a for b in blocks)
+    out = np.zeros((k, k, k, k), dtype=complex)
+    start = 0
+    for b in blocks:
+        s = slice(start, start + b.dim_a)
+        out[s, s, s, s] = b.tensor4
+        start += b.dim_a
+    return BipartiteOperator(out.reshape(k * k, k * k) / len(blocks), k, k)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 2), (3, 3), (2, 2, 2), (1, 1, 4)])
+def test_probe_finds_a_witness_of_a_direct_sum_of_blocks(sizes):
+    # each block's support projector keeps its rank, and under a positive
+    # definite V (x) W the map is decomposable only up to that filter: the
+    # witness is read off the normal form's top eigenspace and pulled back
+    for seed in range(3):
+        make = (random_spc, random_ppt)
+        g = _direct_sum([make[i % 2](n, seed + i) for i, n in enumerate(sizes)])
+        k = g.dim_a
+        rng = rng_from_seed(700 + 10 * k + seed)
+        for state in (g, local_scale(g, random_pd_local(rng, k), random_pd_local(rng, k))):
+            _assert_checked_witness(state, fully_indecomposable_probe(state))
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
