@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,45 +76,66 @@ class TriadClassification(_JsonRecord):
         return self.ppt or self.spc or self.invariant
 
 
-def _psd_and_ppt(gamma: BipartiteOperator, tols: Tolerances) -> tuple[float, float, bool, float, bool]:
-    """``classify``'s PSD and PPT verdicts: ||gamma||_F, the operator norm,
-    whether gamma is Hermitian PSD, the partial transpose's smallest
-    eigenvalue, and the PPT flag."""
+class _Psd(NamedTuple):
+    scale: float  # ||gamma||_F
+    op_norm: float
+    ok: bool  # gamma is Hermitian PSD, which every class flag presupposes
+
+
+def _psd(gamma: BipartiteOperator, tols: Tolerances) -> _Psd:
+    """The PSD verdict.  Each flag's verdict below is given it and returns
+    its residuals, then its flag."""
     mat = gamma.mat
     scale = _frobenius(mat)
     is_hermitian = _hermitian_ok(_frobenius(mat - mat.conj().T), scale, tols)
     w = _spectrum(gamma)
     op_norm = float(np.max(np.abs(w)))
-    # every class flag presupposes a Hermitian PSD input
-    is_psd = is_hermitian and _psd_ok(float(w[0]), op_norm, tols)
+    return _Psd(scale, op_norm, is_hermitian and _psd_ok(float(w[0]), op_norm, tols))
+
+
+def _ppt(gamma: BipartiteOperator, psd: _Psd, tols: Tolerances) -> tuple[float, bool]:
+    """The partial transpose's smallest eigenvalue."""
     ppt_min = float(_spectrum(partial_transpose(gamma))[0])
-    return scale, op_norm, is_psd, ppt_min, is_psd and _psd_ok(ppt_min, op_norm, tols)
+    return ppt_min, psd.ok and _psd_ok(ppt_min, psd.op_norm, tols)
+
+
+def _spc(gamma: BipartiteOperator, psd: _Psd, tols: Tolerances) -> tuple[float, float, bool]:
+    """The relative Hermiticity defect and the smallest eigenvalue of R(gamma^PT)."""
+    rpt = realign(partial_transpose(gamma))
+    # the defect is already relative to ||gamma||, so its scale is 1
+    defect = _frobenius(rpt.mat - rpt.mat.conj().T) / max(psd.scale, np.finfo(float).tiny)
+    spc_min = float(_spectrum(rpt)[0])
+    ok = psd.ok and _hermitian_ok(defect, 1.0, tols) and _psd_ok(spc_min, psd.op_norm, tols)
+    return defect, spc_min, ok
+
+
+def _invariance(gamma: BipartiteOperator, psd: _Psd, tols: Tolerances) -> tuple[float, bool]:
+    """||R(gamma) - gamma||_F, with no eigensolve."""
+    dist = _frobenius(realign(gamma).mat - gamma.mat)
+    return dist, bool(psd.ok and dist <= tols.invariance * max(psd.scale, np.finfo(float).tiny))
+
+
+def _any_flag(gamma: BipartiteOperator, tols: Tolerances) -> bool:
+    """``classify(gamma).any_flag`` with no CCNR SVD, cheapest verdict first:
+    invariance, then PPT, then SPC."""
+    _require_square(gamma, "classification")
+    psd = _psd(gamma, tols)
+    return psd.ok and any(test(gamma, psd, tols)[-1] for test in (_invariance, _ppt, _spc))
 
 
 def classify(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> TriadClassification:
     """Evaluate all three class flags and the CCNR value in one pass."""
     _require_square(gamma, "classification")
-    mat = gamma.mat
-    tiny = np.finfo(float).tiny
-    scale, op_norm, is_psd, ppt_min, ppt = _psd_and_ppt(gamma, tols)
-    is_state = bool(is_psd and abs(np.trace(mat).real - 1.0) <= _TRACE_TOL)
-
-    rpt = realign(partial_transpose(gamma))
-    # the defect is already relative to ||gamma||, so its scale is 1
-    spc_defect = _frobenius(rpt.mat - rpt.mat.conj().T) / max(scale, tiny)
-    spc_min = float(_spectrum(rpt)[0])
-    spc = is_psd and _hermitian_ok(spc_defect, 1.0, tols) and _psd_ok(spc_min, op_norm, tols)
-
-    r = realign(gamma)
-    inv_dist = _frobenius(r.mat - mat)
-    invariant = bool(is_psd and inv_dist <= tols.invariance * max(scale, tiny))
-
+    psd = _psd(gamma, tols)
+    ppt_min, ppt = _ppt(gamma, psd, tols)
+    spc_defect, spc_min, spc = _spc(gamma, psd, tols)
+    inv_dist, invariant = _invariance(gamma, psd, tols)
     return TriadClassification(
-        is_state=is_state,
+        is_state=bool(psd.ok and abs(np.trace(gamma.mat).real - 1.0) <= _TRACE_TOL),
         ppt=ppt,
         spc=spc,
         invariant=invariant,
-        ccnr_value=norms(r).trace_norm,
+        ccnr_value=norms(realign(gamma)).trace_norm,
         residuals=TriadResiduals(
             ppt_min_eigenvalue=ppt_min,
             spc_min_eigenvalue=spc_min,
@@ -231,12 +253,12 @@ def ppt_pair_forces_invariance(
 
     When both are PPT the distance must vanish up to numerical noise, i.e. the
     state is invariant under realignment.  Both are ``classify``'s PPT flags,
-    read from its PSD and PPT step alone, so the PSD floor of R(gamma) is
+    read from its PSD and PPT verdicts alone, so the PSD floor of R(gamma) is
     relative to ||R(gamma)||.  The function only reports; asserting the
     implication is the caller's (or the test suite's) job.
     """
     _require_square(gamma, "the PPT pair test")
     _require_psd(gamma, tols)
     r = realign(gamma)
-    both = _psd_and_ppt(gamma, tols)[-1] and _psd_and_ppt(r, tols)[-1]
+    both = all(_ppt(op, _psd(op, tols), tols)[1] for op in (gamma, r))
     return PptPairReport(both_ppt=both, realign_distance=_frobenius(r.mat - gamma.mat))

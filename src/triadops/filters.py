@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contractions import _REALIGN, partial_transpose, realign
-from .criteria import classify
+from .criteria import _invariance, _psd, _spc
 from .errors import MarginalRankDeficient, PreconditionNotMet, WrongClassForMode, ZeroMatrix
 from .schmidt_maps import (
     SchmidtDecomposition,
@@ -345,13 +345,14 @@ def sinkhorn_filter(
     The input is admitted and trace-normalized by ``tensor_core._unit``;
     the zero matrix, its one input of trace 0, raises ZeroMatrix.  Symmetric
     mode requires an SPC input and conjugate mode a realignment-invariant
-    one (WrongClassForMode otherwise); every mode requires both reduced
-    states to have full rank, and ``max_iter`` must be at least 1
-    (ValueError otherwise).  Every mode
-    stops by one rule (module docstring) and counts the steps it took.  Runs
-    that stall or exhaust ``max_iter`` return their partial result with
-    ``converged=False`` instead of raising, since decomposable inputs may
-    cycle and the iteration log is useful evidence.
+    one (WrongClassForMode otherwise), each reading only its own flag's
+    verdict (``criteria._spc``, ``criteria._invariance``); every mode
+    requires both reduced states to have full rank, and ``max_iter`` must be
+    at least 1 (ValueError otherwise).  Every mode stops by one rule (module
+    docstring) and counts the steps it took.  Runs that stall or exhaust
+    ``max_iter`` return their partial result with ``converged=False``
+    instead of raising, since decomposable inputs may cycle and the
+    iteration log is useful evidence.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -363,9 +364,9 @@ def sinkhorn_filter(
     k, mat = gamma.dim_a, unit.mat
     _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "a"), "A", tols.rank)
     _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "b"), "B", tols.rank)
-    if mode == "symmetric" and not classify(gamma, tols).spc:
+    if mode == "symmetric" and not _spc(gamma, _psd(gamma, tols), tols)[-1]:
         raise WrongClassForMode("symmetric mode needs an SPC input")
-    if mode == "conjugate" and not classify(gamma, tols).invariant:
+    if mode == "conjugate" and not _invariance(gamma, _psd(gamma, tols), tols)[-1]:
         raise WrongClassForMode("conjugate mode needs a realignment-invariant input")
 
     run = _scaling_engine(mat, k, mode, tols, max_iter)

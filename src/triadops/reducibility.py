@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import TriadClassification, classify
+from .criteria import TriadClassification, _any_flag
 from .errors import (
     CompleteReducibilityViolation,
     FullRankEigenvector,
@@ -418,7 +418,12 @@ def decompose(
 ) -> DecompositionTree:
     """Recursively split a triad-class state into weakly irreducible leaves.
 
-    Each internal node carries the split certificate that produced its
+    The gate needs any one flag (PreconditionNotMet otherwise) and reads
+    ``criteria._any_flag``: invariance, then PPT, then SPC, never the CCNR
+    value.  The root is gamma itself when its matrix equals its Hermitian
+    part bit for bit, as every normal form's does, so the root's admission
+    reads the spectrum the gate factored; otherwise it is that Hermitian
+    part.  Each internal node carries the split certificate that produced its
     children.  A child is its block compressed, by one local congruence, to
     the eigenvectors of x and of g(x) that span the block's local supports
     (``_split``); those eigenvectors are its embeddings into the parent's
@@ -430,14 +435,13 @@ def decompose(
     up with unequal local dimensions (where the square-only search does not
     apply).
     """
-    classification = classify(gamma, tols)
-    if not classification.any_flag:
+    if not _any_flag(gamma, tols):
         raise PreconditionNotMet("decompose needs at least one triad flag")
     if max_depth is None:
         max_depth = gamma.dim_a
 
-    def _node(mat: np.ndarray, ka: int, kb: int, depth: int) -> DecompositionTree:
-        state = BipartiteOperator(0.5 * (mat + mat.conj().T), ka, kb)
+    def _node(state: BipartiteOperator, depth: int) -> DecompositionTree:
+        ka, kb = state.dim_a, state.dim_b
         if ka != kb:
             return DecompositionTree(state=state, leaf_status="not_split_found")
         if ka == 1:  # no X has 0 < rank X < 1
@@ -450,10 +454,12 @@ def decompose(
         cert, blocks = _split(state, found.x, tols)
         node = DecompositionTree(state=state, certificate=cert)
         for block, basis_a, basis_b in blocks:
-            if np.trace(block).real <= 1e-12 * np.trace(mat).real:
+            if np.trace(block).real <= 1e-12 * np.trace(state.mat).real:
                 continue
-            compressed = _congruence(basis_a.conj().T, basis_b.conj().T, block)
-            child = _node(compressed, basis_a.shape[1], basis_b.shape[1], depth - 1)
+            c = _congruence(basis_a.conj().T, basis_b.conj().T, block)
+            child = _node(
+                BipartiteOperator(0.5 * (c + c.conj().T), basis_a.shape[1], basis_b.shape[1]), depth - 1
+            )
             child.embed_a = basis_a
             child.embed_b = basis_b
             node.children.append(child)
@@ -461,7 +467,10 @@ def decompose(
             node.leaf_status = "not_split_found"
         return node
 
-    return _node(gamma.mat, gamma.dim_a, gamma.dim_b, max_depth)
+    herm = 0.5 * (gamma.mat + gamma.mat.conj().T)
+    if herm.tobytes() != gamma.mat.tobytes():
+        gamma = BipartiteOperator(herm, gamma.dim_a, gamma.dim_b)
+    return _node(gamma, max_depth)
 
 
 # ---------------------------------------------------------------------------

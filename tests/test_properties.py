@@ -29,6 +29,7 @@ from triadops import (
     random_density,
     random_invariant,
     random_ppt,
+    random_separable,
     random_spc,
     psd_check,
     realign,
@@ -37,7 +38,14 @@ from triadops import (
 )
 from triadops.cli import _format_json
 from triadops.contractions import _PARTIAL_TRANSPOSE
-from triadops.errors import ToolkitError, WrongClassForMode
+from triadops.errors import (
+    MarginalRankDeficient,
+    NotHermitian,
+    NotPSD,
+    PreconditionNotMet,
+    ToolkitError,
+    WrongClassForMode,
+)
 from triadops.generators import _STEP_BACK
 from triadops.tensor_core import _MEMO, _json_value, _permute_slots
 from triadops.tolerances import DEFAULT
@@ -156,6 +164,65 @@ def test_verdicts_do_not_depend_on_scale(k, kind, seed, exponent):
     g = GENERATORS[kind](k, seed)
     scaled = BipartiteOperator(10.0**exponent * g.mat, k, k)
     assert _verdicts(scaled) == _verdicts(g)
+
+
+# states in and out of the three classes; the rotated classical_diag is not
+# re-Hermitized, so it is Hermitian only to roundoff
+GATE_STATES = {
+    **GENERATORS,
+    "density": lambda k, seed: random_density(k, 1 + seed % (k * k), seed),
+    "separable": lambda k, seed: random_separable(k, 1 + seed % (2 * k), seed)[0],
+    "classical_diag": lambda k, seed: haar_congruence(
+        canonical("classical_diag", k), np.random.default_rng(seed), ("V", "Vbar", "W")[seed % 3]
+    ),
+}
+
+
+def _perturbed(g, how, size, seed):
+    """g plus a non-Hermitian term of relative size ``size``, or shifted so
+    that its smallest eigenvalue is -size times its largest."""
+    mat = g.mat
+    if how == "non_hermitian":
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape)
+        mat = mat + size * np.linalg.norm(mat) / np.linalg.norm(b) * b
+    elif how == "non_psd":
+        w = np.linalg.eigvalsh(mat)
+        mat = mat - (w[0] + size * w[-1]) * np.eye(mat.shape[0])
+    return mat
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(
+    k=st.integers(2, 5),
+    kind=st.sampled_from(list(GATE_STATES)),
+    how=st.sampled_from(["none", "non_hermitian", "non_psd"]),
+    size=st.sampled_from([1e-13, 1e-10, 1e-9, 1e-6, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-300.0, 300.0),
+)
+def test_gates_agree_with_classify(k, kind, how, size, seed, exponent):
+    # decompose refuses exactly the inputs with no flag, and the symmetric
+    # and conjugate modes, once the filter's admission lets an input reach
+    # their gate, refuse exactly the non-SPC and the non-invariant ones
+    mat = _perturbed(GATE_STATES[kind](k, seed), how, size, seed)
+    g = BipartiteOperator(10.0**exponent * mat, k, k)
+    c = classify(g)
+
+    def refusal(call):
+        try:
+            call()
+        except ToolkitError as exc:
+            return exc
+        return None
+
+    assert isinstance(refusal(lambda: decompose(g)), PreconditionNotMet) == (not c.any_flag)
+    for mode, flag in (("symmetric", c.spc), ("conjugate", c.invariant)):
+        exc = refusal(lambda: sinkhorn_filter(g, mode, max_iter=1))
+        if isinstance(exc, (NotHermitian, NotPSD)):
+            assert not c.any_flag  # every class flag presupposes a Hermitian PSD input
+        elif not isinstance(exc, MarginalRankDeficient):  # else refused before the gate
+            assert isinstance(exc, WrongClassForMode) == (not flag), (mode, exc)
 
 
 # the local shape that keeps each class: V (x) W for PPT, V (x) V for SPC and

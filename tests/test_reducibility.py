@@ -43,7 +43,7 @@ from triadops.errors import (
 from triadops import reducibility
 from triadops.cli import _format_json, main
 from triadops.reducibility import _unit_psd
-from triadops.tensor_core import _boundary_step
+from triadops.tensor_core import _MEMO, _boundary_step
 
 from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local, random_psd_local
 
@@ -309,6 +309,49 @@ def test_decompose_factors_each_matrix_once(monkeypatch):
     assert len(tree.leaves()) == 4 and n <= 15
 
 
+def _factorizations(monkeypatch):
+    """The (routine, compute_uv, shape, bytes) of each later svd and eigvalsh call."""
+    seen = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            key = np.ascontiguousarray(a)
+            seen.append((name, kwargs.get("compute_uv"), key.shape, key.tobytes()))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return seen
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_gates_compute_only_the_verdicts_they_read(k, monkeypatch):
+    # from a cold memo: decompose needs any flag and the one-filter modes one
+    # flag each, so no gate takes the CCNR value's values-only SVD; an exactly
+    # Hermitian input is decompose's own root, whose admission reads the
+    # spectrum the gate factored, so no matrix is factored twice
+    v = random_pd_local(rng_from_seed(600 + k), k)
+    inv = local_scale(random_invariant(k, k), v, v.conj())
+    spc = local_scale(random_spc(k, k), v, v)
+    normal_form = sinkhorn_filter(inv, "conjugate").normal_form
+    seen = _factorizations(monkeypatch)
+    calls = {
+        "decompose invariant": lambda: decompose(inv),
+        "decompose normal form": lambda: decompose(normal_form),
+        "symmetric gate": lambda: sinkhorn_filter(spc, "symmetric", max_iter=1),
+        "conjugate gate": lambda: sinkhorn_filter(inv, "conjugate", max_iter=1),
+    }
+    for name, call in calls.items():
+        _MEMO.entries.clear()
+        seen.clear()
+        call()
+        assert not [key for key in seen if key[:2] == ("svd", False)], name
+        repeats = [key[:3] for key in seen if seen.count(key) > 1]
+        assert not repeats, (name, repeats)
+
+
 def rotated_classical_diag(k, seed):
     """classical_diag under a seeded Haar V (x) V: a state that splits k - 1 times."""
     return haar_congruence(canonical("classical_diag", k), rng_from_seed(seed), "V")
@@ -525,7 +568,8 @@ def test_extract_classical_diag_under_pd_filters(k, right):
 def test_extract_does_not_depend_on_the_class_flag(k, right, monkeypatch):
     # classical_diag under a PD V (x) V is SPC, under V (x) conj(V) invariant,
     # and PPT either way; the extraction takes one route for every class and
-    # classifies nothing, so the PPT flag alone gives the same bytes
+    # reads no class verdict, neither classify nor any one flag's, so the PPT
+    # flag alone gives the same bytes
     v = random_pd_local(rng_from_seed(500 + k), k)
     g = local_scale(canonical("classical_diag", k), v, v if right == "V" else v.conj())
     cls = classify(g)
@@ -533,10 +577,16 @@ def test_extract_does_not_depend_on_the_class_flag(k, right, monkeypatch):
     ppt_only = dataclasses.replace(cls, spc=False, invariant=False)
 
     def refuse(*_):
-        raise AssertionError("extraction called classify")
+        raise AssertionError("extraction read a class verdict")
 
-    for module in ("criteria", "filters", "reducibility"):
-        monkeypatch.setattr(f"triadops.{module}.classify", refuse)
+    verdicts = {
+        "criteria": ("classify", "_psd", "_ppt", "_spc", "_invariance", "_any_flag"),
+        "filters": ("_psd", "_spc", "_invariance"),
+        "reducibility": ("_any_flag",),
+    }
+    for module, names in verdicts.items():
+        for name in names:
+            monkeypatch.setattr(f"triadops.{module}.{name}", refuse)
     out = minimal_rank_extract(g, cls)
     assert isinstance(out, SeparableDecomposition), out
     assert _format_json(out.to_json()) == _format_json(minimal_rank_extract(g, ppt_only).to_json())
