@@ -13,35 +13,18 @@ import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .criteria import (
-    bound_gamma_pt,
-    bound_realign_sq,
-    bound_triad,
-    classify,
-)
 from .errors import BadRank, PreconditionNotMet, ToolkitError, UnknownName
-from .filters import MAX_ITER, MODES, sinkhorn_filter
-from .generators import (
-    canonical,
-    random_density,
-    random_invariant,
-    random_ppt,
-    random_separable,
-    random_spc,
-)
-from .reducibility import (
-    ExtractionFailure,
-    decompose,
-    equal_schmidt_certificate,
-    minimal_rank_extract,
-    rank_bound_check,
-)
-from .schmidt_maps import schmidt
-from .tensor_core import BipartiteOperator
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, MAX_ITER, MODES, Tolerances
+
+if TYPE_CHECKING:
+    from .tensor_core import BipartiteOperator
+
+# Each subcommand imports the layers it runs, so that a call loads no other
+# layer (the package itself loads its layers on first attribute access).
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,6 +98,8 @@ def _scalar(v) -> str:
 
 
 def _load_operator(path: str) -> BipartiteOperator:
+    from .tensor_core import BipartiteOperator
+
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -149,12 +134,14 @@ def _tols_from_args(args) -> Tolerances:
     return DEFAULT.but(**overrides) if overrides else DEFAULT
 
 
-def _common_flags(parser: argparse.ArgumentParser, with_file: bool = True) -> None:
-    if with_file:
-        parser.add_argument("file", help="JSON matrix file, or - for stdin")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+def _common_flags() -> argparse.ArgumentParser:
+    """Parent parser of the subcommands that read a matrix: its file, --json and --tol-*."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("file", help="JSON matrix file, or - for stdin")
+    parent.add_argument("--json", action="store_true", help="machine-readable output")
     for flag, field in _TOL_FLAGS.items():
-        parser.add_argument(flag, dest=f"tol_{field}", type=float, default=None, help=argparse.SUPPRESS)
+        parent.add_argument(flag, dest=f"tol_{field}", type=float, default=None, help=argparse.SUPPRESS)
+    return parent
 
 
 def _positive_int(text: str) -> int:
@@ -172,6 +159,8 @@ def _default_seed() -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .criteria import classify
+
     tols = _tols_from_args(args)
     report = classify(_load_operator(args.file), tols).to_json()
     _emit(report, args.json)
@@ -179,6 +168,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .criteria import bound_gamma_pt, bound_realign_sq, bound_triad, classify
+
     tols = _tols_from_args(args)
     gamma = _load_operator(args.file)
     cls = classify(gamma, tols)
@@ -195,12 +186,16 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
+    from .schmidt_maps import schmidt
+
     tols = _tols_from_args(args)
     _emit(schmidt(_load_operator(args.file), tols).to_json(), args.json)
     return 0
 
 
 def _cmd_filter(args) -> int:
+    from .filters import sinkhorn_filter
+
     tols = _tols_from_args(args)
     result = sinkhorn_filter(
         _load_operator(args.file), mode=args.mode, max_iter=args.max_iter, tols=tols
@@ -210,6 +205,8 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .reducibility import decompose
+
     tols = _tols_from_args(args)
     tree = decompose(_load_operator(args.file), max_depth=args.max_depth, tols=tols)
     _emit(tree.to_json(), args.json)
@@ -217,6 +214,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .criteria import classify
+    from .reducibility import (
+        ExtractionFailure,
+        equal_schmidt_certificate,
+        minimal_rank_extract,
+        rank_bound_check,
+    )
+
     tols = _tols_from_args(args)
     gamma = _load_operator(args.file)
     cls = classify(gamma, tols)
@@ -251,6 +256,15 @@ def _cmd_generate(args) -> int:
 
 def _generate(args) -> BipartiteOperator | None:
     """The state ``generate`` asks for, or None for an unknown --class."""
+    from .generators import (
+        canonical,
+        random_density,
+        random_invariant,
+        random_ppt,
+        random_separable,
+        random_spc,
+    )
+
     seed = args.seed if args.seed is not None else _default_seed()
     choice = args.cls
     if choice == "density":
@@ -288,32 +302,31 @@ def _cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="triadops", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
 
-    p = sub.add_parser("classify", help="triad class flags and CCNR value")
-    _common_flags(p)
+    p = sub.add_parser("classify", parents=common, help="triad class flags and CCNR value")
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("bounds", help="operator-norm bound reports")
-    _common_flags(p)
+    p = sub.add_parser("bounds", parents=common, help="operator-norm bound reports")
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("schmidt", help="operator Schmidt decomposition")
-    _common_flags(p)
+    p = sub.add_parser("schmidt", parents=common, help="operator Schmidt decomposition")
     p.set_defaults(fn=_cmd_schmidt)
 
-    p = sub.add_parser("filter", help="filter normal form")
-    _common_flags(p)
+    p = sub.add_parser("filter", parents=common, help="filter normal form")
     p.add_argument("--mode", choices=MODES, default="general")
     p.add_argument("--max-iter", type=_positive_int, default=MAX_ITER)
     p.set_defaults(fn=_cmd_filter)
 
-    p = sub.add_parser("decompose", help="complete-reducibility decomposition tree")
-    _common_flags(p)
+    p = sub.add_parser("decompose", parents=common, help="complete-reducibility decomposition tree")
     p.add_argument("--max-depth", type=int, default=None)
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("certify", help="separability reports (equal coefficients, ranks, extraction)")
-    _common_flags(p)
+    p = sub.add_parser(
+        "certify",
+        parents=common,
+        help="separability reports (equal coefficients, ranks, extraction)",
+    )
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("generate", help="emit a state as a JSON matrix")

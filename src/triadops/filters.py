@@ -94,7 +94,7 @@ from .tensor_core import (
     _require_square,
     _unit,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, MAX_ITER, MODES, Tolerances
 
 __all__ = [
     "FilterResult",
@@ -103,8 +103,6 @@ __all__ = [
     "doubly_stochastic_check",
 ]
 
-MODES = ("general", "symmetric", "conjugate", "left")
-MAX_ITER = 10_000  # default iteration cap of the filter
 _COND_LIMIT = 1e12
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
 _MAX_STEP = 2.0  # cap on the operator norm of one step's alpha * H
@@ -142,8 +140,10 @@ class FilterResult(_JsonRecord):
     iteration_log: list[dict] = field(default_factory=list)
 
 
-def _guarded_eigh(marginal: np.ndarray, side: str, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    w, v, cut = _herm_support(marginal, rank_tol)
+def _guard_spectrum(w: np.ndarray, cut: float, side: str) -> None:
+    """Refuse a marginal by its ascending eigenvalues ``w``: the smallest must
+    exceed the rank cutoff ``cut``, and w[-1] / w[0] may not exceed
+    ``_COND_LIMIT``."""
     if w[0] <= cut:
         raise MarginalRankDeficient(
             f"{side}-marginal eigenvalue {w[0]:.3e} fell below the rank threshold"
@@ -152,12 +152,18 @@ def _guarded_eigh(marginal: np.ndarray, side: str, rank_tol: float) -> tuple[np.
         raise MarginalRankDeficient(
             f"{side}-marginal condition number {w[-1] / w[0]:.3e} exceeds {_COND_LIMIT:.0e}"
         )
-    return w, v
+
+
+def _guard_marginal(marginal: np.ndarray, side: str, rank_tol: float) -> None:
+    """The guard of ``_inv_sqrt`` on eigenvalues alone, for checks that keep no filter."""
+    w = _herm_eigvalsh(marginal)
+    _guard_spectrum(w, rank_tol * max(float(w[-1]), np.finfo(float).tiny), side)
 
 
 def _inv_sqrt(marginal: np.ndarray, k: int, side: str, rank_tol: float) -> np.ndarray:
     """(k * marginal)^(-1/2) through the guarded eigendecomposition."""
-    w, v = _guarded_eigh(marginal, side, rank_tol)
+    w, v, cut = _herm_support(marginal, rank_tol)
+    _guard_spectrum(w, cut, side)
     out = (v * (k * w) ** (-0.5)) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
@@ -266,7 +272,8 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, tols: Tolerances, max_it
             fb = pb @ fb / np.sqrt(t2)
             monitor = max(abs(1.0 - t1), abs(1.0 - t2))
         else:
-            _guarded_eigh(ga, "A", tols.rank)
+            if log or mode == "left":  # sinkhorn_filter admitted the input's own marginals
+                _guard_marginal(ga, "A", tols.rank)
             p, predicted, t_step = _newton_step(scaled, ga, gb, k, mode != "symmetric")
             pb = {"symmetric": p, "conjugate": p.conj(), "left": np.eye(k)}[mode]
             delta = _congruence(p, pb, delta)
@@ -307,8 +314,10 @@ def _identity_aligned_expansion(
     jstar = int(np.argmax(np.abs(v[0])))
     cluster = next(c for c in _clusters(s, 1e-8 * s[0]) if jstar in c)
     coords, others = _identity_split(v[:, cluster])
-    rest = np.linalg.svd(others, full_matrices=False)[0][:, : len(cluster) - 1]
-    v[:, cluster] = np.column_stack([coords / np.linalg.norm(coords), rest])
+    columns = [coords / np.linalg.norm(coords)]
+    if len(cluster) > 1:  # a basis of the rest of the cluster; a lone column has none
+        columns.append(np.linalg.svd(others, full_matrices=False)[0][:, : len(cluster) - 1])
+    v[:, cluster] = np.column_stack(columns)
 
     keep = int(np.sum(s > tols.rank * s[0]))
     lefts = v[:, :keep]
@@ -362,8 +371,10 @@ def sinkhorn_filter(
     if trace <= 0:  # a PSD input of trace 0 is the zero matrix
         raise ZeroMatrix("the filter needs a nonzero input")
     k, mat = gamma.dim_a, unit.mat
-    _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "a"), "A", tols.rank)
-    _guarded_eigh(_partial_trace(mat.reshape(k, k, k, k), "b"), "B", tols.rank)
+    ga, gb = (_partial_trace(mat.reshape(k, k, k, k), side) for side in "ab")
+    _guard_marginal(ga, "A", tols.rank)
+    if not np.array_equal(gb, ga):  # equal marginals, as SPC inputs have, share one spectrum
+        _guard_marginal(gb, "B", tols.rank)
     if mode == "symmetric" and not _spc(gamma, _psd(gamma, tols), tols)[-1]:
         raise WrongClassForMode("symmetric mode needs an SPC input")
     if mode == "conjugate" and not _invariance(gamma, _psd(gamma, tols), tols)[-1]:

@@ -1,4 +1,4 @@
-"""Default numerical tolerances.
+"""Default numerical tolerances, and the filter's modes and iteration cap.
 
 All tolerances are relative unless a docstring says otherwise.  The defaults
 sit roughly two orders of magnitude above double-precision eigensolver noise
@@ -28,3 +28,8 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+# filter modes and default iteration cap, here so that the CLI's parser can
+# name them without loading the filter engine
+MODES = ("general", "symmetric", "conjugate", "left")
+MAX_ITER = 10_000

@@ -260,11 +260,52 @@ def test_import_does_not_load_scipy():
 
 
 def test_cli_import_leaves_selftest_unloaded():
-    # only the selftest subcommand imports the suites; the subprocess
-    # inherits the caller's environment, as run_cli does
-    code = "import triadops.cli, sys; assert 'triadops.selftest' not in sys.modules"
+    # only the selftest subcommand imports the suites, and importing the
+    # shell loads no layer; the subprocess inherits the caller's environment,
+    # as run_cli does
+    code = (
+        "import triadops.cli, sys; "
+        "print(*sorted(m for m in sys.modules if m.startswith('triadops')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["triadops", "triadops.cli", "triadops.errors", "triadops.tolerances"]
+
+
+# the layers each subcommand leaves unloaded; none loads the selftest suites
+_UNLOADED = {
+    "classify": {"filters", "reducibility", "generators"},
+    "bounds": {"filters", "reducibility", "generators"},
+    "schmidt": {"filters", "reducibility", "generators"},
+    "generate": {"criteria", "filters", "reducibility"},
+    "filter": {"reducibility", "generators"},
+    "decompose": {"generators"},
+    "certify": {"generators"},
+}
+
+
+@pytest.mark.parametrize("sub", list(_UNLOADED))
+def test_subcommand_loads_only_its_layers(sub, tmp_path):
+    gen_argv = ["generate", "--class", "ppt", "--k", "3"]
+    path = tmp_path / "state.json"
+    path.write_text(run_cli(gen_argv).stdout)
+    argv = gen_argv if sub == "generate" else [sub, str(path), "--json"]
+    # as `python -m triadops.cli ...`, then the loaded modules on stderr's last line
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('triadops.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(*sorted(sys.modules), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    unloaded = {f"triadops.{name}" for name in _UNLOADED[sub] | {"selftest"}}
+    assert "triadops.tensor_core" in loaded
+    assert not loaded & unloaded, sorted(loaded & unloaded)
 
 
 def test_file_input_closes_its_handle(tmp_path):

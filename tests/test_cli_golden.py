@@ -7,6 +7,9 @@ numbers come out of a chain of eigensolves (the marginals' supports, then
 one per split), whose last bits depend on the LAPACK build, so they are
 compared to 1e-12 relative to max(1, |golden value|).
 
+The ``--help`` text of the shell and of each subcommand, at a fixed
+80-column width, is compared byte for byte with ``goldens/cli_help.json``.
+
 To rewrite the goldens after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py``; it prints the names of
 the cases whose stored output changed, each with the largest entry-wise
@@ -17,6 +20,7 @@ shape changed (such as a shorter ``iteration_log``).
 import contextlib
 import io
 import json
+import os
 import pathlib
 import tempfile
 
@@ -27,6 +31,8 @@ from triadops.cli import main
 from conftest import rewrite_goldens
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "cli.json"
+HELP_GOLDEN = GOLDEN.with_name("cli_help.json")
+SUBCOMMANDS = ("classify", "bounds", "schmidt", "filter", "decompose", "certify", "generate", "selftest")
 INPUTS = [
     (cls, k, seed)
     for cls, seed in (
@@ -72,6 +78,18 @@ def _collect(tmp_dir):
         path.write_text(gen["stdout"])
         for cmd in COMMANDS:
             yield f"{name} {' '.join(cmd)}", _run([*cmd, str(path), "--json"])
+
+
+def _help_texts():
+    """{argv: stdout} of ``--help`` for the shell and each subcommand, 80 columns wide."""
+    texts = {}
+    for argv in (["--help"], *([sub, "--help"] for sub in SUBCOMMANDS)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0, argv
+        texts[" ".join(argv)] = out.getvalue()
+    return texts
 
 
 def _assert_close(got, want, where):
@@ -159,6 +177,14 @@ def test_cli_json_matches_goldens(tmp_path, goldens):
     assert seen == list(goldens)
 
 
+def test_cli_help_matches_goldens(monkeypatch):
+    # argparse wraps help text to the width that COLUMNS names
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help_texts() == json.loads(HELP_GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         rewrite_goldens(GOLDEN, dict(_collect(pathlib.Path(tmp))), change_summary)
+    os.environ["COLUMNS"] = "80"
+    rewrite_goldens(HELP_GOLDEN, _help_texts())
