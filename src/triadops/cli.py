@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import re
 import sys
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import BadRank, PreconditionNotMet, ToolkitError, UnknownName
 from .tolerances import DEFAULT, MAX_ITER, MODES, Tolerances
@@ -40,6 +39,8 @@ def _format_json(value, digits: int = 17) -> str:
     """JSON text with every float printed to ``digits`` significant digits.
 
     Negative zero prints as ``-0.0``: ``-0`` would read back as the integer 0.
+    numpy's integer and floating scalars are ``numbers.Integral`` and
+    ``numbers.Real``, so the shell reads them without importing numpy.
     """
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
@@ -48,10 +49,6 @@ def _format_json(value, digits: int = 17) -> str:
         return "-0.0" if text == "-0" else text
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, np.floating):
-        return _format_json(float(value), digits)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -59,6 +56,11 @@ def _format_json(value, digits: int = 17) -> str:
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_format_json(v, digits) for v in value) + "]"
+    # the abstract-class checks are the slow ones, so containers skip them
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return _format_json(float(value), digits)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

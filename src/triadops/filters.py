@@ -17,7 +17,9 @@ whose reduced states are both Id/k.  Four modes are provided:
 Every mode reports the operator Schmidt expansion of its normal form, read
 off one SVD of the Hermitian-basis matrix of the contraction map: Hermitian,
 orthonormal operators on both sides, with Id/sqrt(k) first, rotated to the
-front of its coefficient cluster.
+front of its coefficient cluster.  The expansion is computed on its first
+read and kept, so a run whose caller reads only the normal form, its
+residuals or its filters takes no SVD.
 
 The general mode alternates exact one-sided normalizations; its monitor is
 the larger trace defect |1 - t| of the two half-steps, 0 up to roundoff.
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +93,10 @@ from .tensor_core import (
     _partial_trace,
     _permute_slots,
     _pivot_phases,
+    _rank_cut,
     _require_hermitian,
     _require_square,
+    _spectrum,
     _unit,
 )
 from .tolerances import DEFAULT, MAX_ITER, MODES, Tolerances
@@ -117,14 +122,17 @@ class FilterResult(_JsonRecord):
     trace-normalized input as a congruence (M . M*), with filter_b = Id in
     left mode.  ``schmidt_of_normal_form`` is its operator Schmidt
     expansion, Hermitian and identity first in every mode (module
-    docstring); coefficients below ``tols.rank`` times the largest are
-    dropped.  ``class_residual`` quantifies how well the output keeps its
-    class shape: the SPC defect in symmetric mode, the realignment distance
-    in conjugate mode, the identity-eigenvector defect of the composite
-    contraction map in left mode, and None in general mode.  In left mode
-    the marginal residuals are those of omega(normal_form) (module
-    docstring), not of ``normal_form`` itself (a one-sided filter does not
-    make both marginals Id/k).
+    docstring); coefficients below ``tolerances.rank`` times the largest
+    are dropped.  It is computed from ``normal_form`` and ``tolerances``
+    (the run's, kept out of the report) on first read and then kept;
+    ``to_json`` reports it between ``class_residual`` and
+    ``iteration_log``.  ``class_residual`` quantifies how well the output
+    keeps its class shape: the SPC defect in symmetric mode, the
+    realignment distance in conjugate mode, the identity-eigenvector defect
+    of the composite contraction map in left mode, and None in general
+    mode.  In left mode the marginal residuals are those of
+    omega(normal_form) (module docstring), not of ``normal_form`` itself (a
+    one-sided filter does not make both marginals Id/k).
     """
 
     mode: str
@@ -136,8 +144,21 @@ class FilterResult(_JsonRecord):
     iterations: int
     converged: bool
     class_residual: float | None
-    schmidt_of_normal_form: SchmidtDecomposition
     iteration_log: list[dict] = field(default_factory=list)
+    tolerances: Tolerances = field(
+        default=DEFAULT, metadata={"json": False}, compare=False, repr=False
+    )
+
+    @cached_property
+    def schmidt_of_normal_form(self) -> SchmidtDecomposition:
+        return _identity_aligned_expansion(self.normal_form, self.tolerances)
+
+    def to_json(self) -> dict:
+        report = super().to_json()
+        log = report.pop("iteration_log")
+        report["schmidt_of_normal_form"] = self.schmidt_of_normal_form.to_json()
+        report["iteration_log"] = log
+        return report
 
 
 def _guard_spectrum(w: np.ndarray, cut: float, side: str) -> None:
@@ -157,7 +178,7 @@ def _guard_spectrum(w: np.ndarray, cut: float, side: str) -> None:
 def _guard_marginal(marginal: np.ndarray, side: str, rank_tol: float) -> None:
     """The guard of ``_inv_sqrt`` on eigenvalues alone, for checks that keep no filter."""
     w = _herm_eigvalsh(marginal)
-    _guard_spectrum(w, rank_tol * max(float(w[-1]), np.finfo(float).tiny), side)
+    _guard_spectrum(w, _rank_cut(w, rank_tol), side)
 
 
 def _inv_sqrt(marginal: np.ndarray, k: int, side: str, rank_tol: float) -> np.ndarray:
@@ -294,8 +315,8 @@ def _scaling_engine(mat: np.ndarray, k: int, mode: str, tols: Tolerances, max_it
 
 def _identity_aligned_expansion(
     normal_form: BipartiteOperator, tols: Tolerances
-) -> tuple[SchmidtDecomposition, float]:
-    """Schmidt data of a normal form, read off one SVD of its contraction map.
+) -> SchmidtDecomposition:
+    """Schmidt expansion of a normal form, read off one SVD of its contraction map.
 
     With M = U S V^T the Hermitian-basis matrix of the first-factor map, the
     normal form is sum_i s_i A_i (x) B_i, where A_i has the coordinates v_i
@@ -303,8 +324,7 @@ def _identity_aligned_expansion(
     orthonormal.  The identity direction (a right singular vector of any
     converged normal form, possibly inside a degenerate cluster where the
     SVD picks an arbitrary basis) is rotated to the front of its cluster.
-    Singular values below ``tols.rank * s_1`` are dropped.  Returns the
-    expansion and the residual of the identity as an eigenvector of M^T M.
+    Singular values below ``tols.rank * s_1`` are dropped.
     """
     k = normal_form.dim_a
     n = k * k
@@ -326,20 +346,18 @@ def _identity_aligned_expansion(
     rights = (m @ lefts) / s[:keep]
     ops = (np.hstack([lefts, rights]).T @ hermitian_basis(k).reshape(n, n)).reshape(2 * keep, k, k)
     ops = 0.5 * (ops + ops.conj().swapaxes(1, 2))
-    expansion = SchmidtDecomposition(
+    return SchmidtDecomposition(
         coefficients=s[:keep],
         left_ops=LocalOperator._stack(ops[:keep]),
         right_ops=LocalOperator._stack(ops[keep:]),
     )
-    # column 0 of M^T M is the composite map applied to Id/sqrt(k)
-    return expansion, float(np.linalg.norm((m.T @ m[:, 0])[1:]))
 
 
 def _spc_defect(op: BipartiteOperator) -> float:
     """Hermiticity defect plus negative part of realign(partial transpose)."""
-    rpt = realign(partial_transpose(op)).mat
-    herm = float(np.linalg.norm(rpt - rpt.conj().T))
-    min_eig = float(_herm_eigvalsh(rpt)[0])
+    rpt = realign(partial_transpose(op))
+    herm = float(np.linalg.norm(rpt.mat - rpt.mat.conj().T))
+    min_eig = float(_spectrum(rpt)[0])  # the memoized spectrum that criteria._spc reads
     return herm + max(0.0, -min_eig)
 
 
@@ -383,13 +401,14 @@ def sinkhorn_filter(
     run = _scaling_engine(mat, k, mode, tols, max_iter)
     delta, fa, fb, iterations, converged, log, res_a, res_b = run
     normal_form = BipartiteOperator(delta, k, k)
-    expansion, id_defect = _identity_aligned_expansion(normal_form, tols)
     if mode == "symmetric":
         class_residual = _spc_defect(normal_form)
     elif mode == "conjugate":
         class_residual = float(np.linalg.norm(realign(normal_form).mat - delta))
     elif mode == "left":
-        class_residual = id_defect
+        # column 0 of M^T M is the composite map applied to Id/sqrt(k)
+        m = g_matrix(normal_form, tols).matrix
+        class_residual = float(np.linalg.norm((m.T @ m[:, 0])[1:]))
     else:
         class_residual = None
     return FilterResult(
@@ -401,9 +420,9 @@ def sinkhorn_filter(
         marginal_residual_b=res_b,
         iterations=iterations,
         converged=converged,
-        schmidt_of_normal_form=expansion,
         class_residual=class_residual,
         iteration_log=log,
+        tolerances=tols,
     )
 
 

@@ -50,6 +50,8 @@ from .tensor_core import (
     _locked,
     _partial_trace,
     _permute_slots,
+    _rank_cut,
+    _spectrum,
     _unit,
     norms,
 )
@@ -101,7 +103,7 @@ def _unit_psd(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, int, np.nda
     w = np.maximum(w, 0.0)
     out = (v * w) @ v.conj().T
     nrm = np.linalg.norm(out) or 1.0
-    rank = int(np.sum(w > rank_tol * max(float(w[-1]), np.finfo(float).tiny)))
+    rank = int(np.sum(w > _rank_cut(w, rank_tol)))
     return out / nrm, rank, w / nrm, v
 
 
@@ -545,13 +547,14 @@ def _reduced_supports(
 ) -> tuple[int, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """The state's rank, and the eigenvalues and eigenvectors of each
     marginal's numerical support, first factor first.  Memoized per operator
-    and ``tols.rank``, with the arrays locked read-only."""
+    and ``tols.rank``, with the arrays locked read-only.  The rank is read
+    off the state's memoized spectrum."""
 
     def factor():
-        marginals = (_partial_trace(gamma.tensor4, keep) for keep in "ab")
-        (w, _, cut), *spectra = (_herm_support(m, tols.rank) for m in (gamma.mat, *marginals))
+        spectra = (_herm_support(_partial_trace(gamma.tensor4, keep), tols.rank) for keep in "ab")
         supports = tuple((_locked(w[w > c]), _locked(v[:, w > c])) for w, v, c in spectra)
-        return int(np.sum(w > cut)), supports
+        w = _spectrum(gamma)
+        return int(np.sum(w > _rank_cut(w, tols.rank))), supports
 
     return _cached(gamma, f"reduced_supports:{tols.rank!r}", factor)
 

@@ -18,8 +18,9 @@ spectra of the same few matrices of one input: gamma, its partial transpose,
 their realignments and the two marginals.  ``_cached`` computes each of
 these once per operator: ``realign``, ``partial_transpose``, ``reduced_a``,
 ``reduced_b``, the singular values behind ``norms``, the ascending
-spectrum of the Hermitian part behind ``psd_check`` and ``classify``, and
-the trace-normalized form behind ``_unit``.  The memo is thread-local and
+spectrum of the Hermitian part behind ``psd_check`` and ``classify`` (and
+behind the state's rank in ``reducibility``), and the trace-normalized
+form behind ``_unit``.  The memo is thread-local and
 bounded: it holds the last ``_MEMO_SIZE`` operators asked about and evicts
 the least recently used, so operators that the caller keeps alive do not
 keep their derived matrices alive too.  A cached value is the one the same
@@ -405,15 +406,21 @@ def _spectrum(a: Operator) -> np.ndarray:
     return _cached(a, "spectrum", lambda: _herm_eigvalsh(a.mat))
 
 
+def _rank_cut(w: np.ndarray, rank_tol: float) -> float:
+    """The rank cutoff ``rank_tol * max(largest eigenvalue, tiny)`` of an
+    ascending spectrum ``w``: eigenvalues above it count towards the rank, so
+    a matrix with no positive eigenvalue has rank zero."""
+    return rank_tol * max(float(w[-1]), np.finfo(float).tiny)
+
+
 def _herm_support(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenpairs (ascending) of the Hermitian part of ``mat`` and its rank cutoff.
 
-    Eigenvalues above the cutoff ``rank_tol * max(largest eigenvalue, tiny)``
-    span the numerical support; the rest span the kernel.  A matrix with no
-    positive eigenvalue has rank zero.
+    Eigenvalues above the cutoff (``_rank_cut``) span the numerical support;
+    the rest span the kernel.
     """
     w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    return w, v, rank_tol * max(float(w[-1]), np.finfo(float).tiny)
+    return w, v, _rank_cut(w, rank_tol)
 
 
 def _partial_trace(t4: np.ndarray, keep: str) -> np.ndarray:

@@ -17,6 +17,23 @@ else:
     settings.load_profile("tier1")
 
 
+def factorizations(monkeypatch):
+    """The (routine, compute_uv, shape, bytes) of each later svd and eigvalsh call."""
+    seen = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            key = np.ascontiguousarray(a)
+            seen.append((name, kwargs.get("compute_uv"), key.shape, key.tobytes()))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return seen
+
+
 def random_operator(rng, k, m=None):
     m = k if m is None else m
     n = k * m

@@ -69,6 +69,16 @@ def test_json_float_text_reads_back_to_the_same_text(value):
     assert np.array_equal(np.signbit(json.loads(text)), [np.signbit(value)])
 
 
+def test_json_prints_numpy_scalars_as_python_numbers():
+    from triadops.cli import _format_json
+
+    values = [np.int64(-3), np.uint8(7), np.float32(0.5), np.float64(1 / 3), np.float16(-0.0)]
+    assert _format_json(values) == _format_json([-3, 7, 0.5, 1 / 3, -0.0])
+    assert _format_json([True, None, 2]) == "[true,null,2]"
+    with pytest.raises(TypeError):
+        _format_json(np.bool_(True))
+
+
 def test_every_subcommand_parses_generated_matrix(tmp_path):
     gen = run_cli(["generate", "--class", "spc", "--k", "2", "--seed", "3"])
     path = tmp_path / "state.json"
@@ -270,6 +280,27 @@ def test_cli_import_leaves_selftest_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["triadops", "triadops.cli", "triadops.errors", "triadops.tolerances"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["filter", "--help"], 0), (["classify"], 1), (["filter", "x", "--mode", "bogus"], 1)],
+    ids=["help", "filter-help", "missing-file", "bad-mode"],
+)
+def test_help_and_usage_errors_import_no_numpy(argv, code):
+    # the shell formats numpy scalars through ``numbers``, so a call that
+    # runs no subcommand never imports numpy
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('triadops.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1].split() == [str(code), "False"]
 
 
 # the layers each subcommand leaves unloaded; none loads the selftest suites

@@ -143,6 +143,15 @@ def test_star_sandwich_formula():
     assert np.allclose(star_product(gamma, delta).mat, oracle)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_star_realigns_to_the_product_of_realignments(k):
+    # identity (8), R(gamma * delta) = R(gamma) R(delta), holds to the bit:
+    # the star product is that matrix product, realigned back
+    rng = rng_from_seed(30 + k)
+    g, d = random_operator(rng, k), random_operator(rng, k)
+    assert np.array_equal(realign(star_product(g, d)).mat, realign(g).mat @ realign(d).mat)
+
+
 def test_star_trace_identity_and_psd():
     rng = rng_from_seed(9)
     from triadops import reduced_a, reduced_b

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from triadops.errors import MarginalRankDeficient, NotHermitian, NotPSD, WrongCl
 from triadops.generators import _complex_normal
 from triadops.tolerances import DEFAULT
 
-from conftest import haar_congruence, local_scale, random_pd_local
+from conftest import factorizations, haar_congruence, local_scale, random_pd_local
 
 
 @pytest.mark.parametrize("mode", ["general", "symmetric", "conjugate"])
@@ -145,6 +146,61 @@ def test_converged_runs_take_no_step_from_a_converged_iterate(k):
             assert len(fr.iteration_log) == fr.iterations
             for entry in fr.iteration_log:
                 assert max(entry["residual_a"], entry["residual_b"]) > DEFAULT.filter, (mode, seed)
+
+
+_MODE_INPUTS = {
+    "general": lambda k, seed: random_density(k, k * k, seed),
+    "symmetric": _scaled_spc,
+    "conjugate": _scaled_invariant,
+    "left": lambda k, seed: random_density(k, k * k, seed),
+}
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("mode", list(_MODE_INPUTS))
+def test_filter_takes_no_svd_until_the_expansion_is_read(mode, k, monkeypatch):
+    # the expansion is built on its first read and kept; the class residual,
+    # left mode's included, needs no SVD
+    g = _MODE_INPUTS[mode](k, 3)
+    seen = factorizations(monkeypatch)
+
+    def svd_calls():
+        return sum(key[0] == "svd" for key in seen)
+
+    fr = sinkhorn_filter(g, mode)
+    assert fr.converged and svd_calls() == 0
+    sd = fr.schmidt_of_normal_form
+    first = svd_calls()
+    assert first >= 1
+    assert fr.schmidt_of_normal_form is sd
+    fr.to_json()
+    assert svd_calls() == first
+
+
+def test_filter_report_keeps_its_keys_and_the_run_tolerances():
+    g = random_density(3, 9, 0)
+    fr = sinkhorn_filter(g, "general")
+    assert list(fr.to_json()) == [
+        "mode",
+        "filter_a",
+        "filter_b",
+        "normal_form",
+        "marginal_residual_a",
+        "marginal_residual_b",
+        "iterations",
+        "converged",
+        "class_residual",
+        "schmidt_of_normal_form",
+        "iteration_log",
+    ]
+    assert fr.to_json()["schmidt_of_normal_form"] == fr.schmidt_of_normal_form.to_json()
+    assert "tolerances" not in repr(fr)
+    # the expansion drops coefficients below the run's own rank tolerance
+    loose = dataclasses.replace(DEFAULT, rank=0.2)
+    coarse = sinkhorn_filter(g, "general", tols=loose)
+    assert coarse.tolerances is loose
+    assert len(fr.schmidt_of_normal_form.coefficients) == 9
+    assert len(coarse.schmidt_of_normal_form.coefficients) == 6
 
 
 def test_general_mode_random_density():

@@ -45,7 +45,14 @@ from triadops.cli import _format_json, main
 from triadops.reducibility import _unit_psd
 from triadops.tensor_core import _MEMO, _boundary_step
 
-from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local, random_psd_local
+from conftest import (
+    factorizations,
+    haar_congruence,
+    haar_unitary,
+    local_scale,
+    random_pd_local,
+    random_psd_local,
+)
 
 
 def test_find_eigenvector_product_state():
@@ -309,23 +316,6 @@ def test_decompose_factors_each_matrix_once(monkeypatch):
     assert len(tree.leaves()) == 4 and n <= 15
 
 
-def _factorizations(monkeypatch):
-    """The (routine, compute_uv, shape, bytes) of each later svd and eigvalsh call."""
-    seen = []
-
-    def counted(name, fn):
-        def wrapper(a, *args, **kwargs):
-            key = np.ascontiguousarray(a)
-            seen.append((name, kwargs.get("compute_uv"), key.shape, key.tobytes()))
-            return fn(a, *args, **kwargs)
-
-        return wrapper
-
-    for name in ("svd", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    return seen
-
-
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_gates_compute_only_the_verdicts_they_read(k, monkeypatch):
     # from a cold memo: decompose needs any flag and the one-filter modes one
@@ -336,7 +326,7 @@ def test_gates_compute_only_the_verdicts_they_read(k, monkeypatch):
     inv = local_scale(random_invariant(k, k), v, v.conj())
     spc = local_scale(random_spc(k, k), v, v)
     normal_form = sinkhorn_filter(inv, "conjugate").normal_form
-    seen = _factorizations(monkeypatch)
+    seen = factorizations(monkeypatch)
     calls = {
         "decompose invariant": lambda: decompose(inv),
         "decompose normal form": lambda: decompose(normal_form),
@@ -459,8 +449,9 @@ def test_rank_bound_generator_sweep_up_to_k4():
 
 
 def test_rank_bound_and_extraction_factor_the_marginals_once(monkeypatch):
-    # certify and the split-extract workload ask both in turn: the three
-    # eigensolves behind them run once per operator and rank tolerance
+    # certify and the split-extract workload ask both in turn: the two
+    # marginals' eigensolves behind them run once per operator and rank
+    # tolerance, and the state's rank reads the spectrum classify factored
     calls, herm_support = [], reducibility._herm_support
 
     def counted(mat, rank_tol):
@@ -472,11 +463,11 @@ def test_rank_bound_and_extraction_factor_the_marginals_once(monkeypatch):
     c = classify(g)
     assert rank_bound_check(g, c).reduced_ranks == (4, 4)
     assert isinstance(minimal_rank_extract(g, c), SeparableDecomposition)
-    assert calls == [DEFAULT.rank] * 3
+    assert calls == [DEFAULT.rank] * 2
     _, supports = reducibility._reduced_supports(g, DEFAULT)
     assert not any(arr.flags.writeable for pair in supports for arr in pair)
     reducibility._reduced_supports(g, dataclasses.replace(DEFAULT, rank=1e-6))
-    assert calls == [DEFAULT.rank] * 3 + [1e-6] * 3
+    assert calls == [DEFAULT.rank] * 2 + [1e-6] * 2
 
 
 @pytest.mark.parametrize(
