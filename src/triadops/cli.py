@@ -35,8 +35,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _format_json(value, digits: int = 17) -> str:
-    """JSON text with every float printed to ``digits`` significant digits.
+def _format_json(value) -> str:
+    """JSON text with every float printed to 17 significant digits.
 
     Negative zero prints as ``-0.0``: ``-0`` would read back as the integer 0.
     numpy's integer and floating scalars are ``numbers.Integral`` and
@@ -45,22 +45,22 @@ def _format_json(value, digits: int = 17) -> str:
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
             return "null"
-        text = format(value, f".{digits}g")
+        text = format(value, ".17g")
         return "-0.0" if text == "-0" else text
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_format_json(v, digits)}" for k, v in value.items())
+        inner = ",".join(f"{json.dumps(str(k))}:{_format_json(v)}" for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_format_json(v, digits) for v in value) + "]"
+        return "[" + ",".join(_format_json(v) for v in value) + "]"
     # the abstract-class checks are the slow ones, so containers skip them
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
-        return _format_json(float(value), digits)
+        return _format_json(float(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +26,8 @@ from .tensor_core import (
     _frobenius,
     _hermitian_ok,
     _JsonRecord,
+    _Psd,
+    _psd,
     _psd_ok,
     _require_psd,
     _require_square,
@@ -76,21 +77,7 @@ class TriadClassification(_JsonRecord):
         return self.ppt or self.spc or self.invariant
 
 
-class _Psd(NamedTuple):
-    scale: float  # ||gamma||_F
-    op_norm: float
-    ok: bool  # gamma is Hermitian PSD, which every class flag presupposes
-
-
-def _psd(gamma: BipartiteOperator, tols: Tolerances) -> _Psd:
-    """The PSD verdict.  Each flag's verdict below is given it and returns
-    its residuals, then its flag."""
-    mat = gamma.mat
-    scale = _frobenius(mat)
-    is_hermitian = _hermitian_ok(_frobenius(mat - mat.conj().T), scale, tols)
-    w = _spectrum(gamma)
-    op_norm = float(np.max(np.abs(w)))
-    return _Psd(scale, op_norm, is_hermitian and _psd_ok(float(w[0]), op_norm, tols))
+# each flag's verdict below takes the state's ``_psd`` verdict and returns its residuals, then its flag
 
 
 def _ppt(gamma: BipartiteOperator, psd: _Psd, tols: Tolerances) -> tuple[float, bool]:

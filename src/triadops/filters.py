@@ -69,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .contractions import _REALIGN, partial_transpose, realign
-from .criteria import _invariance, _psd, _spc
+from .criteria import _invariance, _spc
 from .errors import MarginalRankDeficient, PreconditionNotMet, WrongClassForMode, ZeroMatrix
 from .schmidt_maps import (
     SchmidtDecomposition,
@@ -93,6 +93,7 @@ from .tensor_core import (
     _partial_trace,
     _permute_slots,
     _pivot_phases,
+    _psd,
     _rank_cut,
     _require_hermitian,
     _require_square,
@@ -443,7 +444,7 @@ def doubly_stochastic_check(
     Id/sqrt(k) normalization on both the forward map and its adjoint.
     """
     k = _require_square(gamma, "the doubly stochastic check")
-    _require_hermitian(gamma.mat, tols)
+    _require_hermitian(gamma, tols)
     mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
     trace = np.trace(mat).real
     if abs(trace) <= 1e-14 * _frobenius(mat):

@@ -26,7 +26,6 @@ from .errors import (
     PreconditionNotMet,
     ZeroMatrix,
 )
-from .filters import _scaling_engine
 from .schmidt_maps import (
     _identity_split,
     fg_apply,
@@ -45,6 +44,7 @@ from .tensor_core import (
     _congruence,
     _frobenius,
     _herm_support,
+    _hermiticity,
     _JsonRecord,
     _kron,
     _locked,
@@ -242,6 +242,8 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     cluster's projector is a witness as well.  The scan of E tries it, or P
     as E's negative part when that cluster's eigenvalue is 0.
     """
+    from .filters import _scaling_engine  # only the probe runs the filter
+
     gamma, trace = _unit(gamma, tols, "the probe")  # ranks, and so witnesses, do not depend on scale
     k = gamma.dim_a
     if k == 1:  # no X has 0 < rank X < 1
@@ -349,7 +351,7 @@ def _split(
         raise FullRankEigenvector("split needs an eigenvector with a nontrivial kernel")
 
     gx = g_apply(gamma, xm).mat
-    scale, x_norm = max(_frobenius(gamma.mat), np.finfo(float).tiny), _frobenius(xm)
+    scale, x_norm = max(_hermiticity(gamma)[1], np.finfo(float).tiny), _frobenius(xm)
     # an eigenvalue-zero eigenvector has a genuinely vanishing image; do not
     # let roundoff noise masquerade as a support
     if _frobenius(gx) <= 1e-13 * scale * x_norm:
@@ -368,15 +370,8 @@ def _split(
             "the input is not a triad-class state within tolerance"
         )
     lam, _ = _eigen_residual(unit, xm / x_norm)
-    cert = SplitCertificate(
-        x=LocalOperator(xm),
-        eigenvalue=lam * trace * trace,
-        proj_v=LocalOperator(proj_v),
-        proj_w=LocalOperator(proj_w),
-        proj_v_perp=LocalOperator(np.eye(k) - proj_v),
-        proj_w_perp=LocalOperator(np.eye(k) - proj_w),
-        residual=residual,
-    )
+    ops = LocalOperator._stack([xm, proj_v, proj_w, np.eye(k) - proj_v, np.eye(k) - proj_w])
+    cert = SplitCertificate(ops[0], lam * trace * trace, *ops[1:], residual=residual)
     return cert, ((block_1, support_v, support_w), (block_2, kernel_v, kernel_w))
 
 
@@ -678,13 +673,11 @@ def minimal_rank_extract(
     projs = np.stack([q @ q.conj().T for q in groups])
     # tr_B[delta (Id (x) P)][a, a'] = sum delta[a, b, a', b'] P[b', b]
     contracted = projs.reshape(-1, n * n) @ delta.transpose(0, 2, 3, 1).reshape(m * m, n * n).T
-    factors = [s @ f @ s.conj().T for s, f in ((va, contracted.reshape(-1, m, m)), (half, projs))]
-    weights = np.trace(factors[1], axis1=1, axis2=2).real / n
-    lefts, rights = factors[::-1] if swap else factors
-    terms = [
-        ProductTerm(float(w), *(LocalOperator(0.5 * (f + f.conj().T) / np.trace(f).real) for f in (x, y)))
-        for w, x, y in zip(weights, lefts, rights)
-    ]
+    factors = np.stack([s @ f @ s.conj().T for s, f in ((va, contracted.reshape(-1, m, m)), (half, projs))])
+    traces = np.trace(factors, axis1=2, axis2=3).real  # the weights are the second side's over n
+    units = 0.5 * (factors + factors.conj().swapaxes(2, 3)) / traces[..., None, None]
+    lefts, rights = (LocalOperator._stack(u) for u in (units[::-1] if swap else units))
+    terms = [ProductTerm(float(w), x, y) for w, x, y in zip(traces[1] / n, lefts, rights)]
     residual = float(np.linalg.norm(SeparableDecomposition(terms, 0.0).reconstruct() - gn))
     if residual > tols.separable * max(1.0, float(np.linalg.norm(gn))):
         return ExtractionFailure(

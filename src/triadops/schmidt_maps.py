@@ -224,7 +224,7 @@ class HermitianBasisMatrix:
 def g_matrix(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> HermitianBasisMatrix:
     """Matrix of the first-factor contraction map in the Hermitian basis."""
     k = _require_square(gamma, "the Hermitian-basis representation")
-    _require_hermitian(gamma.mat, tols)
+    _require_hermitian(gamma, tols)
     # entry [a, b] is vec(h_b^T) . realign(gamma) . vec(h_a^T), and row a of
     # ``rows`` is vec(h_a^T)
     rows = hermitian_basis(k).reshape(k * k, k * k).conj()

@@ -17,15 +17,15 @@ Classification, the spectral bounds and the Schmidt decomposition read the
 spectra of the same few matrices of one input: gamma, its partial transpose,
 their realignments and the two marginals.  ``_cached`` computes each of
 these once per operator: ``realign``, ``partial_transpose``, ``reduced_a``,
-``reduced_b``, the singular values behind ``norms``, the ascending
-spectrum of the Hermitian part behind ``psd_check`` and ``classify`` (and
-behind the state's rank in ``reducibility``), and the trace-normalized
-form behind ``_unit``.  The memo is thread-local and
-bounded: it holds the last ``_MEMO_SIZE`` operators asked about and evicts
-the least recently used, so operators that the caller keeps alive do not
-keep their derived matrices alive too.  A cached value is the one the same
-routine computes on the same bytes, so every output keeps its bytes whether
-the memo is cold or warm.
+``reduced_b``, and by key ``norms`` (the ``Norms`` record), ``hermiticity``
+(||a - a^*||_F and ||a||_F), ``spectrum`` (the ascending spectrum of the
+Hermitian part; with ``hermiticity`` behind the ``_psd`` verdict, and the
+state's rank in ``reducibility``) and ``unit`` (``_unit``'s trace-normalized
+form).  The memo is thread-local and bounded: it holds the last
+``_MEMO_SIZE`` operators asked about and evicts the least recently used, so
+operators that the caller keeps alive do not keep their derived matrices
+alive too.  A cached value is the one the same routine computes on the same
+bytes, so every output keeps its bytes whether the memo is cold or warm.
 """
 
 from __future__ import annotations
@@ -347,14 +347,36 @@ def _over_trace(mat: np.ndarray, trace: float) -> np.ndarray:
     return mat / trace
 
 
-def _require_hermitian(mat: np.ndarray, tols: Tolerances) -> None:
+def _hermiticity(a: Operator) -> tuple[float, float]:
+    """(||a - a^*||_F, ||a||_F), measured once per operator."""
+    return _cached(a, "hermiticity", lambda: (_frobenius(a.mat - a.mat.conj().T), _frobenius(a.mat)))
+
+
+def _require_hermitian(a: Operator, tols: Tolerances) -> None:
     """Raise NotHermitian unless the relative Hermiticity defect is within tolerance."""
-    defect = _frobenius(mat - mat.conj().T)
-    scale = _frobenius(mat) if defect else 0.0  # a zero defect passes at any scale
+    defect, scale = _hermiticity(a)
     if not _hermitian_ok(defect, scale, tols):
+        bound = tols.herm * (scale if defect else 0.0)  # a zero defect fails only if tols.herm < 0
         raise NotHermitian(
-            f"Hermiticity defect {defect:.3e} exceeds {tols.herm:.1e} * ||a|| = {tols.herm * scale:.3e}"
+            f"Hermiticity defect {defect:.3e} exceeds {tols.herm:.1e} * ||a|| = {bound:.3e}"
         )
+
+
+class _Psd(NamedTuple):
+    scale: float  # ||a||_F
+    op_norm: float  # the largest |eigenvalue| of a's Hermitian part
+    min_eigenvalue: float
+    ok: bool  # a is Hermitian PSD, which every class flag presupposes
+
+
+def _psd(a: Operator, tols: Tolerances) -> _Psd:
+    """The Hermitian-PSD verdict on ``a`` (``psd_check``'s rule), from its
+    memoized ``_hermiticity`` and ``_spectrum``.  Every gate reads it."""
+    defect, scale = _hermiticity(a)
+    w = _spectrum(a)
+    min_eig, op_norm = float(w[0]), float(np.max(np.abs(w)))
+    ok = _hermitian_ok(defect, scale, tols) and _psd_ok(min_eig, op_norm, tols)
+    return _Psd(scale, op_norm, min_eig, ok)
 
 
 def _require_psd(a: Operator, tols: Tolerances) -> None:
@@ -367,8 +389,8 @@ def _require_psd(a: Operator, tols: Tolerances) -> None:
 def _unit(gamma: BipartiteOperator, tols: Tolerances, what: str) -> tuple[BipartiteOperator, float]:
     """The admitted state's Hermitian part over its trace, and the trace.
 
-    Every call checks ``_require_square`` and ``psd_check``; the form is
-    computed once per operator, and the zero matrix is divided by 1.
+    Every call checks ``_require_square`` and ``_psd``'s verdict; the form
+    is computed once per operator, and the zero matrix is divided by 1.
     """
     _require_square(gamma, what)
     _require_psd(gamma, tols)
@@ -460,13 +482,12 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     cluster's width is ``1e-12 * max|eigenvalue|``, so it scales with the
     input.
     """
-    _require_hermitian(a.mat, tols)
+    _require_hermitian(a, tols)
     try:
         w, v = np.linalg.eigh(0.5 * (a.mat + a.mat.conj().T))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
     if w.size:
         v *= _pivot_phases(v.T)
 
@@ -474,36 +495,32 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
         scale = max(abs(float(w[0])), abs(float(w[-1])), np.finfo(float).tiny)
         for cluster in _clusters(w, 1e-12 * scale):
             if len(cluster) > 1:
-                keys = [
-                    tuple(np.round(np.concatenate([v[:, c].real, v[:, c].imag]), 10))
-                    for c in cluster
-                ]
-                order = sorted(range(len(cluster)), key=lambda i: keys[i])
-                v[:, cluster] = v[:, [cluster[i] for i in order]]
+                cols = v[:, cluster]
+                # a stable sort with the first coordinate as primary key, -0.0 equal to 0.0
+                keys = np.round(np.concatenate([cols.real, cols.imag]), 10)
+                v[:, cluster] = cols[:, np.lexsort(keys[::-1])]
     return SpectralData(eigenvalues=_locked(w), eigenvectors=_locked(v))
 
 
 def norms(a: Operator) -> Norms:
-    """Trace, Frobenius, and operator norms from the (memoized) singular values."""
-    s = _cached(a, "singular_values", lambda: np.linalg.svd(a.mat, compute_uv=False))
-    return Norms(
-        trace_norm=float(np.sum(s)),
-        frobenius_norm=_frobenius(s),
-        operator_norm=float(s[0]),
-    )
+    """Trace, Frobenius, and operator norms from one SVD, memoized."""
+
+    def measure():
+        s = np.linalg.svd(a.mat, compute_uv=False)
+        return Norms(trace_norm=float(np.sum(s)), frobenius_norm=_frobenius(s), operator_norm=float(s[0]))
+
+    return _cached(a, "norms", measure)
 
 
 def psd_check(a: Operator, tols: Tolerances = DEFAULT) -> PsdReport:
-    """Decide positive semidefiniteness of a Hermitian operator.
+    """Decide positive semidefiniteness of a Hermitian operator (``_psd``).
 
     The verdict is ``min_eig >= -tols.psd * operator_norm``, so it does not
     change when the operator is scaled.
     """
-    _require_hermitian(a.mat, tols)
-    w = _spectrum(a)
-    min_eig = float(w[0])
-    op_norm = float(np.max(np.abs(w))) if w.size else 0.0
-    return PsdReport(is_psd=_psd_ok(min_eig, op_norm, tols), min_eigenvalue=min_eig)
+    _require_hermitian(a, tols)
+    psd = _psd(a, tols)
+    return PsdReport(is_psd=psd.ok, min_eigenvalue=psd.min_eigenvalue)
 
 
 def inv_sqrt_psd(a: LocalOperator, tols: Tolerances = DEFAULT) -> LocalOperator:
@@ -512,7 +529,7 @@ def inv_sqrt_psd(a: LocalOperator, tols: Tolerances = DEFAULT) -> LocalOperator:
     Eigenvalues above ``tols.rank * max_eigenvalue`` map to 1/sqrt(eig), the
     rest to zero, so the result restricted to the kernel vanishes.
     """
-    _require_hermitian(a.mat, tols)
+    _require_hermitian(a, tols)
     w, v, cut = _herm_support(a.mat, tols.rank)
     if not np.any(w > cut):
         raise ZeroMatrix("all eigenvalues fall below the rank threshold")

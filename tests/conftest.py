@@ -17,8 +17,9 @@ else:
     settings.load_profile("tier1")
 
 
-def factorizations(monkeypatch):
-    """The (routine, compute_uv, shape, bytes) of each later svd and eigvalsh call."""
+def factorizations(monkeypatch, names=("svd", "eigvalsh")):
+    """The (routine, compute_uv, shape, bytes) of each later call to the
+    ``np.linalg`` routines ``names``."""
     seen = []
 
     def counted(name, fn):
@@ -29,7 +30,7 @@ def factorizations(monkeypatch):
 
         return wrapper
 
-    for name in ("svd", "eigvalsh"):
+    for name in names:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return seen
 

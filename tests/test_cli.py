@@ -310,8 +310,8 @@ _UNLOADED = {
     "schmidt": {"filters", "reducibility", "generators"},
     "generate": {"criteria", "filters", "reducibility"},
     "filter": {"reducibility", "generators"},
-    "decompose": {"generators"},
-    "certify": {"generators"},
+    "decompose": {"filters", "generators"},
+    "certify": {"filters", "generators"},
 }
 
 

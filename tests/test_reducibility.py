@@ -11,6 +11,8 @@ from triadops import (
     LocalOperator,
     ProductTerm,
     SeparableDecomposition,
+    bound_gamma_pt,
+    bound_realign_sq,
     canonical,
     classify,
     decompose,
@@ -20,8 +22,10 @@ from triadops import (
     find_psd_eigenvector,
     fully_indecomposable_probe,
     g_apply,
+    hermitian_eig,
     kron,
     minimal_rank_extract,
+    psd_check,
     random_density,
     random_invariant,
     random_ppt,
@@ -345,6 +349,27 @@ def test_gates_compute_only_the_verdicts_they_read(k, monkeypatch):
 def rotated_classical_diag(k, seed):
     """classical_diag under a seeded Haar V (x) V: a state that splits k - 1 times."""
     return haar_congruence(canonical("classical_diag", k), rng_from_seed(seed), "V")
+
+
+def test_every_gate_reads_one_hermiticity_measurement(monkeypatch):
+    # a defect of 1e-14, far inside tols.herm, whose bytes no other matrix
+    # that the calls take a norm of shares
+    g = rotated_classical_diag(3, 65)
+    tilted = g.mat.copy()
+    tilted[0, 1] += 1e-14
+    g = BipartiteOperator(tilted, 3, 3)
+    defect = (g.mat - g.mat.conj().T).tobytes()
+    _MEMO.entries.clear()
+    seen = factorizations(monkeypatch, names=("norm",))
+    hermitian_eig(g)
+    classify(g)
+    bound_gamma_pt(g)
+    bound_realign_sq(g)
+    psd_check(g)
+    found = find_psd_eigenvector(g)
+    assert found.found
+    split(g, found.x)
+    assert [key[3] for key in seen].count(defect) == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -14,6 +14,7 @@ from triadops import (
     TriadClassification,
     TriadResiduals,
     bound_gamma_pt,
+    canonical,
     classify,
     contraction_by_permutation,
     find_psd_eigenvector,
@@ -25,12 +26,13 @@ from triadops import (
     ppt_pair_forces_invariance,
     psd_check,
     random_density,
+    random_separable,
     realign,
     rng_from_seed,
 )
 from triadops.errors import DimensionMismatch, NotHermitian, NotPSD, ZeroMatrix
 from triadops.schmidt_maps import hermitian_basis, hermitian_from_coords
-from triadops.tensor_core import _MEMO, _MEMO_SIZE, _herm_eigvalsh, _kron
+from triadops.tensor_core import _MEMO, _MEMO_SIZE, _clusters, _herm_eigvalsh, _kron, _pivot_phases
 
 from conftest import random_hermitian, random_operator, random_psd_local
 
@@ -178,6 +180,39 @@ def test_hermitian_eig_deterministic():
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def _tuple_sorted_eig(a):
+    """``hermitian_eig``'s pairs, each degenerate cluster ordered by a sort
+    of one tuple of rounded coordinates per column: the reference order."""
+    w, v = np.linalg.eigh(0.5 * (a.mat + a.mat.conj().T))
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    v *= _pivot_phases(v.T)
+    scale = max(abs(float(w[0])), abs(float(w[-1])), np.finfo(float).tiny)
+    clusters = [c for c in _clusters(w, 1e-12 * scale) if len(c) > 1]
+    for cluster in clusters:
+        keys = [tuple(np.round(np.concatenate([v[:, c].real, v[:, c].imag]), 10)) for c in cluster]
+        order = sorted(range(len(cluster)), key=lambda i: keys[i])
+        v[:, cluster] = v[:, [cluster[i] for i in order]]
+    return w, v, len(clusters)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_hermitian_eig_orders_degenerate_clusters_as_a_tuple_sort(k):
+    # separable states of rank < k^2 - 1, the fixtures and low-rank densities
+    # all have a degenerate cluster, whose columns one lexsort orders
+    states = [canonical(name, k) for name in ("classical_diag", "bell", "identity_plus_u")]
+    for seed in range(6):
+        states.append(random_separable(k, 1 + seed % (k * k - 2), 700 + seed)[0])
+        states.append(random_density(k, 1 + seed % k, 800 + seed))
+    degenerate = 0
+    for g in states:
+        w, v, clusters = _tuple_sorted_eig(g)
+        degenerate += clusters > 0
+        sd = hermitian_eig(g)
+        assert np.array_equal(sd.eigenvalues, w)
+        assert sd.eigenvectors.tobytes() == v.tobytes()
+    assert degenerate == len(states)
+
+
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(LocalOperator([[0.0, 1.0], [0.0, 0.0]]))
@@ -187,6 +222,11 @@ def test_norms_identity_and_rank_one():
     assert norms(LocalOperator(np.eye(3))) == pytest.approx((3.0, np.sqrt(3.0), 1.0))
     u = np.array([0.6, 0.8])
     assert norms(LocalOperator(np.outer(u, u))) == pytest.approx((1.0, 1.0, 1.0))
+
+
+def test_norms_are_measured_once_per_operator():
+    op = LocalOperator(random_psd_local(rng_from_seed(25), 4))
+    assert norms(op) is norms(op)
 
 
 def test_norms_flip():
