@@ -210,7 +210,7 @@ def _cmd_decompose(args) -> int:
     from .reducibility import decompose
 
     tols = _tols_from_args(args)
-    tree = decompose(_load_operator(args.file), max_depth=args.max_depth, tols=tols)
+    tree = decompose(_load_operator(args.file), tols)
     _emit(tree.to_json(), args.json)
     return 0
 
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_filter)
 
     p = sub.add_parser("decompose", parents=common, help="complete-reducibility decomposition tree")
-    p.add_argument("--max-depth", type=int, default=None)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser(

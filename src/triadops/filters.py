@@ -329,7 +329,7 @@ def _identity_aligned_expansion(
     """
     k = normal_form.dim_a
     n = k * k
-    m = g_matrix(normal_form, tols).matrix
+    m = g_matrix(normal_form, tols)
     _, s, vt = np.linalg.svd(m)
     v = vt.T.copy()
     jstar = int(np.argmax(np.abs(v[0])))
@@ -408,7 +408,7 @@ def sinkhorn_filter(
         class_residual = float(np.linalg.norm(realign(normal_form).mat - delta))
     elif mode == "left":
         # column 0 of M^T M is the composite map applied to Id/sqrt(k)
-        m = g_matrix(normal_form, tols).matrix
+        m = g_matrix(normal_form, tols)
         class_residual = float(np.linalg.norm((m.T @ m[:, 0])[1:]))
     else:
         class_residual = None

@@ -52,6 +52,7 @@ from .tensor_core import (
     _permute_slots,
     _rank_cut,
     _spectrum,
+    _sum_of_products,
     _unit,
     norms,
 )
@@ -146,7 +147,7 @@ def find_psd_eigenvector(
             found=False, x=None, eigenvalue=None, full_rank_witness=LocalOperator(np.ones((1, 1)))
         )
 
-    w, v = np.linalg.eigh(fg_matrix(gamma, tols).matrix)
+    w, v = np.linalg.eigh(fg_matrix(gamma, tols))
     w = w[::-1]
     v = v[:, ::-1]
     lam_scale = max(float(w[0]), np.finfo(float).tiny)
@@ -273,7 +274,7 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
         return None
 
     def eigenvectors(state: BipartiteOperator) -> np.ndarray:
-        return np.linalg.eigh(fg_matrix(state, tols).matrix)[1].T
+        return np.linalg.eigh(fg_matrix(state, tols))[1].T
 
     if trace <= 0:  # the zero matrix, whose trace the filter would divide by
         return scan(eigenvectors(gamma), np.eye(k)) or inconclusive
@@ -286,7 +287,7 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     normal_form = BipartiteOperator(delta, k, k)
     if not converged:
         return scan(eigenvectors(gamma), np.eye(k)) or scan(eigenvectors(normal_form), fa) or inconclusive
-    w, v = np.linalg.eigh(fg_matrix(normal_form, tols).matrix)
+    w, v = np.linalg.eigh(fg_matrix(normal_form, tols))
     top = v[:, _clusters(w, 1e-8 * w[-1])[-1]]
     if top.shape[1] == 1:
         return ProbeResult("fully_indecomposable", None)
@@ -408,11 +409,7 @@ class DecompositionTree(_JsonRecord):
         return [leaf for child in self.children for leaf in child.leaves()] or [self]
 
 
-def decompose(
-    gamma: BipartiteOperator,
-    max_depth: int | None = None,
-    tols: Tolerances = DEFAULT,
-) -> DecompositionTree:
+def decompose(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> DecompositionTree:
     """Recursively split a triad-class state into weakly irreducible leaves.
 
     The gate needs any one flag (PreconditionNotMet otherwise) and reads
@@ -427,17 +424,16 @@ def decompose(
     factors.  Leaves are marked ``weakly_irreducible`` when they have side
     1, with no search, or when ``find_psd_eigenvector`` certifies that the
     top eigenvalue cluster holds no singular PSD element (complete for
-    triad-class blocks), and
-    ``not_split_found`` when the depth cap is hit or a compressed block ends
-    up with unequal local dimensions (where the square-only search does not
-    apply).
+    triad-class blocks).  They are marked ``not_split_found`` when a
+    compressed block ends up with unequal local dimensions (where the
+    square-only search does not apply), or when a split leaves no block of
+    nonzero trace.  A child's first side is below its parent's, so the
+    recursion ends within k levels.
     """
     if not _any_flag(gamma, tols):
         raise PreconditionNotMet("decompose needs at least one triad flag")
-    if max_depth is None:
-        max_depth = gamma.dim_a
 
-    def _node(state: BipartiteOperator, depth: int) -> DecompositionTree:
+    def _node(state: BipartiteOperator) -> DecompositionTree:
         ka, kb = state.dim_a, state.dim_b
         if ka != kb:
             return DecompositionTree(state=state, leaf_status="not_split_found")
@@ -446,17 +442,13 @@ def decompose(
         found = find_psd_eigenvector(state, tols)
         if not found.found:
             return DecompositionTree(state=state, leaf_status="weakly_irreducible")
-        if depth <= 0:
-            return DecompositionTree(state=state, leaf_status="not_split_found")
         cert, blocks = _split(state, found.x, tols)
         node = DecompositionTree(state=state, certificate=cert)
         for block, basis_a, basis_b in blocks:
             if np.trace(block).real <= 1e-12 * np.trace(state.mat).real:
                 continue
             c = _congruence(basis_a.conj().T, basis_b.conj().T, block)
-            child = _node(
-                BipartiteOperator(0.5 * (c + c.conj().T), basis_a.shape[1], basis_b.shape[1]), depth - 1
-            )
+            child = _node(BipartiteOperator(0.5 * (c + c.conj().T), basis_a.shape[1], basis_b.shape[1]))
             child.embed_a = basis_a
             child.embed_b = basis_b
             node.children.append(child)
@@ -467,7 +459,7 @@ def decompose(
     herm = 0.5 * (gamma.mat + gamma.mat.conj().T)
     if herm.tobytes() != gamma.mat.tobytes():
         gamma = BipartiteOperator(herm, gamma.dim_a, gamma.dim_b)
-    return _node(gamma, max_depth)
+    return _node(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +567,7 @@ class SeparableDecomposition(_JsonRecord):
     reconstruction_residual: float
 
     def reconstruct(self) -> np.ndarray:
-        k = self.terms[0].left.dim
-        m = self.terms[0].right.dim
-        total = np.zeros((k * m, k * m), dtype=complex)
-        for w, x, y in self.terms:
-            total += w * _kron(x.mat, y.mat)
-        return total
+        return _sum_of_products(self.terms)
 
 
 @dataclass(frozen=True)

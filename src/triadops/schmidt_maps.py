@@ -27,18 +27,17 @@ from .tensor_core import (
     LocalOperator,
     _JsonRecord,
     _cached,
-    _kron,
     _locked,
     _partial_trace,
     _pivot_phases,
     _require_hermitian,
     _require_square,
+    _sum_of_products,
 )
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "SchmidtDecomposition",
-    "HermitianBasisMatrix",
     "reduced_a",
     "reduced_b",
     "g_apply",
@@ -112,12 +111,8 @@ class SchmidtDecomposition(_JsonRecord):
     right_ops: list[LocalOperator]
 
     def reconstruct(self) -> BipartiteOperator:
-        k = self.left_ops[0].dim
-        m = self.right_ops[0].dim
-        total = np.zeros((k * m, k * m), dtype=complex)
-        for s, a, b in zip(self.coefficients, self.left_ops, self.right_ops):
-            total += s * _kron(a.mat, b.mat)
-        return BipartiteOperator(total, dim_a=k, dim_b=m)
+        total = _sum_of_products(zip(self.coefficients, self.left_ops, self.right_ops))
+        return BipartiteOperator(total, dim_a=self.left_ops[0].dim, dim_b=self.right_ops[0].dim)
 
 
 def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDecomposition:
@@ -209,36 +204,25 @@ def _identity_split(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords, top - np.outer(coords, coords @ top) / (coords @ coords)
 
 
-@dataclass(frozen=True)
-class HermitianBasisMatrix:
-    """Real k^2 x k^2 matrix of a Hermitian-preserving map in the fixed basis.
-
-    Entry [a, b] is tr(T(h_b) h_a).  The matrix is symmetric exactly when the
-    represented map is self-adjoint for the trace inner product.
-    """
-
-    dim: int
-    matrix: np.ndarray
-
-
-def g_matrix(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> HermitianBasisMatrix:
-    """Matrix of the first-factor contraction map in the Hermitian basis."""
+def g_matrix(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> np.ndarray:
+    """Read-only real k^2 x k^2 matrix of the first-factor contraction map g in
+    the fixed Hermitian basis, entry [a, b] = tr(g(h_b) h_a).  It is symmetric
+    exactly when g is self-adjoint for the trace inner product."""
     k = _require_square(gamma, "the Hermitian-basis representation")
     _require_hermitian(gamma, tols)
     # entry [a, b] is vec(h_b^T) . realign(gamma) . vec(h_a^T), and row a of
     # ``rows`` is vec(h_a^T)
     rows = hermitian_basis(k).reshape(k * k, k * k).conj()
-    mat = _locked(np.ascontiguousarray((rows @ realign(gamma).mat.T @ rows.T).real))
-    return HermitianBasisMatrix(dim=k, matrix=mat)
+    return _locked(np.ascontiguousarray((rows @ realign(gamma).mat.T @ rows.T).real))
 
 
-def fg_matrix(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> HermitianBasisMatrix:
-    """Matrix of the composite second-after-first contraction map.
+def fg_matrix(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> np.ndarray:
+    """Read-only matrix of the composite second-after-first contraction map.
 
     For Hermitian gamma the two contraction maps are mutually adjoint, so the
     composite's matrix is M^T M with M the first-factor map's matrix; it is
     symmetric PSD.
     """
-    m = g_matrix(gamma, tols).matrix
+    m = g_matrix(gamma, tols)
     out = m.T @ m
-    return HermitianBasisMatrix(dim=gamma.dim_a, matrix=_locked(0.5 * (out + out.T)))
+    return _locked(0.5 * (out + out.T))

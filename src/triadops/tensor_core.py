@@ -38,7 +38,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD, ZeroMatrix
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "hermitian_eig",
     "norms",
     "psd_check",
-    "inv_sqrt_psd",
 ]
 
 
@@ -278,6 +277,17 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     (ra, ca), (rb, cb) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
+def _sum_of_products(terms) -> np.ndarray:
+    """sum_i w_i a_i (x) b_i over the (w_i, a_i, b_i) in ``terms``, with local
+    operators a_i, b_i, accumulated in the given order."""
+    terms = list(terms)
+    k, m = terms[0][1].dim, terms[0][2].dim
+    total = np.zeros((k * m, k * m), dtype=complex)
+    for w, a, b in terms:
+        total += w * _kron(a.mat, b.mat)
+    return total
 
 
 def _permute_slots(mat: np.ndarray, k: int, m: int, axes: tuple[int, ...]) -> np.ndarray:
@@ -521,20 +531,3 @@ def psd_check(a: Operator, tols: Tolerances = DEFAULT) -> PsdReport:
     _require_hermitian(a, tols)
     psd = _psd(a, tols)
     return PsdReport(is_psd=psd.ok, min_eigenvalue=psd.min_eigenvalue)
-
-
-def inv_sqrt_psd(a: LocalOperator, tols: Tolerances = DEFAULT) -> LocalOperator:
-    """Pseudo-inverse square root of a PSD operator.
-
-    Eigenvalues above ``tols.rank * max_eigenvalue`` map to 1/sqrt(eig), the
-    rest to zero, so the result restricted to the kernel vanishes.
-    """
-    _require_hermitian(a, tols)
-    w, v, cut = _herm_support(a.mat, tols.rank)
-    if not np.any(w > cut):
-        raise ZeroMatrix("all eigenvalues fall below the rank threshold")
-    if not _psd_ok(w[0], float(w[-1]), tols):
-        raise NotPSD(f"negative eigenvalue {w[0]:.3e} in inv_sqrt_psd input")
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, np.finfo(float).tiny)), 0.0)
-    out = (v * inv) @ v.conj().T
-    return LocalOperator(0.5 * (out + out.conj().T), dim=a.dim)

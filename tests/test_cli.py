@@ -164,6 +164,13 @@ def test_filter_rejects_max_iter_below_one(value, tmp_path, capsys):
     assert "--max-iter: must be a positive integer" in capsys.readouterr().err
 
 
+def test_decompose_has_no_depth_flag(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(run_cli_format(canonical("classical_diag", 2)))
+    assert _exit_code(["decompose", str(path), "--max-depth", "3"]) == 1
+    assert "unrecognized arguments: --max-depth 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

@@ -293,6 +293,16 @@ def test_marginal_rank_gate():
         sinkhorn_filter(deficient, "general")
 
 
+def test_marginal_condition_guard_needs_a_rank_cut_below_its_limit():
+    # a marginal spread of 1e13 meets the default rank cut first; the
+    # condition guard (limit 1e12) fires only once tols.rank is below 1e-12
+    g = kron(LocalOperator(np.diag([1.0, 1e-13])), LocalOperator(np.eye(2) / 2))
+    with pytest.raises(MarginalRankDeficient, match=r"eigenvalue 1\.000e-13 fell below the rank threshold"):
+        sinkhorn_filter(g, "general")
+    with pytest.raises(MarginalRankDeficient, match=r"condition number 1\.000e\+13 exceeds 1e\+12"):
+        sinkhorn_filter(g, "general", tols=DEFAULT.but(rank=1e-14))
+
+
 def test_left_mode_structure():
     for k in (2, 3):
         for seed in range(10):

@@ -271,6 +271,23 @@ def test_decompose_mixed_block_sizes():
     assert sorted(leaf.state.dim_a for leaf in tree.leaves()) == [2, 2]
 
 
+def test_decompose_unequal_blocks_end_in_rectangular_leaves():
+    # a (2, 1) + (1, 2) direct sum at k = 3 under a Haar U (x) V: each block
+    # compresses to unequal local sides, where the square-only search stops
+    e = np.eye(3)
+    embeds = (np.kron(e[:, :2], e[:, :1]), np.kron(e[:, 2:], e[:, 1:]))
+    for seed in range(400, 405):
+        rng = rng_from_seed(seed)
+        mat = sum(b @ random_psd_local(rng, 2) @ b.T for b in embeds)
+        big = np.kron(haar_unitary(rng, 3), haar_unitary(rng, 3))
+        g = BipartiteOperator(big @ mat @ big.conj().T, 3, 3)
+        assert classify(g).ppt, seed
+        tree = decompose(g)
+        leaves = sorted((leaf.state.dim_a, leaf.state.dim_b, leaf.leaf_status) for leaf in tree.leaves())
+        assert leaves == [(1, 2, "not_split_found"), (2, 1, "not_split_found")], seed
+        assert np.linalg.norm(tree.reconstruct() - g.mat) <= 1e-13 * np.linalg.norm(g.mat), seed
+
+
 def test_decompose_requires_triad_flag(bell2):
     with pytest.raises(PreconditionNotMet):
         decompose(bell2)

@@ -243,14 +243,15 @@ def test_hermitian_coords_round_trip():
 
 def test_g_matrix_identity_example():
     g = BipartiteOperator(np.eye(4) / 4, 2, 2)
-    m = g_matrix(g).matrix
+    m = g_matrix(g)
+    assert isinstance(m, np.ndarray) and not m.flags.writeable
     expected = np.zeros((4, 4))
     expected[0, 0] = 0.5
     assert np.allclose(m, expected)
 
 
 def test_g_matrix_bell_example(bell2):
-    m = g_matrix(bell2).matrix
+    m = g_matrix(bell2)
     assert np.allclose(m, np.diag([1.0, 1.0, -1.0, 1.0]) / 2)
 
 
@@ -259,7 +260,7 @@ def test_g_matrix_spc_symmetric_psd():
 
     for seed in range(10):
         g = random_spc(3, seed)
-        m = g_matrix(g).matrix
+        m = g_matrix(g)
         assert np.allclose(m, m.T, atol=1e-10)
         assert np.linalg.eigvalsh(0.5 * (m + m.T))[0] >= -1e-10
 
@@ -274,7 +275,7 @@ def test_fg_matrix_matches_composite():
     rng = rng_from_seed(33)
     k = 3
     g = _random_hermitian_bipartite(rng, k)
-    m = fg_matrix(g).matrix
+    m = fg_matrix(g)
     basis = hermitian_basis(k)
     for b_idx in (0, 3, 7):
         image = fg_apply(g, basis[b_idx]).mat
@@ -289,7 +290,7 @@ def test_hermitian_attainment_of_realignment_norm():
         k = int(rng.integers(2, 5))
         g = _random_hermitian_bipartite(rng, k)
         target = norms(realign(g)).operator_norm
-        u, s, vt = np.linalg.svd(g_matrix(g).matrix)
+        u, s, vt = np.linalg.svd(g_matrix(g))
         gamma_1 = hermitian_from_coords(vt[0], k)
         delta_1 = hermitian_from_coords(u[:, 0], k)
         value = np.trace(g.mat @ np.kron(gamma_1, delta_1)).real

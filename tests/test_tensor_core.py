@@ -20,7 +20,6 @@ from triadops import (
     find_psd_eigenvector,
     flip,
     hermitian_eig,
-    inv_sqrt_psd,
     kron,
     norms,
     ppt_pair_forces_invariance,
@@ -30,7 +29,7 @@ from triadops import (
     realign,
     rng_from_seed,
 )
-from triadops.errors import DimensionMismatch, NotHermitian, NotPSD, ZeroMatrix
+from triadops.errors import DimensionMismatch, NotHermitian, NotPSD
 from triadops.schmidt_maps import hermitian_basis, hermitian_from_coords
 from triadops.tensor_core import _MEMO, _MEMO_SIZE, _clusters, _herm_eigvalsh, _kron, _pivot_phases
 
@@ -261,38 +260,6 @@ def test_psd_check_examples(bell2):
     assert rep.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
     zero = psd_check(LocalOperator(np.zeros((3, 3))))
     assert zero.is_psd is True and zero.min_eigenvalue == 0.0
-
-
-def test_inv_sqrt_psd_examples():
-    assert np.allclose(inv_sqrt_psd(LocalOperator(np.eye(2))).mat, np.eye(2))
-    assert np.allclose(
-        inv_sqrt_psd(LocalOperator(np.diag([4.0, 1.0]))).mat, np.diag([0.5, 1.0])
-    )
-    assert np.allclose(
-        inv_sqrt_psd(LocalOperator(np.diag([4.0, 0.0]))).mat, np.diag([0.5, 0.0])
-    )
-
-
-def test_inv_sqrt_psd_projection_property():
-    rng = rng_from_seed(31)
-    for _ in range(25):
-        k = int(rng.integers(2, 6))
-        rank = int(rng.integers(1, k + 1))
-        a = random_psd_local(rng, k, rank)
-        isr = inv_sqrt_psd(LocalOperator(a)).mat
-        proj = isr @ a @ isr
-        # idempotent Hermitian with trace = rank: the range projection
-        assert np.linalg.norm(proj @ proj - proj) <= 1e-9
-        assert abs(np.trace(proj).real - rank) <= 1e-8
-
-
-def test_inv_sqrt_psd_errors():
-    with pytest.raises(ZeroMatrix):
-        inv_sqrt_psd(LocalOperator(np.zeros((2, 2))))
-    with pytest.raises(NotPSD):
-        inv_sqrt_psd(LocalOperator(np.diag([1.0, -1.0])))
-    with pytest.raises(NotHermitian):
-        inv_sqrt_psd(LocalOperator([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_operator_validation():
