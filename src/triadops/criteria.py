@@ -25,6 +25,7 @@ from .tensor_core import (
     BipartiteOperator,
     _frobenius,
     _hermitian_ok,
+    _hermiticity,
     _JsonRecord,
     _Psd,
     _psd,
@@ -90,7 +91,7 @@ def _spc(gamma: BipartiteOperator, psd: _Psd, tols: Tolerances) -> tuple[float, 
     """The relative Hermiticity defect and the smallest eigenvalue of R(gamma^PT)."""
     rpt = realign(partial_transpose(gamma))
     # the defect is already relative to ||gamma||, so its scale is 1
-    defect = _frobenius(rpt.mat - rpt.mat.conj().T) / max(psd.scale, np.finfo(float).tiny)
+    defect = _hermiticity(rpt)[0] / max(psd.scale, np.finfo(float).tiny)
     spc_min = float(_spectrum(rpt)[0])
     ok = psd.ok and _hermitian_ok(defect, 1.0, tols) and _psd_ok(spc_min, psd.op_norm, tols)
     return defect, spc_min, ok

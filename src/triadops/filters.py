@@ -45,6 +45,11 @@ realignment: the composite contraction map's Choi matrix, the star product
 of delta with F conj(delta) F (so gb = ga^T), rebuilt from each iterate.
 p (x) Id on delta acts on it as p (x) conj(p).
 
+Every mode returns delta = (fa (x) fb) M (fa (x) fb)^* by construction, M
+the trace-normalized input and fb = Id in left mode: each step applies one
+congruence to the iterate, multiplies it into the filters and adds one entry
+to the iteration log.
+
 One stopping rule serves every mode: each iterate's marginal residual
 max(||ga - Id/k||, ||gb - Id/k||) is measured once, and the run ends at the
 first iterate within ``tols.filter`` (converged), after ``max_iter`` steps,
@@ -87,6 +92,7 @@ from .tensor_core import (
     _frobenius,
     _herm_eigvalsh,
     _herm_support,
+    _hermiticity,
     _JsonRecord,
     _kron,
     _over_trace,
@@ -119,9 +125,10 @@ _ROUNDOFF_DECREASE = 1e-13  # predicted decreases below this are taken unchecked
 class FilterResult(_JsonRecord):
     """Outcome of a filtering run.
 
-    ``normal_form`` equals (filter_a (x) filter_b) applied to the
-    trace-normalized input as a congruence (M . M*), with filter_b = Id in
-    left mode.  ``schmidt_of_normal_form`` is its operator Schmidt
+    ``normal_form`` is (filter_a (x) filter_b) M (filter_a (x) filter_b)^*
+    by construction, M the trace-normalized input and filter_b = Id in left
+    mode; ``iterations`` counts the steps, one ``iteration_log`` entry
+    each.  ``schmidt_of_normal_form`` is its operator Schmidt
     expansion, Hermitian and identity first in every mode (module
     docstring); coefficients below ``tolerances.rank`` times the largest
     are dropped.  It is computed from ``normal_form`` and ``tolerances``
@@ -245,75 +252,6 @@ def _newton_step(
     return (u * np.exp(0.5 * alpha * lam)) @ u.conj().T, abs(alpha * slope), t
 
 
-def _scaling_engine(mat: np.ndarray, k: int, mode: str, tols: Tolerances, max_iter=MAX_ITER):
-    """Scale the marginals of delta (of omega(delta) in left mode) to Id/k.
-
-    Returns (delta, fa, fb, iterations, converged, log, res_a, res_b) with
-    delta = (fa (x) fb) mat_normalized (fa (x) fb)^* exactly (fb = None for
-    Id in left mode), ``iterations`` the steps taken (one log entry each) and
-    res_a, res_b the marginal residuals of the returned iterate.  Each
-    iterate's marginals are measured once, and one test ends the run (module
-    docstring).
-    """
-    delta = mat / np.trace(mat).real
-    fa = np.eye(k, dtype=complex)
-    fb = np.eye(k, dtype=complex)
-    eye_k = np.eye(k) / k
-    log: list[dict] = []
-    monitor = 0.0
-    predicted = previous = math.inf  # of the last step, and the residual before it
-
-    while True:
-        scaled = delta
-        if mode == "left":  # omega(delta), trace-normalized (module docstring)
-            r = _permute_slots(delta, k, k, _REALIGN)
-            scaled = _permute_slots(r @ r.conj().T, k, k, _REALIGN)
-            scaled = (scaled + scaled.conj().T) / (2 * np.trace(scaled).real)
-        ga = _partial_trace(scaled.reshape(k, k, k, k), "a")
-        gb = _partial_trace(scaled.reshape(k, k, k, k), "b")
-        res_a = float(np.linalg.norm(ga - eye_k))
-        res_b = float(np.linalg.norm(gb - eye_k))
-        residual = max(res_a, res_b)
-        converged = residual <= tols.filter
-        stalled = predicted < _ROUNDOFF_DECREASE and residual >= previous
-        if converged or stalled or len(log) == max_iter:
-            break
-        previous = residual
-
-        if mode == "general":
-            pa = _inv_sqrt(ga, k, "A", tols.rank)
-            delta = _congruence(pa, np.eye(k), delta)
-            t1 = np.trace(delta).real
-            delta /= t1
-            fa = pa @ fa / np.sqrt(t1)
-            gb = _partial_trace(delta.reshape(k, k, k, k), "b")
-            pb = _inv_sqrt(gb, k, "B", tols.rank)
-            delta = _congruence(np.eye(k), pb, delta)
-            t2 = np.trace(delta).real
-            delta /= t2
-            fb = pb @ fb / np.sqrt(t2)
-            monitor = max(abs(1.0 - t1), abs(1.0 - t2))
-        else:
-            if log or mode == "left":  # sinkhorn_filter admitted the input's own marginals
-                _guard_marginal(ga, "A", tols.rank)
-            p, predicted, t_step = _newton_step(scaled, ga, gb, k, mode != "symmetric")
-            pb = {"symmetric": p, "conjugate": p.conj(), "left": np.eye(k)}[mode]
-            delta = _congruence(p, pb, delta)
-            t = np.trace(delta).real
-            delta /= t
-            left = mode == "left"
-            fa = p @ fa / t ** (0.5 if left else 0.25)
-            monitor += math.log(t_step if left else t)
-
-        delta = 0.5 * (delta + delta.conj().T)
-        log.append(
-            {"iteration": len(log) + 1, "residual_a": res_a, "residual_b": res_b, "monitor": monitor}
-        )
-
-    fb = {"general": fb, "symmetric": fa, "conjugate": fa.conj(), "left": None}[mode]
-    return delta, fa, fb, len(log), converged, log, res_a, res_b
-
-
 def _identity_aligned_expansion(
     normal_form: BipartiteOperator, tols: Tolerances
 ) -> SchmidtDecomposition:
@@ -351,15 +289,8 @@ def _identity_aligned_expansion(
         coefficients=s[:keep],
         left_ops=LocalOperator._stack(ops[:keep]),
         right_ops=LocalOperator._stack(ops[keep:]),
+        dims=(k, k),
     )
-
-
-def _spc_defect(op: BipartiteOperator) -> float:
-    """Hermiticity defect plus negative part of realign(partial transpose)."""
-    rpt = realign(partial_transpose(op))
-    herm = float(np.linalg.norm(rpt.mat - rpt.mat.conj().T))
-    min_eig = float(_spectrum(rpt)[0])  # the memoized spectrum that criteria._spc reads
-    return herm + max(0.0, -min_eig)
 
 
 def sinkhorn_filter(
@@ -375,12 +306,14 @@ def sinkhorn_filter(
     mode requires an SPC input and conjugate mode a realignment-invariant
     one (WrongClassForMode otherwise), each reading only its own flag's
     verdict (``criteria._spc``, ``criteria._invariance``); every mode
-    requires both reduced states to have full rank, and ``max_iter`` must be
-    at least 1 (ValueError otherwise).  Every mode stops by one rule (module
-    docstring) and counts the steps it took.  Runs that stall or exhaust
-    ``max_iter`` return their partial result with ``converged=False``
-    instead of raising, since decomposable inputs may cycle and the
-    iteration log is useful evidence.
+    requires the reduced states of the input and of each scaled iterate to
+    have full rank and condition numbers within ``_COND_LIMIT``
+    (MarginalRankDeficient otherwise, and when the filters overflow as the
+    scaling diverges), and ``max_iter`` must be at least 1 (ValueError
+    otherwise).  Every mode stops by one rule (module docstring) and counts
+    the steps it took.  Runs that stall or exhaust ``max_iter`` return their
+    partial result with ``converged=False`` instead of raising, since
+    decomposable inputs may cycle and the iteration log is useful evidence.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -399,11 +332,67 @@ def sinkhorn_filter(
     if mode == "conjugate" and not _invariance(gamma, _psd(gamma, tols), tols)[-1]:
         raise WrongClassForMode("conjugate mode needs a realignment-invariant input")
 
-    run = _scaling_engine(mat, k, mode, tols, max_iter)
-    delta, fa, fb, iterations, converged, log, res_a, res_b = run
+    delta = mat / np.trace(mat).real
+    fa = fb = np.eye(k, dtype=complex)  # never written in place
+    eye_k = np.eye(k) / k
+    log: list[dict] = []
+    monitor = 0.0
+    predicted = previous = math.inf  # of the last step, and the residual before it
+
+    while True:
+        scaled = delta
+        if mode == "left":  # omega(delta), trace-normalized (module docstring)
+            r = _permute_slots(delta, k, k, _REALIGN)
+            scaled = _permute_slots(r @ r.conj().T, k, k, _REALIGN)
+            scaled = (scaled + scaled.conj().T) / (2 * np.trace(scaled).real)
+        ga = _partial_trace(scaled.reshape(k, k, k, k), "a")
+        gb = _partial_trace(scaled.reshape(k, k, k, k), "b")
+        res_a = float(np.linalg.norm(ga - eye_k))
+        res_b = float(np.linalg.norm(gb - eye_k))
+        residual = max(res_a, res_b)
+        converged = residual <= tols.filter
+        stalled = predicted < _ROUNDOFF_DECREASE and residual >= previous
+        if converged or stalled or len(log) == max_iter:
+            break
+        previous = residual
+
+        if mode == "general":
+            pa = _inv_sqrt(ga, k, "A", tols.rank)
+            delta = _congruence(pa, np.eye(k), delta)
+            t1 = np.trace(delta).real
+            delta /= t1
+            fa = pa @ fa / np.sqrt(t1)
+            gb = _partial_trace(delta.reshape(k, k, k, k), "b")
+            pb = _inv_sqrt(gb, k, "B", tols.rank)
+            delta = _congruence(np.eye(k), pb, delta)
+            t2 = np.trace(delta).real
+            delta /= t2
+            fb = pb @ fb / np.sqrt(t2)
+            monitor = max(abs(1.0 - t1), abs(1.0 - t2))
+        else:
+            if log or mode == "left":  # the admission above guarded the input's own marginals
+                _guard_marginal(ga, "A", tols.rank)
+            p, predicted, t_step = _newton_step(scaled, ga, gb, k, mode != "symmetric")
+            pb = {"symmetric": p, "conjugate": p.conj(), "left": np.eye(k)}[mode]
+            delta = _congruence(p, pb, delta)
+            t = np.trace(delta).real
+            delta /= t
+            left = mode == "left"
+            fa = p @ fa / t ** (0.5 if left else 0.25)
+            monitor += math.log(t_step if left else t)
+
+        delta = 0.5 * (delta + delta.conj().T)
+        log.append(
+            {"iteration": len(log) + 1, "residual_a": res_a, "residual_b": res_b, "monitor": monitor}
+        )
+
+    if not np.isfinite([fa, fb]).all():  # the iterate stays bounded while the filters diverge
+        raise MarginalRankDeficient(f"the filters overflowed in {len(log)} steps: the scaling diverges")
+    fb = {"general": fb, "symmetric": fa, "conjugate": fa.conj(), "left": None}[mode]
     normal_form = BipartiteOperator(delta, k, k)
-    if mode == "symmetric":
-        class_residual = _spc_defect(normal_form)
+    if mode == "symmetric":  # the SPC defect: Hermiticity defect plus negative part of R(delta^Gamma)
+        rpt = realign(partial_transpose(normal_form))
+        class_residual = _hermiticity(rpt)[0] + max(0.0, -float(_spectrum(rpt)[0]))
     elif mode == "conjugate":
         class_residual = float(np.linalg.norm(realign(normal_form).mat - delta))
     elif mode == "left":
@@ -419,7 +408,7 @@ def sinkhorn_filter(
         normal_form=normal_form,
         marginal_residual_a=res_a,
         marginal_residual_b=res_b,
-        iterations=iterations,
+        iterations=len(log),
         converged=converged,
         class_residual=class_residual,
         iteration_log=log,

@@ -24,7 +24,6 @@ from .tensor_core import (
     BipartiteOperator,
     LocalOperator,
     _boundary_step,
-    _kron,
     _permute_slots,
 )
 
@@ -200,13 +199,8 @@ def canonical(name: str, k: int, alpha: float | None = None) -> BipartiteOperato
     identity_plus_u    (Id (x) Id + u u^t) / (k^2 + k)
     werner             (Id (x) Id + alpha * F) / (k^2 + alpha k), |alpha| <= 1
     """
-    if name == "classical_diag":
-        mat = np.zeros((k * k, k * k), dtype=complex)
-        for i in range(k):
-            e = np.zeros((k, k))
-            e[i, i] = 1.0
-            mat += _kron(e, e) / k
-        return BipartiteOperator(mat, dim_a=k, dim_b=k)
+    if name == "classical_diag":  # e_ii (x) e_ii is the diagonal unit at row i * k + i
+        return BipartiteOperator(np.diag(np.eye(k).ravel() / k), dim_a=k, dim_b=k)
     if name == "bell":
         u = maximally_entangled_vector(k)
         return BipartiteOperator(np.outer(u, u.conj()) / k, dim_a=k, dim_b=k)

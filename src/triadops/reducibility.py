@@ -100,12 +100,11 @@ def _unit_psd(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, int, np.nda
     """Nearest PSD matrix to the Hermitian part of ``mat``, Frobenius-normalized,
     from one eigensolve: that matrix, its rank (eigenvalues above ``rank_tol``
     times the largest), and its ascending spectrum and eigenvectors."""
-    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    w, v, cut = _herm_support(mat, rank_tol)
     w = np.maximum(w, 0.0)
     out = (v * w) @ v.conj().T
     nrm = np.linalg.norm(out) or 1.0
-    rank = int(np.sum(w > _rank_cut(w, rank_tol)))
-    return out / nrm, rank, w / nrm, v
+    return out / nrm, int(np.sum(w > cut)), w / nrm, v
 
 
 def _eigen_residual(gamma: BipartiteOperator, x: np.ndarray) -> tuple[float, float]:
@@ -208,20 +207,20 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     g(X) above tols.rank * ||gamma|| * lambda_max(X), and Y the kernel
     projector of g(X).  The probe runs on gamma / tr gamma
     (``tensor_core._unit``), so its verdict does not depend on the input's
-    scale.  The general filter runs first: its normal form
-    delta = (Fa (x) Fb) gamma (Fa (x) Fb)^* has marginals Id/k, and
-    g_delta(X) = Fb g_gamma(Fa^* X Fa) Fb^*, so ranks carry over through
-    X -> Fa^* X Fa.  The top cluster (width 1e-8 * lambda_max) of delta's
-    composite map decides: if it is wider than one eigenvalue, X is a
-    spectral projector (onto an eigenvalue cluster, or the positive or
-    negative part) of one generic element E of it, with coordinates
-    top @ (sqrt(2..n+1) mod 1).  With no normal form (an unconverged run, a
-    singular marginal, or the zero matrix, on which no filter runs) the same
-    projectors of the composite map's eigenvectors are scanned, of gamma and
-    then of the last iterate, after a singular gamma_A has offered its
-    kernel projector P, since g(P) = 0.  ``inconclusive``: no normal form
-    and no witness from P or the scans; or, in floating point only, no X
-    from E.
+    scale.  It runs the general mode of ``sinkhorn_filter`` first, on
+    gamma itself: the normal form delta = (Fa (x) Fb) gamma (Fa (x) Fb)^*
+    has marginals Id/k, and g_delta(X) = Fb g_gamma(Fa^* X Fa) Fb^*, so
+    ranks carry over through X -> Fa^* X Fa.  The top cluster (width
+    1e-8 * lambda_max) of delta's composite map decides: if it is wider than
+    one eigenvalue, X is a spectral projector (onto an eigenvalue cluster,
+    or the positive or negative part) of one generic element E of it, with
+    coordinates top @ (sqrt(2..n+1) mod 1).  With no normal form the same
+    projectors of the composite map's eigenvectors are scanned: of gamma and
+    then of the last iterate after an unconverged run; after one of the
+    filter's refusals, ZeroMatrix or MarginalRankDeficient, of gamma alone,
+    once the kernel projector P of gamma_A has been tried, since g(P) = 0.
+    ``inconclusive``: no normal form and no witness from P or the scans; or,
+    in floating point only, no X from E.
 
     Why (Cariello, IEEE TIT 2016; Gurvits, JCSS 2004): T = k g_delta and T*
     are positive, unital and trace preserving, so T(X) is majorized by X for
@@ -243,10 +242,10 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     cluster's projector is a witness as well.  The scan of E tries it, or P
     as E's negative part when that cluster's eigenvalue is 0.
     """
-    from .filters import _scaling_engine  # only the probe runs the filter
+    from .filters import sinkhorn_filter  # only the probe runs the filter
 
-    gamma, trace = _unit(gamma, tols, "the probe")  # ranks, and so witnesses, do not depend on scale
-    k = gamma.dim_a
+    unit = _unit(gamma, tols, "the probe")[0]  # ranks, and so witnesses, do not depend on scale
+    k = unit.dim_a
     if k == 1:  # no X has 0 < rank X < 1
         return ProbeResult("fully_indecomposable", None)
     inconclusive = ProbeResult("inconclusive", None)
@@ -254,8 +253,8 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     def witness(x: np.ndarray) -> ProbeResult | None:
         x = 0.5 * (x + x.conj().T)
         wx, _, cut_x = _herm_support(x, tols.rank)
-        wg, vg, _ = _herm_support(g_apply(gamma, x).mat, tols.rank)
-        kernel = vg[:, wg <= tols.rank * norms(gamma).operator_norm * wx[-1]]  # of g(X)
+        wg, vg, _ = _herm_support(g_apply(unit, x).mat, tols.rank)
+        kernel = vg[:, wg <= tols.rank * norms(unit).operator_norm * wx[-1]]  # of g(X)
         rank_x = int(np.sum(wx > cut_x))
         if not 0 < rank_x < k or k - kernel.shape[1] > rank_x:
             return None
@@ -276,17 +275,15 @@ def fully_indecomposable_probe(gamma: BipartiteOperator, tols: Tolerances = DEFA
     def eigenvectors(state: BipartiteOperator) -> np.ndarray:
         return np.linalg.eigh(fg_matrix(state, tols))[1].T
 
-    if trace <= 0:  # the zero matrix, whose trace the filter would divide by
-        return scan(eigenvectors(gamma), np.eye(k)) or inconclusive
-    try:
-        delta, fa, _, _, converged, *_ = _scaling_engine(gamma.mat, k, "general", tols)
-    except MarginalRankDeficient:  # the kernel projector P of gamma_A has g(P) = 0
-        w, v, cut = _herm_support(_partial_trace(gamma.tensor4, "a"), tols.rank)
+    try:  # on the caller's operator, whose memoized unit form the filter reads
+        run = sinkhorn_filter(gamma, "general", tols=tols)
+    except (ZeroMatrix, MarginalRankDeficient):  # the kernel projector P of gamma_A has g(P) = 0
+        w, v, cut = _herm_support(_partial_trace(unit.tensor4, "a"), tols.rank)
         kernel = v[:, w <= cut]
-        return witness(kernel @ kernel.conj().T) or scan(eigenvectors(gamma), np.eye(k)) or inconclusive
-    normal_form = BipartiteOperator(delta, k, k)
-    if not converged:
-        return scan(eigenvectors(gamma), np.eye(k)) or scan(eigenvectors(normal_form), fa) or inconclusive
+        return witness(kernel @ kernel.conj().T) or scan(eigenvectors(unit), np.eye(k)) or inconclusive
+    normal_form, fa = run.normal_form, run.filter_a.mat
+    if not run.converged:
+        return scan(eigenvectors(unit), np.eye(k)) or scan(eigenvectors(normal_form), fa) or inconclusive
     w, v = np.linalg.eigh(fg_matrix(normal_form, tols))
     top = v[:, _clusters(w, 1e-8 * w[-1])[-1]]
     if top.shape[1] == 1:
@@ -567,7 +564,8 @@ class SeparableDecomposition(_JsonRecord):
     reconstruction_residual: float
 
     def reconstruct(self) -> np.ndarray:
-        return _sum_of_products(self.terms)
+        k = self.terms[0].left.dim  # extraction's terms act on C^k (x) C^k
+        return _sum_of_products(self.terms, k, k)
 
 
 @dataclass(frozen=True)

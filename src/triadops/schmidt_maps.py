@@ -16,7 +16,7 @@ coefficient equals the operator norm of realign(gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,15 +104,17 @@ def fg_apply(gamma: BipartiteOperator, x) -> LocalOperator:
 
 @dataclass(frozen=True)
 class SchmidtDecomposition(_JsonRecord):
-    """Singular data of the realignment: gamma = sum_i coefficients[i] * left (x) right."""
+    """Singular data of the realignment: gamma = sum_i coefficients[i] * left (x) right,
+    with gamma's factor dimensions ``dims`` kept out of the report."""
 
     coefficients: np.ndarray
     left_ops: list[LocalOperator]
     right_ops: list[LocalOperator]
+    dims: tuple[int, int] = field(metadata={"json": False}, compare=False)
 
     def reconstruct(self) -> BipartiteOperator:
-        total = _sum_of_products(zip(self.coefficients, self.left_ops, self.right_ops))
-        return BipartiteOperator(total, dim_a=self.left_ops[0].dim, dim_b=self.right_ops[0].dim)
+        total = _sum_of_products(zip(self.coefficients, self.left_ops, self.right_ops), *self.dims)
+        return BipartiteOperator(total, *self.dims)
 
 
 def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDecomposition:
@@ -127,9 +129,7 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
     k = _require_square(gamma, "the Schmidt decomposition")
     u, s, vh = np.linalg.svd(realign(gamma).mat)
     if s[0] <= 0:
-        return SchmidtDecomposition(
-            coefficients=np.zeros(0), left_ops=[], right_ops=[]
-        )
+        return SchmidtDecomposition(coefficients=np.zeros(0), left_ops=[], right_ops=[], dims=(k, k))
     keep = s > tols.rank * s[0]
     lefts = u[:, keep].T
     phases = _pivot_phases(lefts)[:, None]
@@ -137,6 +137,7 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
         coefficients=_locked(s[keep]),
         left_ops=LocalOperator._stack((lefts * phases).reshape(-1, k, k)),
         right_ops=LocalOperator._stack((vh[keep] * np.conj(phases)).reshape(-1, k, k)),
+        dims=(k, k),
     )
 
 

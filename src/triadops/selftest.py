@@ -31,6 +31,7 @@ from .criteria import (
 )
 from .filters import doubly_stochastic_check, sinkhorn_filter
 from .generators import (
+    _complex_normal,
     canonical,
     random_density,
     random_invariant,
@@ -51,24 +52,14 @@ class SuiteResult:
     seconds: float
 
 
-def _random_operator(rng: np.random.Generator, k: int) -> BipartiteOperator:
-    n = k * k
-    mat = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    return BipartiteOperator(mat, k, k)
-
-
-def _random_local(rng: np.random.Generator, k: int) -> np.ndarray:
-    return (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2)
-
-
 def _suite_realignment_identities(div: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for k in (2, 3):
         f = flip(k).mat
         rng = rng_from_seed(seed + 1000 + k)
         for _ in range(100 // div):
-            g = _random_operator(rng, k)
-            d = _random_operator(rng, k)
+            g = BipartiteOperator(_complex_normal(rng, (k * k, k * k)), k, k)
+            d = BipartiteOperator(_complex_normal(rng, (k * k, k * k)), k, k)
             gm, rg, rd = g.mat, realign(g).mat, realign(d).mat
             v = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
             w = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
@@ -111,7 +102,7 @@ def _suite_isometry_contraction(div: int, seed: int) -> tuple[bool, str]:
     for k in (2, 3):
         rng = rng_from_seed(seed + 2000 + k)
         for _ in range(50 // div):
-            g = _random_operator(rng, k)
+            g = BipartiteOperator(_complex_normal(rng, (k * k, k * k)), k, k)
             fro = norms(g).frobenius_norm
             for sigma in named:
                 out = norms(contraction_by_permutation(sigma, g)).frobenius_norm
@@ -162,7 +153,7 @@ def _suite_filters(div: int, seed: int) -> tuple[bool, str]:
     worst_marg = worst_class = worst_top = 0.0
     for k in (2, 3):
         for s in range(50 // div):
-            a = _random_local(rng_from_seed(seed + 5000 + 31 * s + k), k)
+            a = _complex_normal(rng_from_seed(seed + 5000 + 31 * s + k), (k, k))
             scale = a @ a.conj().T + 0.3 * np.eye(k)
             for mode, state, right in (
                 ("symmetric", random_spc(k, seed + 5100 + s), scale),
@@ -227,9 +218,9 @@ def _extraction_inputs(div: int, seed: int):
         fixture = canonical("classical_diag", k)
         for s in range(n // div):
             rng = rng_from_seed(seed + 7500 + 13 * s + k)
-            q, r = np.linalg.qr(_random_local(rng, k))
+            q, r = np.linalg.qr(_complex_normal(rng, (k, k)))
             u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar unitary
-            x, y = _random_local(rng, k), _random_local(rng, k)
+            x, y = _complex_normal(rng, (k, k)), _complex_normal(rng, (k, k))
             v, w = x @ x.conj().T + 0.3 * np.eye(k), y @ y.conj().T + 0.3 * np.eye(k)
             for shape, a, b in (
                 ("Haar V (x) V", u, u),
@@ -243,8 +234,9 @@ def _extraction_inputs(div: int, seed: int):
             for m in range(1 if k > 2 else n, n + 1):
                 for s in range(-(-(5 if m == n else 3) // div)):  # a fifth when quick, rounded up
                     rng = rng_from_seed(seed + 7700 + 100 * k + 10 * n + m + 1000 * s)
-                    x = np.linalg.qr(_random_local(rng, k))[0][:, :m] @ _random_local(rng, n)[:m]
-                    y = np.linalg.qr(_random_local(rng, k))[0][:, :n] @ _random_local(rng, n)
+                    draws = (_complex_normal(rng, (d, d)) for d in (k, n, k, n))
+                    x = np.linalg.qr(next(draws))[0][:, :m] @ next(draws)[:m]
+                    y = np.linalg.qr(next(draws))[0][:, :n] @ next(draws)
                     if m == n:
                         pairs = {"x (x) x": (x, x), "x (x) conj(x)": (x, x.conj()), "x (x) y": (x, y)}
                     else:

@@ -34,7 +34,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,10 +80,44 @@ def _as_locked_complex(entries, stacked: bool = False) -> np.ndarray:
     return _locked(mat)
 
 
-class LocalOperator:
+class Operator:
+    """Immutable base of the operators: ``mat``, a locked complex matrix, and
+    the dimensions named ``_DIMS``, read through properties."""
+
+    __slots__ = ("mat", "_dims")
+    _DIMS: tuple[str, ...]
+
+    @classmethod
+    def _wrap(cls, mat: np.ndarray, dims: tuple[int, ...]):
+        """An operator around a locked matrix already checked finite: no copy, no check."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "mat", mat)
+        object.__setattr__(op, "_dims", dims)
+        return op
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        dims = ", ".join(f"{name}={d}" for name, d in zip(self._DIMS, self._dims))
+        return f"{type(self).__name__}({dims})"
+
+    def to_json(self) -> dict:
+        dims = dict(zip(self._DIMS, self._dims))
+        return {**dims, "re": self.mat.real.tolist(), "im": self.mat.imag.tolist()}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        return cls(mat, *(int(data[name]) for name in cls._DIMS))
+
+
+class LocalOperator(Operator):
     """A dim x dim complex matrix acting on one tensor factor."""
 
-    __slots__ = ("dim", "mat")
+    __slots__ = ()
+    _DIMS = ("dim",)
+    dim = property(lambda self: self._dims[0])
 
     def __init__(self, entries, dim: int | None = None):
         mat = _as_locked_complex(entries)
@@ -91,44 +125,24 @@ class LocalOperator:
             dim = mat.shape[0]
         if dim != mat.shape[0]:
             raise ValueError(f"declared dim {dim} does not match matrix side {mat.shape[0]}")
-        object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalOperator is immutable")
-
-    def __repr__(self):
-        return f"LocalOperator(dim={self.dim})"
+        object.__setattr__(self, "_dims", (int(dim),))
 
     @classmethod
     def _stack(cls, entries) -> list["LocalOperator"]:
         """One operator per matrix of an (n, d, d) stack, validated once as a whole."""
         stack = _as_locked_complex(entries, stacked=True)
-        ops = []
-        for mat in stack:
-            op = object.__new__(cls)
-            object.__setattr__(op, "dim", mat.shape[0])
-            object.__setattr__(op, "mat", mat)
-            ops.append(op)
-        return ops
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": self.mat.real.tolist(),
-            "im": self.mat.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LocalOperator":
-        mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        return cls(mat, dim=int(data["dim"]))
+        wrap, dims = cls._wrap, (stack.shape[1],)
+        return [wrap(mat, dims) for mat in stack]
 
 
-class BipartiteOperator:
+class BipartiteOperator(Operator):
     """A (k*m) x (k*m) complex matrix with declared factor dimensions k, m."""
 
-    __slots__ = ("dim_a", "dim_b", "mat")
+    __slots__ = ()
+    _DIMS = ("dim_a", "dim_b")
+    dim_a = property(lambda self: self._dims[0])
+    dim_b = property(lambda self: self._dims[1])
 
     def __init__(self, entries, dim_a: int, dim_b: int):
         mat = _as_locked_complex(entries)
@@ -139,15 +153,8 @@ class BipartiteOperator:
             raise ValueError(
                 f"matrix side {mat.shape[0]} does not equal dim_a*dim_b = {dim_a * dim_b}"
             )
-        object.__setattr__(self, "dim_a", dim_a)
-        object.__setattr__(self, "dim_b", dim_b)
         object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BipartiteOperator is immutable")
-
-    def __repr__(self):
-        return f"BipartiteOperator(dim_a={self.dim_a}, dim_b={self.dim_b})"
+        object.__setattr__(self, "_dims", (dim_a, dim_b))
 
     @property
     def tensor4(self) -> np.ndarray:
@@ -161,28 +168,9 @@ class BipartiteOperator:
         The entries are this operator's, already checked finite, so the result
         is locked without ``__init__``'s copy and check.
         """
-        mat = _locked(_permute_slots(self.mat, self.dim_a, self.dim_b, axes))
-        op = object.__new__(BipartiteOperator)
-        object.__setattr__(op, "dim_a", dim_a)
-        object.__setattr__(op, "dim_b", dim_b)
-        object.__setattr__(op, "mat", mat)
-        return op
+        mat = _locked(_permute_slots(self.mat, *self._dims, axes))
+        return self._wrap(mat, (dim_a, dim_b))
 
-    def to_json(self) -> dict:
-        return {
-            "dim_a": self.dim_a,
-            "dim_b": self.dim_b,
-            "re": self.mat.real.tolist(),
-            "im": self.mat.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BipartiteOperator":
-        mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        return cls(mat, dim_a=int(data["dim_a"]), dim_b=int(data["dim_b"]))
-
-
-Operator = Union[LocalOperator, BipartiteOperator]
 
 _MEMO_SIZE = 8
 
@@ -279,11 +267,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
-def _sum_of_products(terms) -> np.ndarray:
+def _sum_of_products(terms, k: int, m: int) -> np.ndarray:
     """sum_i w_i a_i (x) b_i over the (w_i, a_i, b_i) in ``terms``, with local
-    operators a_i, b_i, accumulated in the given order."""
-    terms = list(terms)
-    k, m = terms[0][1].dim, terms[0][2].dim
+    operators a_i on C^k and b_i on C^m, accumulated in the given order."""
     total = np.zeros((k * m, k * m), dtype=complex)
     for w, a, b in terms:
         total += w * _kron(a.mat, b.mat)
@@ -494,7 +480,7 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     """
     _require_hermitian(a, tols)
     try:
-        w, v = np.linalg.eigh(0.5 * (a.mat + a.mat.conj().T))
+        w, v, _ = _herm_support(a.mat, tols.rank)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     w, v = w[::-1].copy(), v[:, ::-1].copy()

@@ -79,6 +79,18 @@ def local_scale(op: BipartiteOperator, s: np.ndarray, t: np.ndarray) -> Bipartit
     return BipartiteOperator(out / np.trace(out).real, op.dim_a, op.dim_b)
 
 
+def unmatched_classical_state() -> BipartiteOperator:
+    """sum_ij M_ij e_ii (x) e_jj / 5, M = [[1, 1, 1], [1, 0, 0], [1, 0, 0]].
+
+    Its marginals have full rank, but M has no perfect matching, so it has no
+    normal form.  The general filter's iterate stays bounded while both
+    filters grow by about sqrt(2) a step, past the float range by step 2100.
+    The contraction map takes E_22 + E_33 to 2 E_11 / 5, so it is decomposable.
+    """
+    m = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return BipartiteOperator(np.diag(m.ravel() / m.sum()), 3, 3)
+
+
 def rewrite_goldens(path, cases, describe=None):
     """Write ``cases`` to the golden file ``path`` and print the names of the
     cases whose golden changed, was added or was removed.  ``describe(old,

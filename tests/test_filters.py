@@ -28,7 +28,7 @@ from triadops.errors import MarginalRankDeficient, NotHermitian, NotPSD, WrongCl
 from triadops.generators import _complex_normal
 from triadops.tolerances import DEFAULT
 
-from conftest import factorizations, haar_congruence, local_scale, random_pd_local
+from conftest import factorizations, haar_congruence, local_scale, random_pd_local, unmatched_classical_state
 
 
 @pytest.mark.parametrize("mode", ["general", "symmetric", "conjugate"])
@@ -301,6 +301,16 @@ def test_marginal_condition_guard_needs_a_rank_cut_below_its_limit():
         sinkhorn_filter(g, "general")
     with pytest.raises(MarginalRankDeficient, match=r"condition number 1\.000e\+13 exceeds 1e\+12"):
         sinkhorn_filter(g, "general", tols=DEFAULT.but(rank=1e-14))
+
+
+def test_filters_that_overflow_are_refused():
+    # the iterate is fine, but no finite filter pair maps the input onto it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        fr = sinkhorn_filter(unmatched_classical_state(), "general", max_iter=2000)
+        assert not fr.converged and np.isfinite(fr.filter_a.mat).all()
+        with pytest.raises(MarginalRankDeficient, match="the filters overflowed in 2100 steps"):
+            sinkhorn_filter(unmatched_classical_state(), "general", max_iter=2100)
 
 
 def test_left_mode_structure():

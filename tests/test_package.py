@@ -1,9 +1,11 @@
 """The package shell: its layers load on first attribute access, and it
 re-exports each layer's public names."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +78,19 @@ def test_from_import_of_selftest_loads_the_suites():
     from triadops import selftest
 
     assert _fresh(code) == list(selftest.SUITES)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a name counts as used when the module reads it or spells it out as a
+    # string, as a re-export list or a quoted annotation does
+    for path in sorted(Path(tensor_core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from conftest import (
     local_scale,
     random_pd_local,
     random_psd_local,
+    unmatched_classical_state,
 )
 
 
@@ -864,6 +866,12 @@ def test_probe_finds_witnesses_of_a_map_the_filter_cannot_scale():
     rng = np.random.default_rng(0)
     scaled = local_scale(g, random_pd_local(rng, 2), random_pd_local(rng, 2))
     _assert_checked_witness(scaled, fully_indecomposable_probe(scaled))
+    # here the filters overflow and the filter refuses; the scan of the input
+    # finds the witness
+    g = unmatched_classical_state()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        _assert_checked_witness(g, fully_indecomposable_probe(g))
 
 
 def _direct_sum(blocks):

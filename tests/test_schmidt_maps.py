@@ -163,6 +163,18 @@ def test_schmidt_bell_and_classical(bell2, classical_diag2):
         assert np.allclose(op.mat, np.diag(np.diag(op.mat)))
 
 
+def test_schmidt_of_the_zero_matrix_reconstructs_to_the_zero_operator():
+    # the expansion has no terms, so its dimensions come from its own field,
+    # which neither the report nor a comparison reads
+    for k in (1, 2, 3):
+        sd = schmidt(BipartiteOperator(np.zeros((k * k, k * k)), k, k))
+        assert len(sd.coefficients) == 0 and sd.left_ops == [] and sd.right_ops == []
+        rec = sd.reconstruct()
+        assert (rec.dim_a, rec.dim_b) == (k, k) and not rec.mat.any()
+    assert list(sd.to_json()) == ["coefficients", "left_ops", "right_ops"]
+    assert sd == type(sd)(sd.coefficients, [], [], dims=(5, 5))
+
+
 def test_schmidt_phases_do_not_follow_roundoff_between_mirror_entries():
     # a Hermitian state's operators have mirror entries of equal modulus, so
     # a 1-ulp change of one mirror pair of gamma must not pick another pivot

@@ -29,7 +29,7 @@ from triadops import (
     realign,
     rng_from_seed,
 )
-from triadops.errors import DimensionMismatch, NotHermitian, NotPSD
+from triadops.errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD
 from triadops.schmidt_maps import hermitian_basis, hermitian_from_coords
 from triadops.tensor_core import _MEMO, _MEMO_SIZE, _clusters, _herm_eigvalsh, _kron, _pivot_phases
 
@@ -129,6 +129,15 @@ def test_stacked_linalg_matches_per_matrix_calls_bit_for_bit(k):
     mats = np.einsum("an,aij->nij", vecs, hermitian_basis(k))
     for n in range(k * k):
         assert mats[n].tobytes() == hermitian_from_coords(vecs[:, n], k).tobytes()
+
+def test_hermitian_eig_reports_a_failed_eigensolve(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceFailure, match="eigensolver did not converge: Eigenvalues"):
+        hermitian_eig(LocalOperator(np.eye(2)))
+
 
 def test_hermitian_eig_identity():
     sd = hermitian_eig(LocalOperator(np.eye(2)))
@@ -274,8 +283,23 @@ def test_operator_validation():
 def test_operators_immutable(bell2):
     with pytest.raises((ValueError, AttributeError)):
         bell2.mat[0, 0] = 5.0
-    with pytest.raises(AttributeError):
-        bell2.dim_a = 3
+    # the checked constructors and both unchecked paths build the same
+    # immutable records, which name their class and show their dimensions
+    ops = {
+        "BipartiteOperator(dim_a=2, dim_b=2)": (bell2, "dim_a"),
+        "BipartiteOperator(dim_a=3, dim_b=2)": (
+            BipartiteOperator(np.eye(6), 2, 3)._permuted((1, 0, 3, 2), 3, 2),
+            "dim_b",
+        ),
+        "LocalOperator(dim=2)": (LocalOperator(np.eye(2)), "dim"),
+        "LocalOperator(dim=3)": (LocalOperator._stack(np.zeros((2, 3, 3)))[1], "dim"),
+    }
+    for text, (op, dim_name) in ops.items():
+        assert repr(op) == text
+        for name, value in ((dim_name, 3), ("mat", np.eye(2)), ("extra", 1)):
+            with pytest.raises(AttributeError, match=f"^{type(op).__name__} is immutable$"):
+                setattr(op, name, value)
+        assert repr(op) == text
 
 
 def test_operator_writes_cannot_be_turned_back_on(bell2):
