@@ -130,6 +130,7 @@ def test_stacked_linalg_matches_per_matrix_calls_bit_for_bit(k):
     for n in range(k * k):
         assert mats[n].tobytes() == hermitian_from_coords(vecs[:, n], k).tobytes()
 
+
 def test_hermitian_eig_reports_a_failed_eigensolve(monkeypatch):
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
