@@ -58,6 +58,10 @@ residual is no lower than before it.  General steps predict none, so only
 one-filter runs stall, as when their marginals drift apart (gb != ga, or
 != ga^T) by more than ``tols.filter``, leaving no fixed point.
 
+Each step guards the marginals it factors or steps on (full rank, condition
+number within 1e12): a general step ga and the A-scaled gb, a one-filter step
+its iterate's ga alone, whose gb is ga or ga^T in class (omega's always).
+
 Convergence monitor of these modes: the cumulative sum of log t, with t the
 trace of each scaled iterate before renormalization (in left mode, the line
 search's checked t of omega, 1 for an unchecked step).  The line search
@@ -89,20 +93,16 @@ from .tensor_core import (
     LocalOperator,
     _clusters,
     _congruence,
-    _frobenius,
     _herm_eigvalsh,
     _herm_support,
     _hermiticity,
     _JsonRecord,
     _kron,
-    _over_trace,
     _partial_trace,
     _permute_slots,
     _pivot_phases,
     _psd,
     _rank_cut,
-    _require_hermitian,
-    _require_square,
     _spectrum,
     _unit,
 )
@@ -169,11 +169,11 @@ class FilterResult(_JsonRecord):
         return report
 
 
-def _guard_spectrum(w: np.ndarray, cut: float, side: str) -> None:
+def _guard_spectrum(w: np.ndarray, rank_tol: float, side: str) -> None:
     """Refuse a marginal by its ascending eigenvalues ``w``: the smallest must
-    exceed the rank cutoff ``cut``, and w[-1] / w[0] may not exceed
+    exceed the rank cutoff (``_rank_cut``), and w[-1] / w[0] may not exceed
     ``_COND_LIMIT``."""
-    if w[0] <= cut:
+    if w[0] <= _rank_cut(w, rank_tol):
         raise MarginalRankDeficient(
             f"{side}-marginal eigenvalue {w[0]:.3e} fell below the rank threshold"
         )
@@ -183,16 +183,10 @@ def _guard_spectrum(w: np.ndarray, cut: float, side: str) -> None:
         )
 
 
-def _guard_marginal(marginal: np.ndarray, side: str, rank_tol: float) -> None:
-    """The guard of ``_inv_sqrt`` on eigenvalues alone, for checks that keep no filter."""
-    w = _herm_eigvalsh(marginal)
-    _guard_spectrum(w, _rank_cut(w, rank_tol), side)
-
-
 def _inv_sqrt(marginal: np.ndarray, k: int, side: str, rank_tol: float) -> np.ndarray:
     """(k * marginal)^(-1/2) through the guarded eigendecomposition."""
-    w, v, cut = _herm_support(marginal, rank_tol)
-    _guard_spectrum(w, cut, side)
+    w, v, _ = _herm_support(marginal, rank_tol)
+    _guard_spectrum(w, rank_tol, side)
     out = (v * (k * w) ** (-0.5)) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
@@ -301,15 +295,15 @@ def sinkhorn_filter(
 ) -> FilterResult:
     """Bring a full-marginal-rank state to its filter normal form.
 
-    The input is admitted and trace-normalized by ``tensor_core._unit``;
-    the zero matrix, its one input of trace 0, raises ZeroMatrix.  Symmetric
-    mode requires an SPC input and conjugate mode a realignment-invariant
-    one (WrongClassForMode otherwise), each reading only its own flag's
-    verdict (``criteria._spc``, ``criteria._invariance``); every mode
-    requires the reduced states of the input and of each scaled iterate to
-    have full rank and condition numbers within ``_COND_LIMIT``
-    (MarginalRankDeficient otherwise, and when the filters overflow as the
-    scaling diverges), and ``max_iter`` must be at least 1 (ValueError
+    The input is admitted and trace-normalized by ``tensor_core._unit``,
+    its one gate; the zero matrix, its one input of trace 0, raises
+    ZeroMatrix.  Symmetric mode requires an SPC input and conjugate mode a
+    realignment-invariant one (WrongClassForMode otherwise), each reading
+    only its own flag's verdict (``criteria._spc``, ``criteria._invariance``).
+    Each step guards the marginals it factors or steps on (module docstring):
+    MarginalRankDeficient unless they have full rank and condition numbers
+    within ``_COND_LIMIT``, and at the first step whose filters overflow as
+    the scaling diverges.  ``max_iter`` must be at least 1 (ValueError
     otherwise).  Every mode stops by one rule (module docstring) and counts
     the steps it took.  Runs that stall or exhaust ``max_iter`` return their
     partial result with ``converged=False`` instead of raising, since
@@ -323,10 +317,6 @@ def sinkhorn_filter(
     if trace <= 0:  # a PSD input of trace 0 is the zero matrix
         raise ZeroMatrix("the filter needs a nonzero input")
     k, mat = gamma.dim_a, unit.mat
-    ga, gb = (_partial_trace(mat.reshape(k, k, k, k), side) for side in "ab")
-    _guard_marginal(ga, "A", tols.rank)
-    if not np.array_equal(gb, ga):  # equal marginals, as SPC inputs have, share one spectrum
-        _guard_marginal(gb, "B", tols.rank)
     if mode == "symmetric" and not _spc(gamma, _psd(gamma, tols), tols)[-1]:
         raise WrongClassForMode("symmetric mode needs an SPC input")
     if mode == "conjugate" and not _invariance(gamma, _psd(gamma, tols), tols)[-1]:
@@ -339,55 +329,54 @@ def sinkhorn_filter(
     monitor = 0.0
     predicted = previous = math.inf  # of the last step, and the residual before it
 
-    while True:
-        scaled = delta
-        if mode == "left":  # omega(delta), trace-normalized (module docstring)
-            r = _permute_slots(delta, k, k, _REALIGN)
-            scaled = _permute_slots(r @ r.conj().T, k, k, _REALIGN)
-            scaled = (scaled + scaled.conj().T) / (2 * np.trace(scaled).real)
-        ga = _partial_trace(scaled.reshape(k, k, k, k), "a")
-        gb = _partial_trace(scaled.reshape(k, k, k, k), "b")
-        res_a = float(np.linalg.norm(ga - eye_k))
-        res_b = float(np.linalg.norm(gb - eye_k))
-        residual = max(res_a, res_b)
-        converged = residual <= tols.filter
-        stalled = predicted < _ROUNDOFF_DECREASE and residual >= previous
-        if converged or stalled or len(log) == max_iter:
-            break
-        previous = residual
+    try:  # a diverging scaling overflows its filters while the iterate stays bounded
+        with np.errstate(over="raise"):
+            while True:
+                scaled = delta
+                if mode == "left":  # omega(delta), trace-normalized (module docstring)
+                    r = _permute_slots(delta, k, k, _REALIGN)
+                    scaled = _permute_slots(r @ r.conj().T, k, k, _REALIGN)
+                    scaled = (scaled + scaled.conj().T) / (2 * np.trace(scaled).real)
+                ga = _partial_trace(scaled.reshape(k, k, k, k), "a")
+                gb = _partial_trace(scaled.reshape(k, k, k, k), "b")
+                res_a = float(np.linalg.norm(ga - eye_k))
+                res_b = float(np.linalg.norm(gb - eye_k))
+                residual = max(res_a, res_b)
+                converged = residual <= tols.filter
+                stalled = predicted < _ROUNDOFF_DECREASE and residual >= previous
+                if converged or stalled or len(log) == max_iter:
+                    break
+                previous = residual
 
-        if mode == "general":
-            pa = _inv_sqrt(ga, k, "A", tols.rank)
-            delta = _congruence(pa, np.eye(k), delta)
-            t1 = np.trace(delta).real
-            delta /= t1
-            fa = pa @ fa / np.sqrt(t1)
-            gb = _partial_trace(delta.reshape(k, k, k, k), "b")
-            pb = _inv_sqrt(gb, k, "B", tols.rank)
-            delta = _congruence(np.eye(k), pb, delta)
-            t2 = np.trace(delta).real
-            delta /= t2
-            fb = pb @ fb / np.sqrt(t2)
-            monitor = max(abs(1.0 - t1), abs(1.0 - t2))
-        else:
-            if log or mode == "left":  # the admission above guarded the input's own marginals
-                _guard_marginal(ga, "A", tols.rank)
-            p, predicted, t_step = _newton_step(scaled, ga, gb, k, mode != "symmetric")
-            pb = {"symmetric": p, "conjugate": p.conj(), "left": np.eye(k)}[mode]
-            delta = _congruence(p, pb, delta)
-            t = np.trace(delta).real
-            delta /= t
-            left = mode == "left"
-            fa = p @ fa / t ** (0.5 if left else 0.25)
-            monitor += math.log(t_step if left else t)
+                if mode == "general":
+                    pa = _inv_sqrt(ga, k, "A", tols.rank)
+                    delta = _congruence(pa, np.eye(k), delta)
+                    t1 = np.trace(delta).real
+                    delta /= t1
+                    fa = pa @ fa / np.sqrt(t1)
+                    gb = _partial_trace(delta.reshape(k, k, k, k), "b")
+                    pb = _inv_sqrt(gb, k, "B", tols.rank)
+                    delta = _congruence(np.eye(k), pb, delta)
+                    t2 = np.trace(delta).real
+                    delta /= t2
+                    fb = pb @ fb / np.sqrt(t2)
+                    monitor = max(abs(1.0 - t1), abs(1.0 - t2))
+                else:
+                    _guard_spectrum(_herm_eigvalsh(ga), tols.rank, "A")  # the marginal it steps on
+                    p, predicted, t_step = _newton_step(scaled, ga, gb, k, mode != "symmetric")
+                    pb = {"symmetric": p, "conjugate": p.conj(), "left": np.eye(k)}[mode]
+                    delta = _congruence(p, pb, delta)
+                    t = np.trace(delta).real
+                    delta /= t
+                    left = mode == "left"
+                    fa = p @ fa / t ** (0.5 if left else 0.25)
+                    monitor += math.log(t_step if left else t)
 
-        delta = 0.5 * (delta + delta.conj().T)
-        log.append(
-            {"iteration": len(log) + 1, "residual_a": res_a, "residual_b": res_b, "monitor": monitor}
-        )
-
-    if not np.isfinite([fa, fb]).all():  # the iterate stays bounded while the filters diverge
-        raise MarginalRankDeficient(f"the filters overflowed in {len(log)} steps: the scaling diverges")
+                delta = 0.5 * (delta + delta.conj().T)
+                log.append({"iteration": len(log) + 1, "residual_a": res_a, "residual_b": res_b, "monitor": monitor})
+    except FloatingPointError:  # at the first step whose filters overflow
+        msg = f"the filters overflowed in {len(log) + 1} steps: the scaling diverges"
+        raise MarginalRankDeficient(msg) from None
     fb = {"general": fb, "symmetric": fa, "conjugate": fa.conj(), "left": None}[mode]
     normal_form = BipartiteOperator(delta, k, k)
     if mode == "symmetric":  # the SPC defect: Hermiticity defect plus negative part of R(delta^Gamma)
@@ -428,17 +417,15 @@ def doubly_stochastic_check(
 ) -> StochasticityReport:
     """Test whether the state's contraction maps fix the normalized identity.
 
-    The state is trace-normalized, under which convention both contraction
-    maps applied to Id must return Id/k; the residuals are measured in the
-    Id/sqrt(k) normalization on both the forward map and its adjoint.
+    The state is admitted and trace-normalized by ``tensor_core._unit``
+    (PreconditionNotMet for the zero matrix); both contraction maps applied
+    to Id must then return Id/k, and the residuals are measured in the
+    Id/sqrt(k) normalization on the forward map and its adjoint.
     """
-    k = _require_square(gamma, "the doubly stochastic check")
-    _require_hermitian(gamma, tols)
-    mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
-    trace = np.trace(mat).real
-    if abs(trace) <= 1e-14 * _frobenius(mat):
+    gn, trace = _unit(gamma, tols, "the doubly stochastic check")
+    if trace <= 0:  # a PSD input of trace 0 is the zero matrix
         raise PreconditionNotMet("trace too small to normalize")
-    gn = BipartiteOperator(_over_trace(mat, trace), k, k)
+    k = gn.dim_a
     v = np.eye(k) / np.sqrt(k)
     forward = float(np.linalg.norm(k * g_apply(gn, v).mat - v))
     adjoint = float(np.linalg.norm(k * f_apply(gn, v).mat - v))

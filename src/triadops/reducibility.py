@@ -54,6 +54,7 @@ from .tensor_core import (
     _spectrum,
     _sum_of_products,
     _unit,
+    _unit_form,
     norms,
 )
 from .tolerances import DEFAULT, Tolerances
@@ -139,7 +140,11 @@ def find_psd_eigenvector(
     cluster.  A 1 x 1 input has no candidate with a nontrivial kernel and
     returns not-found at once.
     """
-    gamma, trace = _unit(gamma, tols, "the eigenvector search")
+    return _search(*_unit(gamma, tols, "the eigenvector search"), tols)
+
+
+def _search(gamma: BipartiteOperator, trace: float, tols: Tolerances) -> PsdEigenvectorResult:
+    """``find_psd_eigenvector`` on the unit form ``gamma`` of a state of trace ``trace``."""
     k = gamma.dim_a
     if k == 1:
         return PsdEigenvectorResult(
@@ -329,16 +334,18 @@ def split(
     tolerance signals that gamma was not actually in a triad class (or x not
     an eigenvector) and raises CompleteReducibilityViolation.
     """
-    return _split(gamma, x, tols)[0]
+    _unit(gamma, tols, "split")
+    return _split(gamma, x, tols, _hermiticity(gamma)[1])[0]
 
 
 def _split(
-    gamma: BipartiteOperator, x: LocalOperator, tols: Tolerances
+    gamma: BipartiteOperator, x: LocalOperator, tols: Tolerances, scale: float
 ) -> tuple[SplitCertificate, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
-    """``split``, also returning its two blocks, each with the orthonormal
-    eigenvectors of x and of g(x) that span its local supports: the support
-    eigenvectors for the first block, the kernel eigenvectors for the second."""
-    unit, trace = _unit(gamma, tols, "split")
+    """``split`` of an admitted gamma, judged at the Frobenius norm ``scale``,
+    also returning its two blocks, each with the orthonormal eigenvectors of x
+    and of g(x) that span its local supports: the support eigenvectors for
+    the first block, the kernel eigenvectors for the second."""
+    unit, trace = _unit_form(gamma)
     k = gamma.dim_a
     xm = 0.5 * (x.mat + x.mat.conj().T)
     w, v, cut = _herm_support(xm, tols.rank)
@@ -349,7 +356,7 @@ def _split(
         raise FullRankEigenvector("split needs an eigenvector with a nontrivial kernel")
 
     gx = g_apply(gamma, xm).mat
-    scale, x_norm = max(_hermiticity(gamma)[1], np.finfo(float).tiny), _frobenius(xm)
+    scale, x_norm = max(scale, np.finfo(float).tiny), _frobenius(xm)
     # an eigenvalue-zero eigenvector has a genuinely vanishing image; do not
     # let roundoff noise masquerade as a support
     if _frobenius(gx) <= 1e-13 * scale * x_norm:
@@ -411,16 +418,18 @@ def decompose(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> Decomposi
 
     The gate needs any one flag (PreconditionNotMet otherwise) and reads
     ``criteria._any_flag``: invariance, then PPT, then SPC, never the CCNR
-    value.  The root is gamma itself when its matrix equals its Hermitian
-    part bit for bit, as every normal form's does, so the root's admission
-    reads the spectrum the gate factored; otherwise it is that Hermitian
-    part.  Each internal node carries the split certificate that produced its
-    children.  A child is its block compressed, by one local congruence, to
-    the eigenvectors of x and of g(x) that span the block's local supports
-    (``_split``); those eigenvectors are its embeddings into the parent's
-    factors.  Leaves are marked ``weakly_irreducible`` when they have side
-    1, with no search, or when ``find_psd_eigenvector`` certifies that the
-    top eigenvalue cluster holds no singular PSD element (complete for
+    value.  It is the one admission.  The root is gamma's Hermitian part, and
+    every node is searched and split on its unit form
+    (``tensor_core._unit_form``) with no gate of its own, judged at the
+    root's scale: ``_split`` reads the root's Frobenius norm, and a block of
+    trace at most 1e-12 times the root's is dropped.  Each internal node
+    carries the split certificate that produced its children.  A child is
+    its block compressed, by one local congruence, to the eigenvectors of x
+    and of g(x) that span the block's local supports (``_split``); those
+    eigenvectors are its embeddings into the parent's factors.  Leaves are
+    marked ``weakly_irreducible`` when they have side 1, with no search, or
+    when the search of ``find_psd_eigenvector`` certifies that the top
+    eigenvalue cluster holds no singular PSD element (complete for
     triad-class blocks).  They are marked ``not_split_found`` when a
     compressed block ends up with unequal local dimensions (where the
     square-only search does not apply), or when a split leaves no block of
@@ -436,13 +445,13 @@ def decompose(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> Decomposi
             return DecompositionTree(state=state, leaf_status="not_split_found")
         if ka == 1:  # no X has 0 < rank X < 1
             return DecompositionTree(state=state, leaf_status="weakly_irreducible")
-        found = find_psd_eigenvector(state, tols)
+        found = _search(*_unit_form(state), tols)
         if not found.found:
             return DecompositionTree(state=state, leaf_status="weakly_irreducible")
-        cert, blocks = _split(state, found.x, tols)
+        cert, blocks = _split(state, found.x, tols, scale)
         node = DecompositionTree(state=state, certificate=cert)
         for block, basis_a, basis_b in blocks:
-            if np.trace(block).real <= 1e-12 * np.trace(state.mat).real:
+            if np.trace(block).real <= 1e-12 * root_trace:
                 continue
             c = _congruence(basis_a.conj().T, basis_b.conj().T, block)
             child = _node(BipartiteOperator(0.5 * (c + c.conj().T), basis_a.shape[1], basis_b.shape[1]))
@@ -453,10 +462,8 @@ def decompose(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> Decomposi
             node.leaf_status = "not_split_found"
         return node
 
-    herm = 0.5 * (gamma.mat + gamma.mat.conj().T)
-    if herm.tobytes() != gamma.mat.tobytes():
-        gamma = BipartiteOperator(herm, gamma.dim_a, gamma.dim_b)
-    return _node(gamma)
+    scale, root_trace = _hermiticity(gamma)[1], np.trace(gamma.mat).real
+    return _node(BipartiteOperator(0.5 * (gamma.mat + gamma.mat.conj().T), gamma.dim_a, gamma.dim_b))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ these once per operator: ``realign``, ``partial_transpose``, ``reduced_a``,
 ``reduced_b``, and by key ``norms`` (the ``Norms`` record), ``hermiticity``
 (||a - a^*||_F and ||a||_F), ``spectrum`` (the ascending spectrum of the
 Hermitian part; with ``hermiticity`` behind the ``_psd`` verdict, and the
-state's rank in ``reducibility``) and ``unit`` (``_unit``'s trace-normalized
+state's rank in ``reducibility``) and ``unit`` (``_unit_form``'s trace-normalized
 form).  The memo is thread-local and bounded: it holds the last
 ``_MEMO_SIZE`` operators asked about and evicts the least recently used, so
 operators that the caller keeps alive do not keep their derived matrices
@@ -382,14 +382,9 @@ def _require_psd(a: Operator, tols: Tolerances) -> None:
         raise NotPSD(f"input has min eigenvalue {report.min_eigenvalue:.3e}")
 
 
-def _unit(gamma: BipartiteOperator, tols: Tolerances, what: str) -> tuple[BipartiteOperator, float]:
-    """The admitted state's Hermitian part over its trace, and the trace.
-
-    Every call checks ``_require_square`` and ``_psd``'s verdict; the form
-    is computed once per operator, and the zero matrix is divided by 1.
-    """
-    _require_square(gamma, what)
-    _require_psd(gamma, tols)
+def _unit_form(gamma: BipartiteOperator) -> tuple[BipartiteOperator, float]:
+    """Gamma's Hermitian part over its trace, and the trace, computed once per
+    operator and checked for nothing; the zero matrix is divided by 1."""
 
     def form():
         mat = 0.5 * (gamma.mat + gamma.mat.conj().T)
@@ -397,6 +392,13 @@ def _unit(gamma: BipartiteOperator, tols: Tolerances, what: str) -> tuple[Bipart
         return BipartiteOperator(_over_trace(mat, trace or 1.0), gamma.dim_a, gamma.dim_b), trace
 
     return _cached(gamma, "unit", form)
+
+
+def _unit(gamma: BipartiteOperator, tols: Tolerances, what: str) -> tuple[BipartiteOperator, float]:
+    """``_unit_form`` of a state admitted by ``_require_square`` and ``_psd``'s verdict."""
+    _require_square(gamma, what)
+    _require_psd(gamma, tols)
+    return _unit_form(gamma)
 
 
 def _boundary_step(whiten: np.ndarray, direction: np.ndarray) -> float | None:

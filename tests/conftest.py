@@ -1,9 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from triadops import BipartiteOperator, canonical
+from triadops import BipartiteOperator, canonical, classify, random_separable
 
 try:
     from hypothesis import settings
@@ -84,11 +85,60 @@ def unmatched_classical_state() -> BipartiteOperator:
 
     Its marginals have full rank, but M has no perfect matching, so it has no
     normal form.  The general filter's iterate stays bounded while both
-    filters grow by about sqrt(2) a step, past the float range by step 2100.
+    filters grow by about sqrt(2) a step, past the float range at step 2048.
     The contraction map takes E_22 + E_33 to 2 E_11 / 5, so it is decomposable.
     """
     m = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     return BipartiteOperator(np.diag(m.ravel() / m.sum()), 3, 3)
+
+
+def spc_boundary_state(k: int, seed: int) -> BipartiteOperator:
+    """sum_i l_i B_i (x) B_i over k random traceless Hermitian B_i with
+    exponential l_i, plus the multiple of Id that puts it on the PSD boundary,
+    trace-normalized.
+
+    The sum has trace 0, so the shift c is positive, and R(gamma^Gamma) is
+    sum_i l_i vec(B_i) vec(B_i)^T plus c vec(Id) vec(Id)^T: the state is SPC.
+    At k = 3 and 4 one draw in three to five is not PPT; of 200 at k = 2, none.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.exponential(1.0, k)
+    mat = np.zeros((k * k, k * k), dtype=complex)
+    for weight in weights:
+        b = random_hermitian(rng, k)
+        b -= np.trace(b) / k * np.eye(k)
+        mat += weight * np.kron(b, b)
+    mat -= np.linalg.eigvalsh(mat)[0] * np.eye(k * k)
+    return BipartiteOperator(mat / np.trace(mat).real, k, k)
+
+
+@functools.lru_cache(maxsize=None)
+def spc_not_ppt_states(k: int, count: int = 3) -> tuple[BipartiteOperator, ...]:
+    """The first ``count`` draws ``spc_boundary_state(k, seed)``, seed = 0, 1,
+    ..., that are neither PPT, by a margin (gamma^Gamma has an eigenvalue below
+    -1e-3 times gamma's largest), nor realignment invariant."""
+    found = []
+    for seed in range(100 * count):
+        g = spc_boundary_state(k, seed)
+        c = classify(g)
+        margin = c.residuals.ppt_min_eigenvalue / np.linalg.eigvalsh(g.mat)[-1]
+        if c.spc and margin < -1e-3 and not c.invariant:
+            found.append(g)
+        if len(found) == count:
+            return tuple(found)
+    raise AssertionError(f"fewer than {count} SPC states that are not PPT at k = {k}")
+
+
+def light_block_state(seed: int, weight: float) -> BipartiteOperator:
+    """A separable state at k = 5 with two blocks on orthogonal local supports,
+    of traces 1 and ``weight``, under a Haar V (x) V: ``random_separable(2, 2,
+    seed)`` on the first two basis vectors of each side and ``weight`` times
+    the product state ``random_separable(3, 1, seed + 100)`` on the last three.
+    """
+    out = np.zeros((5, 5, 5, 5), dtype=complex)
+    out[:2, :2, :2, :2] = random_separable(2, 2, seed)[0].tensor4
+    out[2:, 2:, 2:, 2:] = weight * random_separable(3, 1, seed + 100)[0].tensor4
+    return haar_congruence(BipartiteOperator(out.reshape(25, 25), 5, 5), np.random.default_rng(seed), "V")
 
 
 def rewrite_goldens(path, cases, describe=None):

@@ -21,7 +21,7 @@ from triadops.criteria import _bound_report
 from triadops.errors import NotAState, NotPSD, PreconditionNotMet
 from triadops.tolerances import DEFAULT
 
-from conftest import random_psd_local
+from conftest import random_psd_local, spc_not_ppt_states
 
 
 def test_classify_classical_diag(classical_diag2):
@@ -132,6 +132,16 @@ def test_bound_triad_fixtures(classical_diag2, identity_plus_u2):
     rep2 = bound_triad(identity_plus_u2, classify(identity_plus_u2))
     assert rep2.op_norm_state == pytest.approx(0.5, abs=1e-10)
     assert rep2.margin == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_bounds_hold_on_spc_states_that_are_not_ppt(k):
+    # bound_triad admits them on the SPC flag alone
+    for g in spc_not_ppt_states(k):
+        c = classify(g)
+        assert c.spc and not c.ppt
+        assert bound_gamma_pt(g).bound_holds and bound_realign_sq(g).bound_holds
+        assert bound_triad(g, c).bound_holds
 
 
 def test_bound_triad_requires_flag(bell2):

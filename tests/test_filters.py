@@ -28,7 +28,14 @@ from triadops.errors import MarginalRankDeficient, NotHermitian, NotPSD, WrongCl
 from triadops.generators import _complex_normal
 from triadops.tolerances import DEFAULT
 
-from conftest import factorizations, haar_congruence, local_scale, random_pd_local, unmatched_classical_state
+from conftest import (
+    factorizations,
+    haar_congruence,
+    local_scale,
+    random_pd_local,
+    spc_not_ppt_states,
+    unmatched_classical_state,
+)
 
 
 @pytest.mark.parametrize("mode", ["general", "symmetric", "conjugate"])
@@ -96,6 +103,17 @@ def test_symmetric_mode_random_spc(k):
         # reconstruction through the filters
         big = np.kron(fr.filter_a.mat, fr.filter_b.mat)
         assert np.linalg.norm(big @ op.mat @ big.conj().T - fr.normal_form.mat) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_symmetric_mode_keeps_spc_states_that_are_not_ppt(k):
+    # V (x) V keeps both the SPC shape and the negative eigenvalue of gamma^Gamma
+    for op in spc_not_ppt_states(k):
+        fr = sinkhorn_filter(op, "symmetric")
+        assert fr.converged and fr.class_residual <= 1e-14
+        assert np.array_equal(fr.filter_a.mat, fr.filter_b.mat)
+        c = classify(fr.normal_form)
+        assert c.spc and not c.ppt
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -293,6 +311,59 @@ def test_marginal_rank_gate():
         sinkhorn_filter(deficient, "general")
 
 
+def test_each_step_guards_the_marginals_it_factors_or_steps_on():
+    # left mode steps on omega's marginals only, so a singular gamma_B does
+    # not stop it; the general mode factors gamma_B and refuses; symmetric and
+    # conjugate mode read their class first, and guard gamma_A from step one
+    g = kron(LocalOperator(np.array([[0.7, 0.2], [0.2, 0.3]])), LocalOperator(np.diag([1.0, 0.0])))
+    fr = sinkhorn_filter(g, "left")
+    assert fr.converged and fr.iterations == 4 and fr.class_residual <= 1e-15
+    with pytest.raises(MarginalRankDeficient, match=r"B-marginal eigenvalue 0\.000e\+00"):
+        sinkhorn_filter(g, "general")
+    for mode in ("symmetric", "conjugate"):
+        with pytest.raises(WrongClassForMode):
+            sinkhorn_filter(g, mode)
+    e11 = LocalOperator(np.diag([1.0, 0.0]))
+    for mode in ("symmetric", "conjugate", "left"):
+        with pytest.raises(MarginalRankDeficient, match=r"A-marginal eigenvalue 0\.000e\+00"):
+            sinkhorn_filter(kron(e11, e11), mode)
+
+
+def test_general_run_factors_the_first_marginal_once(monkeypatch):
+    # the first step's inverse square root is the only guard of gamma_A; the
+    # one eigvalsh left is the admission's spectrum of gamma
+    g = random_density(3, 9, 4)
+    seen = factorizations(monkeypatch, names=("eigvalsh", "eigh"))
+    fr = sinkhorn_filter(g, "general")
+    assert fr.iterations == 16
+    assert [name for name, *_ in seen].count("eigvalsh") == 1
+    assert [name for name, *_ in seen].count("eigh") == 2 * fr.iterations
+
+
+def test_newton_step_falls_back_to_the_gradient(monkeypatch):
+    # with every Newton solve failing, each step takes the gradient direction:
+    # the runs still converge, with a monitor that does not increase
+    failures = []
+
+    def failing(*args, **kwargs):
+        failures.append(1)
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    for mode, make in (("symmetric", _scaled_spc), ("conjugate", _scaled_invariant)):
+        for k in (2, 3):
+            fr = sinkhorn_filter(make(k, 0), mode)
+            assert fr.converged, (mode, k)
+            monitors = [entry["monitor"] for entry in fr.iteration_log]
+            assert all(b <= a + 1e-12 for a, b in zip(monitors, monitors[1:])), (mode, k)
+    assert len(failures) >= 4
+
+
+def test_doubly_stochastic_check_refuses_a_hermitian_input_that_is_not_psd():
+    with pytest.raises(NotPSD):
+        doubly_stochastic_check(BipartiteOperator(np.diag([1.0, -0.5, 1, 1]), 2, 2))
+
+
 def test_marginal_condition_guard_needs_a_rank_cut_below_its_limit():
     # a marginal spread of 1e13 meets the default rank cut first; the
     # condition guard (limit 1e12) fires only once tols.rank is below 1e-12
@@ -305,12 +376,10 @@ def test_marginal_condition_guard_needs_a_rank_cut_below_its_limit():
 
 def test_filters_that_overflow_are_refused():
     # the iterate is fine, but no finite filter pair maps the input onto it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
-        fr = sinkhorn_filter(unmatched_classical_state(), "general", max_iter=2000)
-        assert not fr.converged and np.isfinite(fr.filter_a.mat).all()
-        with pytest.raises(MarginalRankDeficient, match="the filters overflowed in 2100 steps"):
-            sinkhorn_filter(unmatched_classical_state(), "general", max_iter=2100)
+    fr = sinkhorn_filter(unmatched_classical_state(), "general", max_iter=2000)
+    assert not fr.converged and np.isfinite(fr.filter_a.mat).all()
+    with pytest.raises(MarginalRankDeficient, match="the filters overflowed in 2048 steps"):
+        sinkhorn_filter(unmatched_classical_state(), "general", max_iter=2100)
 
 
 def test_left_mode_structure():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from triadops import (
     BipartiteOperator,
@@ -50,7 +50,7 @@ from triadops.generators import _STEP_BACK
 from triadops.tensor_core import _MEMO, _json_value, _permute_slots
 from triadops.tolerances import DEFAULT
 
-from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local
+from conftest import haar_congruence, haar_unitary, local_scale, random_pd_local, spc_boundary_state
 
 
 @given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -167,9 +167,11 @@ def test_verdicts_do_not_depend_on_scale(k, kind, seed, exponent):
 
 
 # states in and out of the three classes; the rotated classical_diag is not
-# re-Hermitized, so it is Hermitian only to roundoff
+# re-Hermitized, so it is Hermitian only to roundoff, and the SPC states on
+# the PSD boundary are often not PPT
 GATE_STATES = {
     **GENERATORS,
+    "spc_boundary": spc_boundary_state,
     "density": lambda k, seed: random_density(k, 1 + seed % (k * k), seed),
     "separable": lambda k, seed: random_separable(k, 1 + seed % (2 * k), seed)[0],
     "classical_diag": lambda k, seed: haar_congruence(
@@ -201,6 +203,10 @@ def _perturbed(g, how, size, seed):
     seed=st.integers(0, 2**32 - 1),
     exponent=st.floats(-300.0, 300.0),
 )
+# SPC states that are not PPT, which only the SPC flag admits to decompose
+@example(k=3, kind="spc_boundary", how="none", size=1e-2, seed=0, exponent=0.0)
+@example(k=4, kind="spc_boundary", how="none", size=1e-2, seed=5, exponent=120.0)
+@example(k=5, kind="spc_boundary", how="non_hermitian", size=1e-13, seed=11, exponent=-200.0)
 def test_gates_agree_with_classify(k, kind, how, size, seed, exponent):
     # decompose refuses exactly the inputs with no flag, and the symmetric
     # and conjugate modes, once the filter's admission lets an input reach

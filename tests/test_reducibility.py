@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -54,9 +53,11 @@ from conftest import (
     factorizations,
     haar_congruence,
     haar_unitary,
+    light_block_state,
     local_scale,
     random_pd_local,
     random_psd_local,
+    spc_not_ppt_states,
     unmatched_classical_state,
 )
 
@@ -233,6 +234,11 @@ def test_split_gates(bell2, classical_diag2):
         split(bell2, LocalOperator(np.diag([1.0, 0.0])))
 
 
+def test_split_refuses_a_zero_eigenvector(classical_diag2):
+    with pytest.raises(ZeroMatrix, match="split eigenvector is numerically zero"):
+        split(classical_diag2, LocalOperator(np.zeros((2, 2))))
+
+
 def test_decompose_classical_diag(classical_diag2):
     tree = decompose(classical_diag2)
     leaves = tree.leaves()
@@ -295,6 +301,52 @@ def test_decompose_requires_triad_flag(bell2):
         decompose(bell2)
 
 
+@pytest.mark.parametrize("weight", [1e-6, 1e-8, 1e-10])
+def test_decompose_judges_light_blocks_at_the_roots_scale(weight):
+    # a block of trace 1e-6 to 1e-10 of the root's carries the root's
+    # roundoff, far above its own scale: judged at its own scale, it would
+    # be refused as not PSD, and at 1e-10 its split's residual (seeds 6, 9
+    # and 17) would exceed tols.split.  Down to 1e-8 it still compresses to
+    # its product state, a 1 x 1 leaf, and no block of roundoff is kept.
+    for seed in (0, 1, 5, 6, 9, 17):
+        g = light_block_state(seed, weight)
+        assert classify(g).ppt, seed
+        tree = decompose(g)
+        herm = 0.5 * (g.mat + g.mat.conj().T)
+        assert np.linalg.norm(tree.reconstruct() - herm) <= DEFAULT.split * np.linalg.norm(herm), seed
+        if weight >= 1e-8:
+            leaves = sorted((leaf.state.dim_a, leaf.leaf_status) for leaf in tree.leaves())
+            assert leaves == [(1, "weakly_irreducible"), (2, "weakly_irreducible")], seed
+
+
+def test_decompose_admits_its_input_once(monkeypatch):
+    # the gate's verdicts are classify's, and no node is admitted again: each
+    # of the four splits takes one eigvalsh, at its boundary step, and five eigh
+    g = haar_congruence(canonical("classical_diag", 5), np.random.default_rng(3), "V")
+    classify(g)
+    seen = factorizations(monkeypatch, names=("eigvalsh", "eigh"))
+    assert len(decompose(g).leaves()) == 5
+    names = [name for name, *_ in seen]
+    assert names.count("eigvalsh") == 4 and names.count("eigh") == 20
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_spc_states_that_are_not_ppt_decompose(k):
+    # decompose admits them on the SPC flag alone; alone each is one leaf,
+    # and beside an SPC block of side 2 it splits off as its own leaf
+    for g in spc_not_ppt_states(k):
+        c = classify(g)
+        assert c.spc and not c.ppt and not c.invariant
+        assert rank_bound_check(g, c).bound_holds
+        assert [leaf.leaf_status for leaf in decompose(g).leaves()] == ["weakly_irreducible"]
+    g = _direct_sum([spc_not_ppt_states(k)[0], random_spc(2, k)])
+    assert not classify(g).ppt
+    tree = decompose(g)
+    leaves = sorted((leaf.state.dim_a, leaf.leaf_status) for leaf in tree.leaves())
+    assert leaves == [(2, "weakly_irreducible"), (k, "weakly_irreducible")]
+    assert np.linalg.norm(tree.reconstruct() - g.mat) <= 1e-12 * np.linalg.norm(g.mat)
+
+
 def _tree_nodes(tree):
     yield tree
     for child in tree.children:
@@ -342,9 +394,8 @@ def test_decompose_factors_each_matrix_once(monkeypatch):
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_gates_compute_only_the_verdicts_they_read(k, monkeypatch):
     # from a cold memo: decompose needs any flag and the one-filter modes one
-    # flag each, so no gate takes the CCNR value's values-only SVD; an exactly
-    # Hermitian input is decompose's own root, whose admission reads the
-    # spectrum the gate factored, so no matrix is factored twice
+    # flag each, so no gate takes the CCNR value's values-only SVD; decompose
+    # admits its input at the gate alone, so no matrix is factored twice
     v = random_pd_local(rng_from_seed(600 + k), k)
     inv = local_scale(random_invariant(k, k), v, v.conj())
     spc = local_scale(random_spc(k, k), v, v)
@@ -453,6 +504,13 @@ def test_the_zero_matrix_keeps_its_answers():
         minimal_rank_extract(zero, classify(zero))
     with pytest.raises(PreconditionNotMet, match="trace too small"):
         doubly_stochastic_check(zero)
+
+
+def test_equal_schmidt_certificate_of_the_zero_matrix():
+    # the zero matrix has no Schmidt coefficient to compare
+    zero = BipartiteOperator(np.zeros((4, 4)), 2, 2)
+    rep = equal_schmidt_certificate(zero, classify(zero))
+    assert (rep.applies, rep.coefficient_spread, rep.certificate) == (False, 0.0, None)
 
 
 def test_equal_schmidt_reports(classical_diag2, identity_plus_u2):
@@ -856,6 +914,14 @@ def test_probe_verdict_on_raw_states_and_their_normal_forms(kind):
                     assert res.witness is None
 
 
+@pytest.mark.parametrize("entry", [1.0, 0.0])
+def test_probe_of_a_1x1_state_is_fully_indecomposable(entry):
+    # no X has 0 < rank X < 1; the zero matrix, which the filter refuses,
+    # would otherwise leave the probe no witness and no verdict
+    res = fully_indecomposable_probe(BipartiteOperator(np.full((1, 1), entry), 1, 1))
+    assert res.verdict == "fully_indecomposable" and res.witness is None
+
+
 def test_probe_finds_witnesses_of_a_map_the_filter_cannot_scale():
     # diag(1, 1, 0, 1) has full-rank marginals but no normal form, and E_11
     # keeps its rank: the general filter runs out of steps, and then the scan
@@ -869,9 +935,7 @@ def test_probe_finds_witnesses_of_a_map_the_filter_cannot_scale():
     # here the filters overflow and the filter refuses; the scan of the input
     # finds the witness
     g = unmatched_classical_state()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
-        _assert_checked_witness(g, fully_indecomposable_probe(g))
+    _assert_checked_witness(g, fully_indecomposable_probe(g))
 
 
 def _direct_sum(blocks):
