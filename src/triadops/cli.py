@@ -1,7 +1,10 @@
 """Command-line shell: JSON matrices in, JSON or text reports out.
 
 Subcommands: classify, bounds, schmidt, filter, decompose, certify,
-generate, selftest.  ``-`` reads the matrix from stdin.  Exit codes:
+generate, selftest.  The six that read a matrix are one table, ``_REPORTS``:
+``main`` builds their tolerances and loads the matrix, each row's
+``run(gamma, tols, args)`` returns the report and the exit code, and ``main``
+prints the report.  ``-`` reads the matrix from stdin.  Exit codes:
 0 success, 1 usage error, 2 numerical failure (reports are still printed).
 The environment variable TRIAD_SEED overrides the default seed.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import re
@@ -43,32 +47,23 @@ def _format_json(value) -> str:
     ``numbers.Real``, so the shell reads them without importing numpy.
     """
     if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
+        if not math.isfinite(value):
             return "null"
-        text = format(value, ".17g")
+        text = "%.17g" % value
         return "-0.0" if text == "-0" else text
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, str):
+    if value is None or isinstance(value, (bool, str)):
         return json.dumps(value)
     if isinstance(value, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{_format_json(v)}" for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_format_json(v) for v in value) + "]"
+        return "[" + ",".join(map(_format_json, value)) + "]"
     # the abstract-class checks are the slow ones, so containers skip them
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
         return _format_json(float(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(_format_json(report))
-    else:
-        _print_tree(report, indent=0)
 
 
 def _print_tree(value, indent: int, label: str | None = None) -> None:
@@ -94,9 +89,7 @@ def _print_tree(value, indent: int, label: str | None = None) -> None:
 
 
 def _scalar(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def _load_operator(path: str) -> BipartiteOperator:
@@ -128,22 +121,8 @@ _TOL_FLAGS = {
 
 
 def _tols_from_args(args) -> Tolerances:
-    overrides = {
-        field: value
-        for field in _TOL_FLAGS.values()
-        if (value := getattr(args, f"tol_{field}", None)) is not None
-    }
+    overrides = {f: v for f in _TOL_FLAGS.values() if (v := getattr(args, f"tol_{f}", None)) is not None}
     return DEFAULT.but(**overrides) if overrides else DEFAULT
-
-
-def _common_flags() -> argparse.ArgumentParser:
-    """Parent parser of the subcommands that read a matrix: its file, --json and --tol-*."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("file", help="JSON matrix file, or - for stdin")
-    parent.add_argument("--json", action="store_true", help="machine-readable output")
-    for flag, field in _TOL_FLAGS.items():
-        parent.add_argument(flag, dest=f"tol_{field}", type=float, default=None, help=argparse.SUPPRESS)
-    return parent
 
 
 def _positive_int(text: str) -> int:
@@ -156,147 +135,114 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TRIAD_SEED", "0"))
-
-
-def _cmd_classify(args) -> int:
+def _classify(gamma, tols, args):
     from .criteria import classify
 
-    tols = _tols_from_args(args)
-    report = classify(_load_operator(args.file), tols).to_json()
-    _emit(report, args.json)
-    return 0
+    return classify(gamma, tols).to_json(), 0
 
 
-def _cmd_bounds(args) -> int:
+def _bounds(gamma, tols, args):
     from .criteria import bound_gamma_pt, bound_realign_sq, bound_triad, classify
 
-    tols = _tols_from_args(args)
-    gamma = _load_operator(args.file)
     cls = classify(gamma, tols)
     report = {
         "gamma_pt": bound_gamma_pt(gamma, tols).to_json(),
         "realign_sq": bound_realign_sq(gamma, tols).to_json(),
         "triad": bound_triad(gamma, cls, tols).to_json() if cls.any_flag else None,
     }
-    _emit(report, args.json)
-    ok = report["gamma_pt"]["bound_holds"] and report["realign_sq"]["bound_holds"]
-    if report["triad"] is not None:
-        ok = ok and report["triad"]["bound_holds"]
-    return 0 if ok else 2
+    ok = all(bound["bound_holds"] for bound in report.values() if bound is not None)
+    return report, 0 if ok else 2
 
 
-def _cmd_schmidt(args) -> int:
+def _schmidt(gamma, tols, args):
     from .schmidt_maps import schmidt
 
-    tols = _tols_from_args(args)
-    _emit(schmidt(_load_operator(args.file), tols).to_json(), args.json)
-    return 0
+    return schmidt(gamma, tols).to_json(), 0
 
 
-def _cmd_filter(args) -> int:
+def _filter(gamma, tols, args):
     from .filters import sinkhorn_filter
 
-    tols = _tols_from_args(args)
-    result = sinkhorn_filter(
-        _load_operator(args.file), mode=args.mode, max_iter=args.max_iter, tols=tols
-    )
-    _emit(result.to_json(), args.json)
-    return 0 if result.converged else 2
+    result = sinkhorn_filter(gamma, mode=args.mode, max_iter=args.max_iter, tols=tols)
+    return result.to_json(), 0 if result.converged else 2
 
 
-def _cmd_decompose(args) -> int:
+def _decompose(gamma, tols, args):
     from .reducibility import decompose
 
-    tols = _tols_from_args(args)
-    tree = decompose(_load_operator(args.file), tols)
-    _emit(tree.to_json(), args.json)
-    return 0
+    return decompose(gamma, tols).to_json(), 0
 
 
-def _cmd_certify(args) -> int:
+def _certify(gamma, tols, args):
     from .criteria import classify
     from .reducibility import (
-        ExtractionFailure,
-        equal_schmidt_certificate,
-        minimal_rank_extract,
-        rank_bound_check,
+        ExtractionFailure, equal_schmidt_certificate, minimal_rank_extract, rank_bound_check
     )
 
-    tols = _tols_from_args(args)
-    gamma = _load_operator(args.file)
     cls = classify(gamma, tols)
-    report: dict = {"classification": cls.to_json()}
-    report["equal_schmidt"] = equal_schmidt_certificate(gamma, cls, tols).to_json()
-    report["rank_bound"] = rank_bound_check(gamma, cls, tols).to_json()
-    exit_code = 0
+    report = {
+        "classification": cls.to_json(),
+        "equal_schmidt": equal_schmidt_certificate(gamma, cls, tols).to_json(),
+        "rank_bound": rank_bound_check(gamma, cls, tols).to_json(),
+    }
     try:
         extraction = minimal_rank_extract(gamma, cls, tols)
-        report["extraction"] = extraction.to_json()
-        if isinstance(extraction, ExtractionFailure):
-            exit_code = 2
     except PreconditionNotMet as exc:
-        report["extraction"] = {"skipped": str(exc)}
-    _emit(report, args.json)
-    return exit_code
+        return {**report, "extraction": {"skipped": str(exc)}}, 0
+    report["extraction"] = extraction.to_json()
+    return report, 2 if isinstance(extraction, ExtractionFailure) else 0
 
 
-def _cmd_generate(args) -> int:
+# the subcommands that read a matrix: name -> (help text, run function)
+_REPORTS = {
+    "classify": ("triad class flags and CCNR value", _classify),
+    "bounds": ("operator-norm bound reports", _bounds),
+    "schmidt": ("operator Schmidt decomposition", _schmidt),
+    "filter": ("filter normal form", _filter),
+    "decompose": ("complete-reducibility decomposition tree", _decompose),
+    "certify": ("separability reports (equal coefficients, ranks, extraction)", _certify),
+}
+
+
+def _generate(args) -> int:
+    from .generators import (
+        canonical, random_density, random_invariant, random_ppt, random_separable, random_spc
+    )
+
+    k, seed = args.k, args.seed if args.seed is not None else int(os.environ.get("TRIAD_SEED", "0"))
+    name = args.cls.removeprefix("canonical:")
+    werner = re.fullmatch(r"werner\(([-+0-9.eE]+)\)", name)
+    make = {
+        "density": lambda: random_density(k, args.rank or k * k, seed),
+        "separable": lambda: random_separable(k, args.terms, seed)[0],
+        "spc": lambda: random_spc(k, seed),
+        "invariant": lambda: random_invariant(k, seed),
+        "ppt": lambda: random_ppt(k, seed),
+        # the key is --class itself only when it starts with "canonical:"
+        f"canonical:{name}": lambda: (
+            canonical("werner", k, alpha=float(werner[1])) if werner else canonical(name, k)
+        ),
+    }.get(args.cls)
+    if make is None:
+        print(f"unknown --class {args.cls!r}", file=sys.stderr)
+        return 1
     try:
-        op = _generate(args)
+        op = make()
     except (BadRank, UnknownName) as exc:
         # out-of-range generator arguments are usage errors, like a bad --k
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    if op is None:
-        print(f"unknown --class {args.cls!r}", file=sys.stderr)
         return 1
     print(_format_json(op.to_json()))
     return 0
 
 
-def _generate(args) -> BipartiteOperator | None:
-    """The state ``generate`` asks for, or None for an unknown --class."""
-    from .generators import (
-        canonical,
-        random_density,
-        random_invariant,
-        random_ppt,
-        random_separable,
-        random_spc,
-    )
-
-    seed = args.seed if args.seed is not None else _default_seed()
-    choice = args.cls
-    if choice == "density":
-        return random_density(args.k, args.rank or args.k * args.k, seed)
-    if choice == "separable":
-        return random_separable(args.k, args.terms, seed)[0]
-    if choice == "spc":
-        return random_spc(args.k, seed)
-    if choice == "invariant":
-        return random_invariant(args.k, seed)
-    if choice == "ppt":
-        return random_ppt(args.k, seed)
-    if choice.startswith("canonical:"):
-        name = choice.split(":", 1)[1]
-        match = re.fullmatch(r"werner\(([-+0-9.eE]+)\)", name)
-        if match:
-            return canonical("werner", args.k, alpha=float(match.group(1)))
-        return canonical(name, args.k)
-    return None
-
-
-def _cmd_selftest(args) -> int:
+def _selftest(args) -> int:
     from . import selftest  # only this subcommand needs the suites
 
-    results = selftest.run_selftest(quick=args.quick, seed=_default_seed())
-    failed = 0
+    results = selftest.run_selftest(quick=args.quick, seed=int(os.environ.get("TRIAD_SEED", "0")))
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name:28s} {res.detail} ({res.seconds:.2f}s)")
-        failed += 0 if res.passed else 1
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name:28s} {res.detail} ({res.seconds:.2f}s)")
+    failed = sum(not res.passed for res in results)
     print(f"{len(results) - failed}/{len(results)} suites passed")
     return 0 if failed == 0 else 2
 
@@ -304,58 +250,44 @@ def _cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="triadops", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    common = [_common_flags()]
-
-    p = sub.add_parser("classify", parents=common, help="triad class flags and CCNR value")
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("bounds", parents=common, help="operator-norm bound reports")
-    p.set_defaults(fn=_cmd_bounds)
-
-    p = sub.add_parser("schmidt", parents=common, help="operator Schmidt decomposition")
-    p.set_defaults(fn=_cmd_schmidt)
-
-    p = sub.add_parser("filter", parents=common, help="filter normal form")
-    p.add_argument("--mode", choices=MODES, default="general")
-    p.add_argument("--max-iter", type=_positive_int, default=MAX_ITER)
-    p.set_defaults(fn=_cmd_filter)
-
-    p = sub.add_parser("decompose", parents=common, help="complete-reducibility decomposition tree")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser(
-        "certify",
-        parents=common,
-        help="separability reports (equal coefficients, ranks, extraction)",
-    )
-    p.set_defaults(fn=_cmd_certify)
+    for name, (help_text, _) in _REPORTS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="JSON matrix file, or - for stdin")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for flag, field in _TOL_FLAGS.items():
+            p.add_argument(flag, dest=f"tol_{field}", type=float, default=None, help=argparse.SUPPRESS)
+        if name == "filter":
+            p.add_argument("--mode", choices=MODES, default="general")
+            p.add_argument("--max-iter", type=_positive_int, default=MAX_ITER)
 
     p = sub.add_parser("generate", help="emit a state as a JSON matrix")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        required=True,
-        help="density | separable | spc | invariant | ppt | canonical:NAME "
-        "(NAME: classical_diag, bell, identity_plus_u, werner(a))",
-    )
+    p.add_argument("--class", dest="cls", required=True, help="density | separable | spc | invariant | "
+                   "ppt | canonical:NAME (NAME: classical_diag, bell, identity_plus_u, werner(a))")
     p.add_argument("--k", type=_positive_int, required=True, help="local dimension")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: TRIAD_SEED or 0)")
     p.add_argument("--rank", type=_positive_int, default=None, help="rank for --class density")
     p.add_argument("--terms", type=_positive_int, default=4, help="mixture terms for --class separable")
-    p.set_defaults(fn=_cmd_generate)
+    p.set_defaults(fn=_generate)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suites")
     p.add_argument("--quick", action="store_true", help="the first fifth of each sweep")
-    p.set_defaults(fn=_cmd_selftest)
+    p.set_defaults(fn=_selftest)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command not in _REPORTS:
+            return args.fn(args)
+        tols = _tols_from_args(args)
+        report, exit_code = _REPORTS[args.command][1](_load_operator(args.file), tols, args)
+        if args.json:
+            print(_format_json(report))
+        else:
+            _print_tree(report, indent=0)
+        return exit_code
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

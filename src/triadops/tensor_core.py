@@ -108,8 +108,11 @@ class Operator:
 
     @classmethod
     def from_json(cls, data: dict):
-        mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        return cls(mat, *(int(data[name]) for name in cls._DIMS))
+        """The operator of a ``to_json`` record: integer dimensions, numeric entries."""
+        re, im, dims = np.asarray(data["re"]), np.asarray(data["im"]), [data[name] for name in cls._DIMS]
+        if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf" or any(type(d) is not int for d in dims):
+            raise TypeError("dimensions must be integers and entries numbers")
+        return cls(re + 1j * im, *dims)
 
 
 class LocalOperator(Operator):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -6,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+import triadops.criteria as criteria
+import triadops.reducibility as reducibility
 from triadops import DEFAULT, BipartiteOperator, canonical, random_density, selftest
 from triadops.cli import _tols_from_args, build_parser, main
+from triadops.errors import PreconditionNotMet
 
 
 def run_cli(args, stdin_text=None):
@@ -99,7 +103,9 @@ def test_every_subcommand_parses_generated_matrix(tmp_path):
 def test_usage_errors_exit_1(tmp_path):
     assert run_cli(["classify", "/does/not/exist.json"]).returncode == 1
     assert run_cli(["frobnicate"]).returncode == 1
-    assert run_cli(["generate", "--class", "nope", "--k", "2"]).returncode == 1
+    nope = run_cli(["generate", "--class", "nope", "--k", "2"])
+    assert nope.returncode == 1
+    assert nope.stdout == "" and "unknown --class 'nope'" in nope.stderr
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli(["classify", str(bad)]).returncode == 1
@@ -115,8 +121,16 @@ def test_usage_errors_exit_1(tmp_path):
         "[1, 2]",
         '"state"',
         "5",
+        '{"re": [[1.0]], "im": [[0.0]], "dim_a": 1.5, "dim_b": 1}',
+        '{"re": [[1.0]], "im": [[0.0]], "dim_a": 1, "dim_b": "1"}',
+        '{"re": [[1.0]], "im": [[0.0]], "dim_a": true, "dim_b": 1}',
+        '{"re": [["1"]], "im": [[0.0]], "dim_a": 1, "dim_b": 1}',
+        '{"re": [[true]], "im": [[false]], "dim_a": 1, "dim_b": 1}',
     ],
-    ids=["empty", "no-im", "no-dim_b", "null-dim", "list", "string", "number"],
+    ids=[
+        "empty", "no-im", "no-dim_b", "null-dim", "list", "string", "number",
+        "float-dim", "string-dim", "bool-dim", "string-entries", "bool-entries",
+    ],
 )
 def test_json_that_is_no_matrix_record_exits_1(text, tmp_path, capsys):
     path = tmp_path / "state.json"
@@ -191,6 +205,38 @@ def test_numerical_failures_exit_2(tmp_path):
     # symmetric mode on a non-SPC state is a numerical (class) failure
     proc = run_cli(["filter", str(path), "--mode", "symmetric"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("bound", ["gamma_pt", "realign_sq", "triad"])
+def test_bounds_exits_2_when_one_bound_fails(bound, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "state.json"
+    path.write_text(run_cli_format(canonical("classical_diag", 2)))
+    real = getattr(criteria, f"bound_{bound}")
+    failing = lambda *args: dataclasses.replace(real(*args), bound_holds=False)  # noqa: E731
+    monkeypatch.setattr(criteria, f"bound_{bound}", failing)
+    assert main(["bounds", str(path), "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)  # the report still prints
+    assert {name: rep["bound_holds"] for name, rep in report.items()} == {
+        name: name != bound for name in ("gamma_pt", "realign_sq", "triad")
+    }
+
+
+def test_certify_exit_code_follows_the_extraction(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "state.json"
+    path.write_text(run_cli_format(canonical("classical_diag", 2)))
+    failure = reducibility.ExtractionFailure("whiten", "forced", {"residual": 0.5})
+    monkeypatch.setattr(reducibility, "minimal_rank_extract", lambda *args: failure)
+    assert main(["certify", str(path), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["extraction"] == failure.to_json()
+
+    def refuse(*args):
+        raise PreconditionNotMet("rank is not minimal")
+
+    monkeypatch.setattr(reducibility, "minimal_rank_extract", refuse)
+    assert main(["certify", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["extraction"] == {"skipped": "rank is not minimal"}
+    assert list(report) == ["classification", "equal_schmidt", "rank_bound", "extraction"]
 
 
 def test_tolerance_flags_override_their_fields():

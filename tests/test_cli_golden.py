@@ -18,6 +18,7 @@ change of its numbers, the integer counts that changed and the keys whose
 shape changed (such as a shorter ``iteration_log``).
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -27,13 +28,16 @@ import tempfile
 
 import pytest
 
-from triadops.cli import main
+from triadops.cli import build_parser, main
 
 from conftest import rewrite_goldens
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "cli.json"
 HELP_GOLDEN = GOLDEN.with_name("cli_help.json")
-SUBCOMMANDS = ("classify", "bounds", "schmidt", "filter", "decompose", "certify", "generate", "selftest")
+# every subcommand the parser registers, so that none goes without a --help golden
+SUBCOMMANDS = tuple(
+    next(act.choices for act in build_parser()._actions if isinstance(act, argparse._SubParsersAction))
+)
 INPUTS = [
     (cls, k, seed)
     for cls, seed in (
