@@ -121,7 +121,7 @@ _TOL_FLAGS = {
 
 
 def _tols_from_args(args) -> Tolerances:
-    overrides = {f: v for f in _TOL_FLAGS.values() if (v := getattr(args, f"tol_{f}", None)) is not None}
+    overrides = {f: v for f in _TOL_FLAGS.values() if (v := getattr(args, f"tol_{f}")) is not None}
     return DEFAULT.but(**overrides) if overrides else DEFAULT
 
 
