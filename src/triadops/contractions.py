@@ -50,6 +50,21 @@ _AXES = {sig: _tensor_axes(sig) for sig in permutations((1, 2, 3, 4))}
 _PARTIAL_TRANSPOSE = _AXES[1, 2, 4, 3]
 _LEFT_TRANSPOSE = _AXES[2, 1, 3, 4]
 _REALIGN = _AXES[1, 3, 2, 4]
+_SWAP = _AXES[3, 4, 1, 2]  # F gamma F, with F the flip
+
+# Realignment R (axes (0, 2, 1, 3)) and the adjoint A (axes (2, 3, 0, 1),
+# then conjugation) generate a group of order 8: 1, R, ARA, RARA, each
+# alone and followed by A.
+_INVARIANT_AXES = ((0, 1, 2, 3), _REALIGN, (3, 1, 2, 0), (3, 2, 1, 0))
+
+
+def _invariant_projection(mat: np.ndarray, k: int) -> np.ndarray:
+    """The average of ``mat`` over the group of R and A above.  R and A are
+    isometries of Re tr(X^* Y), so it is the orthogonal projection onto the
+    Hermitian, realignment-fixed matrices."""
+    plain = sum(mat.reshape(k, k, k, k).transpose(axes) for axes in _INVARIANT_AXES)
+    plain = plain.reshape(k * k, k * k)
+    return (plain + plain.conj().T) / 8.0
 
 
 def partial_transpose(gamma: BipartiteOperator) -> BipartiteOperator:

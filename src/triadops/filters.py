@@ -32,12 +32,22 @@ over traceless Hermitian H, where delta is the current iterate.  f is
 convex along every geodesic t -> exp(tH), and its gradient vanishes exactly
 when G = ga + gb (ga + gb^T in conjugate mode) is a multiple of Id; the
 inputs of these modes have gb = ga (or gb = ga^T), so there both marginals
-are Id/k.  Each iteration takes a Newton step in the k^2 - 1 real
-coordinates of the traceless Hermitian basis, safeguarded by a step cap and
-an Armijo backtracking line search (gradient direction when the Newton
-direction does not descend), and applies it as the congruence
-exp(alpha H / 2) (x) (the same, or its conjugate).  Steps converge
-quadratically near the fixed point, in about 8 iterations at k <= 6.
+are Id/k.  The first step tries the closed-form marginal step
+p = (k ga)^(-1/2), scaled to determinant 1, which is exact on product
+states; it is taken when it lowers f by more than roundoff.  Otherwise, and
+at every later step, a Newton step in the k^2 - 1 real coordinates of the
+traceless Hermitian basis runs, safeguarded by a step cap and an Armijo
+backtracking line search (gradient direction when the Newton direction does
+not descend).  Each step is applied as the congruence p (x) (p, or its
+conjugate), p = exp(alpha H / 2).  The runs converge quadratically near the
+fixed point, in about 5 iterations at k <= 6.
+
+Each symmetric step ends with delta <- (delta + F delta F)/2, F the flip,
+and each conjugate step with the exact projection onto the Hermitian,
+realignment-fixed matrices (``contractions._invariant_projection``).  So
+roundoff cannot carry the iterate out of its class and part its marginals
+by more than ``tols.filter``: gb = ga holds to the bit in symmetric mode,
+and gb = ga^T to roundoff in conjugate mode.
 
 Left mode scales delta by p (x) Id and runs the conjugate mode's test and
 step on omega(delta) = R(R(delta) R(delta)^*), trace-normalized, with R the
@@ -48,24 +58,30 @@ p (x) Id on delta acts on it as p (x) conj(p).
 Every mode returns delta = (fa (x) fb) M (fa (x) fb)^* by construction, M
 the trace-normalized input and fb = Id in left mode: each step applies one
 congruence to the iterate, multiplies it into the filters and adds one entry
-to the iteration log.
+to the iteration log.  In symmetric and conjugate mode this holds up to the
+input's class defect: the projections remove it, and the input is only
+within ``tols.herm`` and ``tols.invariance`` of its class.
 
 One stopping rule serves every mode: each iterate's marginal residual
 max(||ga - Id/k||, ||gb - Id/k||) is measured once, and the run ends at the
 first iterate within ``tols.filter`` (converged), after ``max_iter`` steps,
 or at a stall: the last step's predicted decrease was below roundoff and the
 residual is no lower than before it.  General steps predict none, so only
-one-filter runs stall, as when their marginals drift apart (gb != ga, or
-!= ga^T) by more than ``tols.filter``, leaving no fixed point.
+one-filter runs stall: with the class projections no generated input is
+known to, but a ``tols.filter`` below what float iterates reach (0, say)
+ends a one-filter run there within 10 steps.
 
 Each step guards the marginals it factors or steps on (full rank, condition
 number within 1e12): a general step ga and the A-scaled gb, a one-filter step
 its iterate's ga alone, whose gb is ga or ga^T in class (omega's always).
+The first one-filter step takes one eigensolve of ga for its guard and its
+closed-form step.
 
 Convergence monitor of these modes: the cumulative sum of log t, with t the
 trace of each scaled iterate before renormalization (in left mode, the line
-search's checked t of omega, 1 for an unchecked step).  The line search
-makes every log t negative (or below roundoff when the predicted decrease
+search's checked t of omega, 1 for an unchecked step).  A closed-form first
+step is taken only with log t below -roundoff, and the line search makes
+every later log t negative (or below roundoff when the predicted decrease
 is), so the monitor is non-increasing along the run.
 """
 
@@ -77,7 +93,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .contractions import _REALIGN, partial_transpose, realign
+from .contractions import _REALIGN, _SWAP, _invariant_projection, partial_transpose, realign
 from .criteria import _invariance, _spc
 from .errors import MarginalRankDeficient, PreconditionNotMet, WrongClassForMode, ZeroMatrix
 from .schmidt_maps import (
@@ -127,7 +143,8 @@ class FilterResult(_JsonRecord):
 
     ``normal_form`` is (filter_a (x) filter_b) M (filter_a (x) filter_b)^*
     by construction, M the trace-normalized input and filter_b = Id in left
-    mode; ``iterations`` counts the steps, one ``iteration_log`` entry
+    mode, up to the input's class defect in symmetric and conjugate mode,
+    which each step's class projection removes; ``iterations`` counts the steps, one ``iteration_log`` entry
     each.  ``schmidt_of_normal_form`` is its operator Schmidt
     expansion, Hermitian and identity first in every mode (module
     docstring); coefficients below ``tolerances.rank`` times the largest
@@ -191,6 +208,31 @@ def _inv_sqrt(marginal: np.ndarray, k: int, side: str, rank_tol: float) -> np.nd
     return 0.5 * (out + out.conj().T)
 
 
+def _potential_trace(realigned: np.ndarray, e: np.ndarray, conjugate: bool) -> float:
+    """t = tr[delta (E (x) E~)] for a Hermitian E, from delta's realignment
+    (``_newton_step``): vec(E^T) . realigned . vec(E~^T)."""
+    vec_t = e.conj().ravel()
+    return float((vec_t @ realigned @ (e.ravel() if conjugate else vec_t)).real)
+
+
+def _marginal_step(
+    delta: np.ndarray, w: np.ndarray, v: np.ndarray, conjugate: bool
+) -> tuple[np.ndarray, float, float] | None:
+    """The closed-form step p = (k ga)^(-1/2), scaled to determinant 1, from
+    ga's ascending eigenpairs (w, v), with its decrease -log t and its trace
+    t = tr[delta (p^2 (x) p~^2)] (``_newton_step``'s potential at H = 2 log p);
+    None unless the decrease exceeds roundoff.  It is exact on product states.
+    """
+    k = len(w)
+    lam = -0.5 * np.log(w)
+    lam -= lam.mean()  # traceless log p, so det p = 1
+    e = (v * np.exp(2 * lam)) @ v.conj().T  # p^2
+    t = _potential_trace(_permute_slots(delta, k, k, _REALIGN), e, conjugate)
+    if not (t > 0 and -math.log(t) > _ROUNDOFF_DECREASE):
+        return None
+    return (v * np.exp(lam)) @ v.conj().T, -math.log(t), t
+
+
 def _newton_step(
     delta: np.ndarray, ga: np.ndarray, gb: np.ndarray, k: int, conjugate: bool
 ) -> tuple[np.ndarray, float, float]:
@@ -235,9 +277,7 @@ def _newton_step(
     lam, u = np.linalg.eigh((d @ flat).reshape(k, k))
     alpha = min(1.0, _MAX_STEP / max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny))
     while abs(alpha * slope) >= _ROUNDOFF_DECREASE:
-        e = (u * np.exp(alpha * lam)) @ u.conj().T
-        vec_t = e.conj().ravel()
-        t = float((vec_t @ realigned @ (e.ravel() if conjugate else vec_t)).real)
+        t = _potential_trace(realigned, (u * np.exp(alpha * lam)) @ u.conj().T, conjugate)
         if t > 0 and math.log(t) <= _ARMIJO * alpha * slope:
             break
         alpha *= 0.5
@@ -305,7 +345,9 @@ def sinkhorn_filter(
     within ``_COND_LIMIT``, and at the first step whose filters overflow as
     the scaling diverges.  ``max_iter`` must be at least 1 (ValueError
     otherwise).  Every mode stops by one rule (module docstring) and counts
-    the steps it took.  Runs that stall or exhaust ``max_iter`` return their
+    the steps it took.  The normal form is the filters applied to the
+    trace-normalized input by construction, in symmetric and conjugate mode
+    up to the input's class defect, which the class projections remove.  Runs that stall or exhaust ``max_iter`` return their
     partial result with ``converged=False`` instead of raising, since
     decomposable inputs may cycle and the iteration log is useful evidence.
     """
@@ -362,8 +404,14 @@ def sinkhorn_filter(
                     fb = pb @ fb / np.sqrt(t2)
                     monitor = max(abs(1.0 - t1), abs(1.0 - t2))
                 else:
-                    _guard_spectrum(_herm_eigvalsh(ga), tols.rank, "A")  # the marginal it steps on
-                    p, predicted, t_step = _newton_step(scaled, ga, gb, k, mode != "symmetric")
+                    conjugate, step = mode != "symmetric", None
+                    if log:
+                        _guard_spectrum(_herm_eigvalsh(ga), tols.rank, "A")  # the marginal it steps on
+                    else:  # one eigensolve guards ga and gives the closed-form first step
+                        w, v, _ = _herm_support(ga, tols.rank)
+                        _guard_spectrum(w, tols.rank, "A")
+                        step = _marginal_step(scaled, w, v, conjugate)
+                    p, predicted, t_step = step or _newton_step(scaled, ga, gb, k, conjugate)
                     pb = {"symmetric": p, "conjugate": p.conj(), "left": np.eye(k)}[mode]
                     delta = _congruence(p, pb, delta)
                     t = np.trace(delta).real
@@ -372,7 +420,12 @@ def sinkhorn_filter(
                     fa = p @ fa / t ** (0.5 if left else 0.25)
                     monitor += math.log(t_step if left else t)
 
-                delta = 0.5 * (delta + delta.conj().T)
+                if mode == "conjugate":  # back into the class, Hermitian part included
+                    delta = _invariant_projection(delta, k)
+                else:
+                    delta = 0.5 * (delta + delta.conj().T)
+                    if mode == "symmetric":
+                        delta = 0.5 * (delta + _permute_slots(delta, k, k, _SWAP))
                 log.append({"iteration": len(log) + 1, "residual_a": res_a, "residual_b": res_b, "monitor": monitor})
     except FloatingPointError:  # at the first step whose filters overflow
         msg = f"the filters overflowed in {len(log) + 1} steps: the scaling diverges"

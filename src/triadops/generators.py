@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contractions import _PARTIAL_TRANSPOSE, _REALIGN, flip, maximally_entangled_vector
+from .contractions import (
+    _PARTIAL_TRANSPOSE, _REALIGN, _invariant_projection, flip, maximally_entangled_vector
+)
 from .errors import BadRank, UnknownName
 from .schmidt_maps import hermitian_basis
 from .tensor_core import (
@@ -133,29 +135,14 @@ def random_spc(k: int, seed: int) -> BipartiteOperator:
     return _walk_from_centre(step, _boundary_step(k * np.eye(k * k), step), k)
 
 
-# Realignment R (axes (0, 2, 1, 3)) and the adjoint A (axes (2, 3, 0, 1),
-# then conjugation) generate a group of order 8: 1, R, ARA, RARA, each
-# alone and followed by A.
-_INVARIANT_AXES = ((0, 1, 2, 3), _REALIGN, (3, 1, 2, 0), (3, 2, 1, 0))
-
-
-def _invariant_projection(mat: np.ndarray, k: int) -> np.ndarray:
-    """The average of ``mat`` over the group of R and A above.  R and A are
-    isometries of Re tr(X^* Y), so it is the orthogonal projection onto the
-    Hermitian, realignment-fixed matrices."""
-    plain = sum(mat.reshape(k, k, k, k).transpose(axes) for axes in _INVARIANT_AXES)
-    plain = plain.reshape(k * k, k * k)
-    return (plain + plain.conj().T) / 8.0
-
-
 def random_invariant(k: int, seed: int) -> BipartiteOperator:
     """Random realignment-invariant state of rank k^2 - 1, in one eigensolve.
 
     The draw of ``random_density(k, k^2, seed)``, projected exactly by
-    ``_invariant_projection`` and trace-normalized, is H.  The state is where
-    the walk from c = ``canonical("identity_plus_u", k)`` through H meets the
-    PSD boundary (``_boundary_step``); c^(-1/2) is closed form, as c is 1/k
-    on u and 1/(k^2 + k) off it.  Invariance holds to roundoff, and the rank
+    ``contractions._invariant_projection`` and trace-normalized, is H.  The
+    state is where the walk from c = ``canonical("identity_plus_u", k)``
+    through H meets the PSD boundary (``_boundary_step``); c^(-1/2) is
+    closed form, as c is 1/k on u and 1/(k^2 + k) off it.  Invariance holds to roundoff, and the rank
     is k^2 - 1 for almost every seed.  At k = 1 the unit state is the only
     state.
     """

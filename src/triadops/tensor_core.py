@@ -108,9 +108,13 @@ class Operator:
 
     @classmethod
     def from_json(cls, data: dict):
-        """The operator of a ``to_json`` record: integer dimensions, numeric entries."""
+        """The operator of a ``to_json`` record: integer dimensions, numeric
+        entries.  numpy reads a boolean among numbers as one, so each entry's
+        own type is checked as well."""
         re, im, dims = np.asarray(data["re"]), np.asarray(data["im"]), [data[name] for name in cls._DIMS]
-        if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf" or any(type(d) is not int for d in dims):
+        numeric = re.dtype.kind in "iuf" and im.dtype.kind in "iuf"
+        entries = (x for part in ("re", "im") for x in np.asarray(data[part], dtype=object).flat)
+        if not numeric or any(type(x) is bool for x in entries) or any(type(d) is not int for d in dims):
             raise TypeError("dimensions must be integers and entries numbers")
         return cls(re + 1j * im, *dims)
 
@@ -355,9 +359,8 @@ def _require_hermitian(a: Operator, tols: Tolerances) -> None:
     """Raise NotHermitian unless the relative Hermiticity defect is within tolerance."""
     defect, scale = _hermiticity(a)
     if not _hermitian_ok(defect, scale, tols):
-        bound = tols.herm * (scale if defect else 0.0)  # a zero defect fails only if tols.herm < 0
         raise NotHermitian(
-            f"Hermiticity defect {defect:.3e} exceeds {tols.herm:.1e} * ||a|| = {bound:.3e}"
+            f"Hermiticity defect {defect:.3e} exceeds {tols.herm:.1e} * ||a|| = {tols.herm * scale:.3e}"
         )
 
 

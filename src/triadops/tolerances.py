@@ -3,9 +3,12 @@
 All tolerances are relative unless a docstring says otherwise.  The defaults
 sit roughly two orders of magnitude above double-precision eigensolver noise
 at the matrix sizes this toolkit targets (composite dimension <= 36), so a
-genuine property violation is cleanly separated from roundoff.
+genuine property violation is cleanly separated from roundoff.  Every field
+must be finite and non-negative (ValueError otherwise): a negative tolerance
+would turn each verdict it gates into a refusal.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -21,6 +24,11 @@ class Tolerances:
     equal_coeff: float = 1e-7    # relative spread for "equal" coefficients / eigenvalues
     split: float = 1e-8          # complete-reducibility split residual, relative
     separable: float = 1e-7      # product-decomposition reconstruction residual
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"tolerance {name} must be finite and non-negative, got {value!r}")
 
     def but(self, **kw) -> "Tolerances":
         """Copy with selected fields overridden."""

@@ -9,7 +9,7 @@ import pytest
 
 import triadops.criteria as criteria
 import triadops.reducibility as reducibility
-from triadops import DEFAULT, BipartiteOperator, canonical, random_density, selftest
+from triadops import DEFAULT, BipartiteOperator, canonical, random_density, random_spc, selftest
 from triadops.cli import _tols_from_args, build_parser, main
 from triadops.errors import PreconditionNotMet
 
@@ -126,10 +126,12 @@ def test_usage_errors_exit_1(tmp_path):
         '{"re": [[1.0]], "im": [[0.0]], "dim_a": true, "dim_b": 1}',
         '{"re": [["1"]], "im": [[0.0]], "dim_a": 1, "dim_b": 1}',
         '{"re": [[true]], "im": [[false]], "dim_a": 1, "dim_b": 1}',
+        '{"re": [[0.5, 0.0], [0.0, true]], "im": [[0.0, 0.0], [0.0, 0.0]], "dim_a": 1, "dim_b": 2}',
     ],
     ids=[
         "empty", "no-im", "no-dim_b", "null-dim", "list", "string", "number",
         "float-dim", "string-dim", "bool-dim", "string-entries", "bool-entries",
+        "bool-among-numbers",
     ],
 )
 def test_json_that_is_no_matrix_record_exits_1(text, tmp_path, capsys):
@@ -255,6 +257,17 @@ def test_tolerance_flags_override_their_fields():
     for flag, field in flags.items():
         args = parser.parse_args(["classify", "state.json", flag, "3e-7"])
         assert _tols_from_args(args) == DEFAULT.but(**{field: 3e-7}), flag
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_negative_or_non_finite_tolerance_exits_1(value, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(run_cli_format(random_spc(2, 3)))
+    for command in ("classify", "bounds", "filter"):
+        assert main([command, str(path), "--tol-herm", value]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance herm must be finite and non-negative")
 
 
 def test_tol_filter_flag_sets_the_filter_tolerance(tmp_path, capsys):

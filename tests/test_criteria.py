@@ -19,7 +19,7 @@ from triadops import (
 )
 from triadops.criteria import _bound_report
 from triadops.errors import NotAState, NotPSD, PreconditionNotMet
-from triadops.tolerances import DEFAULT
+from triadops.tolerances import DEFAULT, Tolerances
 
 from conftest import random_psd_local, spc_not_ppt_states
 
@@ -72,6 +72,17 @@ def test_classify_flags_need_hermitian_input():
             bound_triad(gamma, c)
         with pytest.raises(PreconditionNotMet):
             decompose(gamma)
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_tolerances_refuse_negative_and_non_finite_fields(value, bell2):
+    # a negative tolerance once read every flag of a state as False
+    for field in ("herm", "psd", "filter"):
+        with pytest.raises(ValueError, match=f"tolerance {field} must be finite and non-negative"):
+            DEFAULT.but(**{field: value})
+    with pytest.raises(ValueError, match="tolerance rank"):
+        Tolerances(rank=value)
+    assert classify(bell2, DEFAULT.but(herm=0.0, psd=0.0)).is_state
 
 
 def test_ccnr_flags(bell2, classical_diag2):

@@ -19,12 +19,9 @@ from triadops import (
     reduced_a,
     reduced_b,
 )
+from triadops.contractions import _invariant_projection
 from triadops.errors import BadRank, UnknownName
-from triadops.generators import (
-    _invariant_projection,
-    _random_hermitian_orthobasis,
-    rng_from_seed,
-)
+from triadops.generators import _random_hermitian_orthobasis, rng_from_seed
 
 
 @pytest.mark.parametrize(
