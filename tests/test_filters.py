@@ -65,6 +65,17 @@ def test_prescaled_classical_diag_recovers_filter(diag):
     assert fr.class_residual <= 1e-8
 
 
+def test_first_step_falls_back_to_newton_when_it_does_not_descend():
+    # on (D (x) D) classical_diag (D (x) D), D = diag(2, 1), the closed-form
+    # step maps the weights (16, 1)/17 onto their mirror (1, 16)/17, which
+    # leaves the potential where it was: the Newton step runs instead
+    g = local_scale(canonical("classical_diag", 2), np.diag([2.0, 1.0]), np.diag([2.0, 1.0]))
+    w, v = np.linalg.eigh(reduced_a(g).mat)
+    assert filters._marginal_step(g.mat, w, v, conjugate=False) is None
+    fr = sinkhorn_filter(g, "symmetric")
+    assert fr.converged and fr.iteration_log[0]["monitor"] < 0.0
+
+
 def test_identity_plus_u_conjugate(identity_plus_u2):
     fr = sinkhorn_filter(identity_plus_u2, "conjugate")
     assert fr.converged and fr.iterations == 0
