@@ -117,6 +117,8 @@ _TOL_FLAGS = {
     "--tol-filter": "filter",
     "--tol-ds": "doubly_stochastic",
     "--tol-eq": "equal_coeff",
+    "--tol-split": "split",
+    "--tol-separable": "separable",
 }
 
 

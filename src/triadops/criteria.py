@@ -9,7 +9,9 @@ The three classes tested here, for a state gamma on C^k (x) C^k:
 Every PSD gamma obeys two unconditional operator-norm bounds (on the partial
 transpose and on the realignment), and membership in any of the three classes
 promotes the first bound to gamma itself.  ``ccnr_value`` is the trace norm
-of the realignment; exceeding 1 on a state certifies entanglement.
+of the realignment; exceeding 1 on a state certifies entanglement.  It and
+the bounds' ||R(gamma)|| are read off the one memoized SVD of R(gamma) that
+``schmidt`` reads too.
 """
 
 from __future__ import annotations

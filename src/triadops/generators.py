@@ -85,17 +85,16 @@ def random_separable(
 
 
 def _random_hermitian_orthobasis(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Random orthonormal Hermitian frame, shape (k^2, k, k), led by Id/sqrt(k).
+    """Random orthonormal frame of the traceless Hermitian k x k matrices, shape (k^2-1, k, k).
 
-    The traceless elements are Haar distributed: their coordinates in
-    ``hermitian_basis(k)[1:]`` are the columns of Q from one QR of a real
-    Gaussian (k^2-1) x (k^2-1) matrix, signs fixed by diag(R) (Mezzadri,
-    Notices AMS 54, 2007).  The elements are orthonormal under tr(X Y).
+    Its coordinates in ``hermitian_basis(k)[1:]`` are the columns of Q from
+    one QR of a real Gaussian (k^2-1) x (k^2-1) matrix: Haar distributed up
+    to the sign of each element (Mezzadri, Notices AMS 54, 2007, fixes the
+    signs by diag(R)), which a sum of B_i (x) B_i does not see.  The elements
+    are orthonormal under tr(X Y).
     """
-    fixed = hermitian_basis(k)
-    q, r = np.linalg.qr(rng.standard_normal((k * k - 1, k * k - 1)))
-    q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    return np.concatenate([fixed[:1], np.einsum("ab,bij->aij", q.T, fixed[1:])])
+    q = np.linalg.qr(rng.standard_normal((k * k - 1, k * k - 1)))[0]
+    return np.einsum("ab,bij->aij", q.T, hermitian_basis(k)[1:])
 
 
 # Fraction of the way to the class boundary at which the SPC and PPT walks
@@ -117,9 +116,9 @@ def _walk_from_centre(step: np.ndarray, t: float, k: int) -> BipartiteOperator:
 def random_spc(k: int, seed: int) -> BipartiteOperator:
     """Random state Id/k^2 + sum_i a_i B_i (x) B_i, a_i > 0, {B_i} a traceless Hermitian frame.
 
-    The frame is ``_random_hermitian_orthobasis`` without its lead Id/sqrt(k)
-    (one QR), and the direction D = sum_i a_i B_i (x) B_i takes one draw of
-    exponential coefficients.  D is the realignment of sum_i a_i vec(B_i)
+    The frame is ``_random_hermitian_orthobasis`` (one QR), and the
+    direction D = sum_i a_i B_i (x) B_i takes one draw of exponential
+    coefficients.  D is the realignment of sum_i a_i vec(B_i)
     vec(B_i)^T, so it costs one product.  The state is the walk from Id/k^2
     toward D, stopped ``_STEP_BACK`` of the way to the PSD boundary; each
     coefficient stays positive, and lambda_min >= (1 - _STEP_BACK)/k^2 keeps
@@ -128,8 +127,7 @@ def random_spc(k: int, seed: int) -> BipartiteOperator:
     if k == 1:
         return BipartiteOperator(np.ones((1, 1)), dim_a=1, dim_b=1)
     rng = rng_from_seed(seed)
-    basis = _random_hermitian_orthobasis(rng, k)
-    vecs = basis[1:].reshape(k * k - 1, k * k)
+    vecs = _random_hermitian_orthobasis(rng, k).reshape(k * k - 1, k * k)
     coeffs = rng.exponential(1.0, k * k - 1)
     step = _permute_slots((vecs.T * coeffs) @ vecs, k, k, _REALIGN)
     return _walk_from_centre(step, _boundary_step(k * np.eye(k * k), step), k)

@@ -33,6 +33,7 @@ from .tensor_core import (
     _require_hermitian,
     _require_square,
     _sum_of_products,
+    _svd,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -118,7 +119,9 @@ class SchmidtDecomposition(_JsonRecord):
 
 
 def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDecomposition:
-    """Operator Schmidt decomposition via the SVD of realign(gamma).
+    """Operator Schmidt decomposition via the memoized SVD of realign(gamma)
+    (``tensor_core._svd``), the factorization behind ``classify``'s
+    ``ccnr_value`` and the bounds' ||R(gamma)|| too.
 
     Left singular vectors reshape (row-major) to the left operators, the
     conjugated right singular vectors to the right operators.  Coefficients
@@ -127,7 +130,7 @@ def schmidt(gamma: BipartiteOperator, tols: Tolerances = DEFAULT) -> SchmidtDeco
     roundoff.
     """
     k = _require_square(gamma, "the Schmidt decomposition")
-    u, s, vh = np.linalg.svd(realign(gamma).mat)
+    u, s, vh = _svd(realign(gamma))
     if s[0] <= 0:
         return SchmidtDecomposition(coefficients=np.zeros(0), left_ops=[], right_ops=[], dims=(k, k))
     keep = s > tols.rank * s[0]

@@ -19,9 +19,11 @@ their realignments and the two marginals.  ``_cached`` computes each of
 these once per operator: ``realign``, ``partial_transpose``, ``reduced_a``,
 ``reduced_b``, and by key ``norms`` (the ``Norms`` record), ``hermiticity``
 (||a - a^*||_F and ||a||_F), ``spectrum`` (the ascending spectrum of the
-Hermitian part; with ``hermiticity`` behind the ``_psd`` verdict, and the
-state's rank in ``reducibility``) and ``unit`` (``_unit_form``'s trace-normalized
-form).  The memo is thread-local and bounded: it holds the last
+Hermitian part; with ``hermiticity`` behind the ``_psd`` verdict, the
+state's rank in ``reducibility`` and an exactly Hermitian operator's
+``norms``), ``svd`` (the full SVD u, s, vh; any other operator's ``norms``,
+and for R(gamma) the Schmidt decomposition) and ``unit`` (``_unit_form``'s
+trace-normalized form).  The memo is thread-local and bounded: it holds the last
 ``_MEMO_SIZE`` operators asked about and evicts the least recently used, so
 operators that the caller keeps alive do not keep their derived matrices
 alive too.  A cached value is the one the same routine computes on the same
@@ -467,13 +469,16 @@ def _clusters(w: np.ndarray, width: float) -> list[range]:
 
 def _pivot_phases(rows: np.ndarray) -> np.ndarray:
     """The phase conj(p)/|p| that makes each row's pivot p, its first entry
-    within a relative 1e-12 of its largest modulus, real positive.  Mirror
-    entries of equal modulus would make a plain argmax follow roundoff."""
+    within a relative 1e-12 of its largest modulus, real positive; 1 for a
+    zero pivot.  Mirror entries of equal modulus would make a plain argmax
+    follow roundoff.  Real rows give real phases."""
     mags = np.abs(rows)
     first_top = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=1, keepdims=True), axis=1)
     pivots = rows[np.arange(len(rows)), first_top]
-    # scalar arithmetic per pivot: numpy's array abs and division round differently
-    return np.array([np.conj(p) / abs(p) if abs(p) > 0 else 1.0 for p in pivots])
+    # hypot, as a complex scalar's abs: numpy's complex array abs rounds differently
+    mods = np.hypot(pivots.real, pivots.imag)
+    nonzero = mods > 0
+    return np.where(nonzero, np.conj(pivots) / np.where(nonzero, mods, 1.0), 1.0)
 
 
 def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
@@ -506,12 +511,25 @@ def hermitian_eig(a: Operator, tols: Tolerances = DEFAULT) -> SpectralData:
     return SpectralData(eigenvalues=_locked(w), eigenvectors=_locked(v))
 
 
+def _svd(a: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full SVD (u, s, vh) of ``a``'s matrix, memoized, each factor locked."""
+    return _cached(a, "svd", lambda: tuple(_locked(x) for x in np.linalg.svd(a.mat)))
+
+
 def norms(a: Operator) -> Norms:
-    """Trace, Frobenius, and operator norms from one SVD, memoized."""
+    """Trace, Frobenius and operator norms, memoized.
+
+    The singular values of an exactly Hermitian operator (a zero
+    ``_hermiticity`` defect) are the moduli of its memoized ``_spectrum``, so
+    it takes no SVD; any other operator's come from ``_svd``, the one
+    factorization that ``schmidt`` reads too.  The Frobenius norm is
+    ``_hermiticity``'s, measured on the matrix.
+    """
 
     def measure():
-        s = np.linalg.svd(a.mat, compute_uv=False)
-        return Norms(trace_norm=float(np.sum(s)), frobenius_norm=_frobenius(s), operator_norm=float(s[0]))
+        defect, frobenius = _hermiticity(a)
+        s = np.abs(_spectrum(a)) if defect == 0.0 else _svd(a)[1]
+        return Norms(trace_norm=float(np.sum(s)), frobenius_norm=frobenius, operator_norm=float(s.max()))
 
     return _cached(a, "norms", measure)
 

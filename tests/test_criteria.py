@@ -17,11 +17,13 @@ from triadops import (
     rng_from_seed,
     schmidt,
 )
+from triadops.contractions import realign
 from triadops.criteria import _bound_report
 from triadops.errors import NotAState, NotPSD, PreconditionNotMet
+from triadops.tensor_core import _MEMO
 from triadops.tolerances import DEFAULT, Tolerances
 
-from conftest import random_psd_local, spc_not_ppt_states
+from conftest import factorizations, random_psd_local, spc_not_ppt_states
 
 
 def test_classify_classical_diag(classical_diag2):
@@ -177,25 +179,20 @@ def test_ppt_pair_reports(classical_diag2, identity_plus_u2, bell2):
 def test_survey_calls_factor_each_matrix_once(make, monkeypatch):
     # classify, the three bounds and schmidt share the spectra of gamma, its
     # partial transpose, their realignments and the marginals: each distinct
-    # (routine, compute_uv, matrix) is factored once
+    # (routine, matrix) is factored once, whatever compute_uv asks for, and
+    # the one SVD is R(gamma)'s: the exactly Hermitian operators' norms come
+    # from their spectra
     gamma = make()
-    seen = []
-
-    def counted(name, fn):
-        def wrapper(a, *args, **kwargs):
-            key = np.ascontiguousarray(a)
-            seen.append((name, kwargs.get("compute_uv"), key.shape, key.tobytes()))
-            return fn(a, *args, **kwargs)
-
-        return wrapper
-
-    for name in ("svd", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    _MEMO.entries.clear()
+    seen = factorizations(monkeypatch)
     c = classify(gamma)
     assert c.any_flag
     bound_gamma_pt(gamma)
     bound_realign_sq(gamma)
     bound_triad(gamma, c)
     schmidt(gamma)
-    repeats = [key[:3] for key in seen if seen.count(key) > 1]
+    keys = [(name, shape, data) for name, _, shape, data in seen]
+    repeats = [key[:2] for key in keys if keys.count(key) > 1]
     assert not repeats, repeats
+    r = np.ascontiguousarray(realign(gamma).mat)
+    assert [key for key in keys if key[0] == "svd"] == [("svd", r.shape, r.tobytes())]

@@ -26,6 +26,8 @@ from triadops import (
     doubly_stochastic_check,
     fully_indecomposable_probe,
     minimal_rank_extract,
+    norms,
+    partial_transpose,
     random_density,
     random_invariant,
     random_ppt,
@@ -377,7 +379,9 @@ def test_decomposition_tree_reconstructs_its_input(k, kind, seed):
 
 
 def _memo_reports(g):
-    """The survey calls on ``g``, each giving the JSON text of its report."""
+    """The survey calls on ``g`` and the norms they read (from the spectrum
+    of an exactly Hermitian operator, from the shared SVD of R(g)), each
+    giving the JSON text of its report."""
     c = classify(g)
     calls = {
         "classify": lambda: classify(g),
@@ -386,6 +390,9 @@ def _memo_reports(g):
         "bound_triad": lambda: bound_triad(g, c) if c.any_flag else None,
         "schmidt": lambda: schmidt(g),
         "psd_check": lambda: psd_check(g),
+        "norms gamma": lambda: norms(g),
+        "norms partial transpose": lambda: norms(partial_transpose(g)),
+        "norms realign": lambda: norms(realign(g)),
     }
     return {name: (lambda call=call: _format_json(_json_value(call()))) for name, call in calls.items()}
 
@@ -395,7 +402,7 @@ def _memo_reports(g):
     kind=st.sampled_from(list(GENERATORS)),
     seed=st.integers(0, 2**32 - 1),
     exponent=st.floats(-12.0, 6.0),
-    order=st.permutations(range(6)),
+    order=st.permutations(range(9)),
 )
 def test_memo_keeps_every_report_byte_for_byte(k, kind, seed, exponent, order):
     # a cold memo before each call, one warm memo shared by all calls in

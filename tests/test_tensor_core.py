@@ -31,7 +31,7 @@ from triadops import (
 )
 from triadops.errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD
 from triadops.schmidt_maps import hermitian_basis, hermitian_from_coords
-from triadops.tensor_core import _MEMO, _MEMO_SIZE, _clusters, _herm_eigvalsh, _kron, _pivot_phases
+from triadops.tensor_core import _MEMO, _MEMO_SIZE, _clusters, _herm_eigvalsh, _kron, _pivot_phases, _svd
 
 from conftest import random_hermitian, random_operator, random_psd_local
 
@@ -236,6 +236,71 @@ def test_norms_identity_and_rank_one():
 def test_norms_are_measured_once_per_operator():
     op = LocalOperator(random_psd_local(rng_from_seed(25), 4))
     assert norms(op) is norms(op)
+
+
+def _looped_pivot_phases(rows):
+    """The phase rule one pivot at a time, in scalar arithmetic."""
+    mags = np.abs(rows)
+    first_top = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=1, keepdims=True), axis=1)
+    pivots = rows[np.arange(len(rows)), first_top]
+    return np.array([np.conj(p) / abs(p) if abs(p) > 0 else 1.0 for p in pivots])
+
+
+def test_pivot_phases_match_the_scalar_rule_bit_for_bit():
+    rng = rng_from_seed(26)
+    cases = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (4, 9, 36)]
+    cases += [rng.standard_normal((n, n)) for n in (4, 36)]
+    cases += [10.0 ** rng.uniform(-300, 300, (36, 36)) * np.exp(2j * np.pi * rng.random((36, 36)))]
+    rows = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    rows[0] = 0.0  # a zero pivot
+    rows[1, 2] = complex(-0.0, 3.0)  # -0.0 parts
+    rows[2, :] = 0.0
+    rows[2, 1] = complex(0.0, -0.0)
+    rows[2, 3] = complex(-2.0, -0.0)
+    rows[3, 1], rows[3, 4] = 1.0 + 1.0j, 1.0 - 1.0j  # tied moduli, the first taken
+    rows[4, 0], rows[4, 3] = np.array([0.6 - 0.8j, -0.8 + 0.6j]) * 9.0
+    cases += [rows, np.zeros((3, 4), dtype=complex), np.array([[0.0, -0.0, -2.0, 2.0], [0.0, 0.0, 0.0, 0.0]])]
+    cases += [np.eye(4, dtype=complex), -np.eye(4)]
+    for rows in cases:
+        # the loop gives real phases for complex rows whose pivots are all zero
+        got, want = _pivot_phases(rows), _looped_pivot_phases(rows).astype(rows.dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_norms_of_an_exactly_hermitian_operator_come_from_its_spectrum(monkeypatch):
+    rng = rng_from_seed(27)
+    ops = [LocalOperator(random_hermitian(rng, n)) for n in (1, 3, 6, 36)]
+    psd = random_psd_local(rng, 5)
+    ops += [LocalOperator(0.5 * (psd + psd.conj().T)), flip(3)]
+    want = {id(op): np.linalg.svd(op.mat, compute_uv=False) for op in ops}
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svds.append(1) or svd(*args, **kw))
+    for op in ops:
+        s = want[id(op)]
+        got = norms(op)
+        assert got.operator_norm == pytest.approx(s[0], rel=1e-14)
+        assert got.trace_norm == pytest.approx(np.sum(s), rel=1e-14)
+        assert got.frobenius_norm == pytest.approx(np.linalg.norm(s), rel=1e-14)
+    assert not svds
+
+    # a Hermiticity defect of 1e-14, far inside tols.herm, still takes the SVD
+    tilted = random_hermitian(rng, 4)
+    tilted[0, 1] += 1e-14
+    op = LocalOperator(tilted)
+    got = norms(op)
+    assert len(svds) == 1
+    assert got.operator_norm == float(_svd(op)[1][0]) and len(svds) == 1
+
+
+def test_svd_is_memoized_and_locked():
+    op = LocalOperator(random_hermitian(rng_from_seed(28), 4) + 1j * np.eye(4))
+    u, s, vh = _svd(op)
+    assert _svd(op) is _svd(op)
+    assert np.allclose((u * s) @ vh, op.mat, atol=1e-14)
+    for factor in (u, s, vh):
+        with pytest.raises(ValueError):
+            factor.setflags(write=True)
 
 
 def test_norms_flip():
