@@ -14,10 +14,10 @@ from triadops import (
     ppt_pair_forces_invariance,
     random_invariant,
     random_spc,
+    realign,
     rng_from_seed,
     schmidt,
 )
-from triadops.contractions import realign
 from triadops.criteria import _bound_report
 from triadops.errors import NotAState, NotPSD, PreconditionNotMet
 from triadops.tensor_core import _MEMO

@@ -253,11 +253,11 @@ def test_pivot_phases_match_the_scalar_rule_bit_for_bit():
     cases += [10.0 ** rng.uniform(-300, 300, (36, 36)) * np.exp(2j * np.pi * rng.random((36, 36)))]
     rows = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     rows[0] = 0.0  # a zero pivot
-    rows[1, 2] = complex(-0.0, 3.0)  # -0.0 parts
+    rows[1, 2] = complex(-0.0, 30.0)  # pivots with -0.0 parts
     rows[2, :] = 0.0
     rows[2, 1] = complex(0.0, -0.0)
     rows[2, 3] = complex(-2.0, -0.0)
-    rows[3, 1], rows[3, 4] = 1.0 + 1.0j, 1.0 - 1.0j  # tied moduli, the first taken
+    rows[3, 1], rows[3, 4] = 10.0 + 10.0j, 10.0 - 10.0j  # tied moduli, the first taken
     rows[4, 0], rows[4, 3] = np.array([0.6 - 0.8j, -0.8 + 0.6j]) * 9.0
     cases += [rows, np.zeros((3, 4), dtype=complex), np.array([[0.0, -0.0, -2.0, 2.0], [0.0, 0.0, 0.0, 0.0]])]
     cases += [np.eye(4, dtype=complex), -np.eye(4)]
@@ -289,8 +289,7 @@ def test_norms_of_an_exactly_hermitian_operator_come_from_its_spectrum(monkeypat
     tilted[0, 1] += 1e-14
     op = LocalOperator(tilted)
     got = norms(op)
-    assert len(svds) == 1
-    assert got.operator_norm == float(_svd(op)[1][0]) and len(svds) == 1
+    assert len(svds) == 1 and got.operator_norm == float(_svd(op)[1][0])
 
 
 def test_svd_is_memoized_and_locked():
