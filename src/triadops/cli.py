@@ -117,8 +117,6 @@ _TOL_FLAGS = {
     "--tol-filter": "filter",
     "--tol-ds": "doubly_stochastic",
     "--tol-eq": "equal_coeff",
-    "--tol-split": "split",
-    "--tol-separable": "separable",
 }
 
 

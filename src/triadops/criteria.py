@@ -152,11 +152,14 @@ def ccnr_entanglement_flag(gamma: BipartiteOperator, tols: Tolerances = DEFAULT)
 class BoundReport(_JsonRecord):
     """Operator-norm comparison for one of the spectral bounds.
 
-    ``margin`` is the amount by which the bound holds (negative means a
-    violation): the right-hand side minus the bounded quantity.  For the
-    min-form bounds this is min(op_norm_a, op_norm_b, op_norm_realign) -
-    op_norm_state; for the squared realignment bound it is
-    op_norm_a * op_norm_b - op_norm_realign**2.
+    ``margin`` is the amount by which the bound holds: the right-hand side
+    minus the bounded quantity.  For the min-form bounds this is
+    min(op_norm_a, op_norm_b, op_norm_realign) - op_norm_state; for the
+    squared realignment bound it is op_norm_a * op_norm_b - op_norm_realign**2.
+    A margin below ``-tols.psd`` times the right-hand side is a violation.
+    One within that slack is roundoff: the norms of the exactly Hermitian
+    gamma, gamma^Gamma and marginals come from their spectra, R(gamma)'s from
+    its SVD, so a case of equality can read a margin such as -1.1e-16.
     """
 
     op_norm_state: float

@@ -522,13 +522,16 @@ def norms(a: Operator) -> Norms:
     The singular values of an exactly Hermitian operator (a zero
     ``_hermiticity`` defect) are the moduli of its memoized ``_spectrum``, so
     it takes no SVD; any other operator's come from ``_svd``, the one
-    factorization that ``schmidt`` reads too.  The Frobenius norm is
-    ``_hermiticity``'s, measured on the matrix.
+    factorization that ``schmidt`` reads too.  So does an operator whose
+    entries reach half the largest float, where the spectrum's a + a^*
+    would overflow.  The Frobenius norm is ``_hermiticity``'s, measured on
+    the matrix.
     """
 
     def measure():
         defect, frobenius = _hermiticity(a)
-        s = np.abs(_spectrum(a)) if defect == 0.0 else _svd(a)[1]
+        spectral = defect == 0.0 and 2.0 * frobenius < math.inf  # every entry of a + a^* is finite
+        s = np.abs(_spectrum(a)) if spectral else _svd(a)[1]
         return Norms(trace_norm=float(np.sum(s)), frobenius_norm=frobenius, operator_norm=float(s.max()))
 
     return _cached(a, "norms", measure)

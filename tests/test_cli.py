@@ -9,11 +9,9 @@ import pytest
 
 import triadops.criteria as criteria
 import triadops.reducibility as reducibility
-from triadops import DEFAULT, BipartiteOperator, canonical, random_density, random_spc, rng_from_seed, selftest
+from triadops import DEFAULT, BipartiteOperator, canonical, random_density, random_spc, selftest
 from triadops.cli import _tols_from_args, build_parser, main
 from triadops.errors import PreconditionNotMet
-
-from conftest import haar_congruence
 
 
 def run_cli(args, stdin_text=None):
@@ -253,10 +251,7 @@ def test_tolerance_flags_override_their_fields():
         "--tol-filter": "filter",
         "--tol-ds": "doubly_stochastic",
         "--tol-eq": "equal_coeff",
-        "--tol-split": "split",
-        "--tol-separable": "separable",
     }
-    assert sorted(flags.values()) == sorted(f.name for f in dataclasses.fields(DEFAULT))  # every field
     parser = build_parser()
     assert _tols_from_args(parser.parse_args(["classify", "state.json"])) == DEFAULT
     for flag, field in flags.items():
@@ -286,29 +281,6 @@ def test_tol_filter_flag_sets_the_filter_tolerance(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # --tol is no flag of its own
         main(["filter", str(path), "--tol", "1e-3"])
     assert exc.value.code == 1
-
-
-def _rotated_classical_diag_file(tmp_path):
-    """classical_diag under a Haar V (x) V: it splits and extracts, each to a roundoff residual."""
-    path = tmp_path / "state.json"
-    path.write_text(run_cli_format(haar_congruence(canonical("classical_diag", 3), rng_from_seed(7), "V")))
-    return path
-
-
-def test_tol_split_flag_sets_the_split_tolerance(tmp_path, capsys):
-    path = _rotated_classical_diag_file(tmp_path)
-    assert main(["decompose", str(path), "--json"]) == 0
-    capsys.readouterr()
-    assert main(["decompose", str(path), "--json", "--tol-split", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error: CompleteReducibilityViolation: split residual")
-
-
-def test_tol_separable_flag_sets_the_reconstruction_tolerance(tmp_path, capsys):
-    path = _rotated_classical_diag_file(tmp_path)
-    assert main(["certify", str(path), "--json"]) == 0
-    assert "terms" in json.loads(capsys.readouterr().out)["extraction"]
-    assert main(["certify", str(path), "--json", "--tol-separable", "0"]) == 2
-    assert json.loads(capsys.readouterr().out)["extraction"]["step"] == "reconstruction"
 
 
 def test_triad_seed_env(tmp_path, monkeypatch):

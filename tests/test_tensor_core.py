@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import threading
 import weakref
 
@@ -290,6 +291,14 @@ def test_norms_of_an_exactly_hermitian_operator_come_from_its_spectrum(monkeypat
     op = LocalOperator(tilted)
     got = norms(op)
     assert len(svds) == 1 and got.operator_norm == float(_svd(op)[1][0])
+
+    # entries near the largest float would overflow a + a^*, so they take the SVD too
+    huge = LocalOperator(np.diag([1e308, -5e307]))
+    got = norms(huge)
+    assert len(svds) == 2
+    assert got.operator_norm == pytest.approx(1e308, rel=1e-14)
+    assert got.trace_norm == pytest.approx(1.5e308, rel=1e-14)
+    assert got.frobenius_norm == pytest.approx(math.hypot(1e308, 5e307), rel=1e-14)
 
 
 def test_svd_is_memoized_and_locked():
